@@ -30,6 +30,8 @@ from .model import (
     NumericalFailure,
     ProblemInstance,
     apply_A,
+    apply_B,
+    apply_Bt,
     feasible_E,
     quad_A,
 )

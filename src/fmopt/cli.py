@@ -39,7 +39,6 @@ class RunConfig:
     autotune_window: int = 0
     eta: float | None = None
     nu: float | None = None
-    seed: int = 0
     stride: int = 1
     deterministic: bool = False
     dense_threshold: int = 4000
@@ -104,7 +103,6 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
         log_stride=config.stride,
         dense_threshold=config.dense_threshold,
         deterministic=config.deterministic,
-        seed=config.seed,
     )
 
     dense_ok = instance.N <= config.dense_threshold
@@ -195,7 +193,6 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
         "scheme": config.scheme,
         "mode": config.mode,
         "iterations": config.iterations,
-        "seed": config.seed,
         "tau": tau,
         "sigma0": sigma0,
         "sigma_final": result.sigma_final,
@@ -207,8 +204,12 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
         "state": state_path,
         "state_avg": avg_path,
     }
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"report holds a non-finite value: {exc}") from exc
     with open(f"{prefix}_report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+        fh.write(text)
     return report
 
 
@@ -245,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rung.add_argument("--autotune-window", type=int, default=0)
     rung.add_argument("--eta", type=float, default=None, help="override the instance eta")
     rung.add_argument("--nu", type=float, default=None, help="override the instance nu")
-    rung.add_argument("--seed", type=int, default=0)
     rung.add_argument("--stride", type=int, default=1)
     rung.add_argument("--deterministic", action="store_true")
     rung.add_argument("--dense-threshold", type=int, default=4000)
@@ -292,6 +292,12 @@ def _instance_from_args(args) -> ProblemInstance:
     return inst
 
 
+def _fail(exc: Exception, kind: str, code: int) -> int:
+    json.dump({"error": str(exc), "kind": kind}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -305,22 +311,19 @@ def main(argv=None) -> int:
             autotune_window=args.autotune_window,
             eta=args.eta,
             nu=args.nu,
-            seed=args.seed,
             stride=args.stride,
             deterministic=args.deterministic,
             dense_threshold=args.dense_threshold,
             out_prefix=args.out,
         )
         report = run(config, instance)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
+        return _fail(exc, "numerical", 3)
     except (InvalidInstance, FileNotFoundError, ValueError) as exc:
-        json.dump({"error": str(exc), "kind": "input"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (NumericalFailure, FmoError) as exc:
-        json.dump({"error": str(exc), "kind": "numerical"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    json.dump(report, sys.stdout, indent=2)
+        return _fail(exc, "input", 2)
+    except FmoError as exc:
+        return _fail(exc, "numerical", 3)
+    json.dump(report, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FlopCounter, MaterialState, NumericalFailure, ProblemInstance
+from .model import FlopCounter, MaterialState, NumericalFailure, ProblemInstance, apply_B
 
 GAP_PREFACTOR_CONST = 0.37  # printed constant; beta_hat bound gives 0.36603
 
@@ -89,13 +89,8 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     """Smallest nonzero singular value of stacked B, squared; plus rank flag."""
     if instance.N > dense_threshold:
         raise NumericalFailure("dense SVD of B only supported on small instances")
-    rows = []
-    for el in instance.elements:
-        for ig in range(instance.nig):
-            block = np.zeros((instance.k, instance.N))
-            block[:, el.cols] = el.values[ig]
-            rows.append(block)
-    B = np.vstack(rows)
+    # stacked B (m*nig*k rows) as the strains of the unit vectors
+    B = apply_B(instance, np.eye(instance.N)).reshape(instance.N, -1).T
     sv = np.linalg.svd(B, compute_uv=False)
     tol = max(B.shape) * np.finfo(float).eps * sv[0]
     nonzero = sv[sv > tol]

@@ -3,7 +3,8 @@
 A design is a list of m symmetric k-by-k material blocks; the stiffness
 operator A(E) = sum_i sum_l B_{i,l}^T E_i B_{i,l} is never materialized
 here, it is applied element by element through the sparse per-element
-operators B_{i,l}.
+operators B_{i,l}.  ``apply_B`` and its adjoint ``apply_Bt`` are the one
+element kernel every sweep in the package goes through.
 
 States are value types, safe to hand between threads.  Per-element
 contributions reduce through an associative sum in a fixed element order,
@@ -208,6 +209,9 @@ class ProblemInstance:
                 )
         if not np.all(np.isfinite(self.loads)):
             raise InvalidInstance("loads contain non-finite entries")
+        for name in ("rho_l", "rho_u", "r", "gamma", "eta", "nu"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInstance(f"{name} must be finite")
         if not (self.r > 0):
             raise InvalidInstance("eigenvalue floor r must be positive")
         if np.any(self.k * self.r > self.rho_l + FEAS_TOL):
@@ -298,6 +302,44 @@ def _check_vector(instance: ProblemInstance, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def apply_B(instance: ProblemInstance, X) -> np.ndarray:
+    """Element strains B_{i,l} x_j for every row x_j of X: shape (L, m, nig, k).
+
+    One gather of the column supports and one contraction with the packed
+    operators; padded columns carry zero values and contribute nothing.
+    """
+    return np.einsum("qlkd,jqd->jqlk", instance.B_packed, X[:, instance.cols_packed])
+
+
+def apply_Bt(instance: ProblemInstance, Y) -> np.ndarray:
+    """Adjoint of ``apply_B``: sum_i sum_l B_{i,l}^T y_{j,i,l}, shape (L, N).
+
+    The per-element rows are summed into the global DOFs by one bincount
+    over all loads, in fixed element order.
+    """
+    n_rows, N = Y.shape[0], instance.N
+    local = np.einsum("qlkd,jqlk->jqd", instance.B_packed, Y)
+    idx = (np.arange(n_rows)[:, None, None] * N + instance.cols_packed).ravel()
+    return np.bincount(idx, weights=local.ravel(), minlength=n_rows * N).reshape(n_rows, N)
+
+
+def element_quads(E_dense, W):
+    """(E_i W, <W, E W> per load) for strains W from ``apply_B``.
+
+    Tiny negative forms from roundoff near the PSD boundary are clamped to
+    zero; anything below -QUAD_CLAMP is treated as corrupted state.
+    """
+    EW = np.einsum("qkc,jqlc->jqlk", E_dense, W)
+    quad = np.einsum("jqlk,jqlk->j", W, EW)
+    low = float(quad.min(initial=0.0))
+    if low < -QUAD_CLAMP:
+        raise NumericalFailure(
+            f"<A(E)x, x> = {low:.3e} is negative beyond roundoff; "
+            "material state appears corrupted"
+        )
+    return EW, np.maximum(quad, 0.0)
+
+
 def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter | None = None):
     """Apply the stiffness operator A(E) to a vector, element by element.
 
@@ -305,37 +347,19 @@ def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter
     """
     instance.check_material(E)
     v = _check_vector(instance, v)
-    Ed = E.dense()
-    xg = v[instance.cols_packed]  # (m, n_loc)
-    w = np.einsum("qlkd,qd->qlk", instance.B_packed, xg)  # B_{i,l} v
-    ew = np.einsum("qkc,qlc->qlk", Ed, w)
-    ylocal = np.einsum("qlkd,qlk->qd", instance.B_packed, ew)
-    out = np.zeros(instance.N)
-    np.add.at(out, instance.cols_packed, ylocal)
+    EW = np.einsum("qkc,jqlc->jqlk", E.dense(), apply_B(instance, v[None]))
     if counter is not None:
         k, nloc = instance.k, instance.n_loc
         counter.add("apply_A", instance.nig * instance.m * (4 * k * nloc + 2 * k * k))
-    return out
+    return apply_Bt(instance, EW)[0]
 
 
 def quad_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter | None = None) -> float:
-    """Quadratic form <A(E) v, v> accumulated through the element loops.
-
-    Tiny negative values from roundoff near the PSD boundary are clamped to
-    zero; anything below -1e-9 is treated as corrupted state.
-    """
+    """Quadratic form <A(E) v, v> accumulated through the element loops."""
     instance.check_material(E)
     v = _check_vector(instance, v)
-    Ed = E.dense()
-    xg = v[instance.cols_packed]
-    w = np.einsum("qlkd,qd->qlk", instance.B_packed, xg)
-    val = float(np.einsum("qlk,qkc,qlc->", w, Ed, w))
+    _, quad = element_quads(E.dense(), apply_B(instance, v[None]))
     if counter is not None:
         k, nloc = instance.k, instance.n_loc
         counter.add("quad_A", instance.nig * instance.m * (2 * k * nloc + 2 * k * k + 2 * k))
-    if val < -QUAD_CLAMP:
-        raise NumericalFailure(
-            f"<A(E)v, v> = {val:.3e} is negative beyond roundoff; "
-            "material state appears corrupted"
-        )
-    return max(val, 0.0)
+    return float(quad[0])

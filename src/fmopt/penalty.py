@@ -21,6 +21,7 @@ from .model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    apply_B,
 )
 from .saddle import lagrangian_value, subgradients
 
@@ -37,23 +38,15 @@ class PenaltyState:
     violated: np.ndarray  # indices with compliance > gamma
 
 
-def _scatter_indices(instance: ProblemInstance):
-    # flattened (row, col) targets of every element-stiffness entry; cached
-    idx = getattr(instance, "_dense_scatter_idx", None)
-    if idx is None:
-        cols = instance.cols_packed
-        idx = (cols[:, :, None] * instance.N + cols[:, None, :]).ravel()
-        instance._dense_scatter_idx = idx
-    return idx
-
-
 def assemble_dense(instance: ProblemInstance, E_dense, counter: FlopCounter | None = None):
     """Dense A(E): per-element congruences scattered into an N x N matrix."""
     EB = np.einsum("qkc,qlcb->qlkb", E_dense, instance.B_packed)
     ke = np.einsum("qlka,qlkb->qab", instance.B_packed, EB)
-    A = np.bincount(
-        _scatter_indices(instance), weights=ke.ravel(), minlength=instance.N**2
-    ).reshape(instance.N, instance.N)
+    cols = instance.cols_packed  # flattened (row, col) target of every ke entry
+    idx = (cols[:, :, None] * instance.N + cols[:, None, :]).ravel()
+    A = np.bincount(idx, weights=ke.ravel(), minlength=instance.N**2).reshape(
+        instance.N, instance.N
+    )
     if counter is not None:
         k, N = instance.k, instance.N
         counter.add(
@@ -130,12 +123,10 @@ def penalty_grad_correction(instance: ProblemInstance, state: PenaltyState):
     m, k = instance.m, instance.k
     if state.violated.size == 0 or instance.nu == 0.0:
         return np.zeros((m, k, k))
-    u = state.solutions.T[state.violated]  # (V, N)
     coef = instance.nu * np.maximum(
         1.0 - math.sqrt(instance.gamma) / np.sqrt(state.compliances[state.violated]), 0.0
     )
-    ug = u[:, instance.cols_packed]  # (V, m, n_loc)
-    W = np.einsum("qlkd,jqd->jqlk", instance.B_packed, ug)
+    W = apply_B(instance, state.solutions.T[state.violated])
     corr = np.einsum("j,jqlk,jqlc->qkc", coef, W, W)
     return -corr
 

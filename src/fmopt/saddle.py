@@ -25,6 +25,9 @@ from .model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    apply_B,
+    apply_Bt,
+    element_quads,
 )
 
 log = logging.getLogger(__name__)
@@ -166,29 +169,6 @@ def autotune_step_budget(L_norm: float, D: float, sigma0: float, window: int) ->
 # -- subgradient oracle ----------------------------------------------------
 
 
-def _batched_element_products(instance: ProblemInstance, E_dense, x):
-    """Shared element loop: returns (W, EW, quad) with W[j,i,l] = B_{i,l} x_j."""
-    xg = x[:, instance.cols_packed]  # (L, m, n_loc)
-    W = np.einsum("qlkd,jqd->jqlk", instance.B_packed, xg)
-    EW = np.einsum("qkc,jqlc->jqlk", E_dense, W)
-    quad = np.einsum("jqlk,jqlk->j", W, EW)
-    low = float(quad.min(initial=0.0))
-    if low < -1e-9:
-        raise NumericalFailure(
-            f"<A(E)x, x> = {low:.3e} is negative beyond roundoff; state corrupted"
-        )
-    np.maximum(quad, 0.0, out=quad)
-    return W, EW, quad
-
-
-def _scatter_rows(instance: ProblemInstance, local_rows):
-    """Scatter (L, m, n_loc) element contributions into (L, N) vectors."""
-    out = np.zeros((local_rows.shape[0], instance.N))
-    for j in range(local_rows.shape[0]):
-        np.add.at(out[j], instance.cols_packed, local_rows[j])
-    return out
-
-
 def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter=None):
     """Fused evaluation of the Lagrangian subgradients at (E, x).
 
@@ -197,7 +177,8 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
     representative ``fallback_y`` when supplied, otherwise the plain 2 f_j
     selection, which is flagged.
     """
-    W, EW, quad = _batched_element_products(instance, E_dense, x)
+    W = apply_B(instance, x)
+    EW, quad = element_quads(E_dense, W)
     in_R = quad > R_THRESHOLD * np.einsum("jn,jn->j", x, x)
     sqrt_gamma = math.sqrt(instance.gamma)
 
@@ -205,23 +186,17 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
     coef[in_R] = sqrt_gamma / np.sqrt(quad[in_R])
     g_E = -np.einsum("j,jqlk,jqlc->qkc", coef, W, W)
     g_E += np.eye(instance.k)[None, :, :]
+    # loads outside R have coef 0, so their rows already hold the plain 2 f_j
+    g_x = 2.0 * instance.loads - 2.0 * coef[:, None] * apply_Bt(instance, EW)
 
-    ylocal = np.einsum("qlkd,jqlk->jqd", instance.B_packed, EW)  # A_i(E) x_j rows
-    Ax = _scatter_rows(instance, ylocal)
-    g_x = 2.0 * instance.loads - 2.0 * coef[:, None] * Ax
-
-    used_plain = False
-    for j in np.flatnonzero(~in_R):
-        if fallback_y is not None and np.any(fallback_y[j]):
-            yg = fallback_y[j][instance.cols_packed]
-            Wy = np.einsum("qlkd,qd->qlk", instance.B_packed, yg)
-            EWy = np.einsum("qkc,qlc->qlk", E_dense, Wy)
-            Ay = np.zeros(instance.N)
-            np.add.at(Ay, instance.cols_packed, np.einsum("qlkd,qlk->qd", instance.B_packed, EWy))
-            g_x[j] = 2.0 * instance.loads[j] - 2.0 * sqrt_gamma * Ay
-        else:
-            g_x[j] = 2.0 * instance.loads[j]
-            used_plain = True
+    plain = ~in_R
+    if fallback_y is not None:
+        stored = plain & np.any(fallback_y, axis=1)
+        plain &= ~stored
+        if stored.any():
+            EWy = np.einsum("qkc,jqlc->jqlk", E_dense, apply_B(instance, fallback_y[stored]))
+            g_x[stored] -= 2.0 * sqrt_gamma * apply_Bt(instance, EWy)
+    used_plain = bool(plain.any())
 
     if counter is not None:
         k, nloc, nig = instance.k, instance.n_loc, instance.nig
@@ -247,7 +222,7 @@ def subgrad_x(instance: ProblemInstance, E: MaterialState, x: DualState):
 
 def lagrangian_value(instance: ProblemInstance, E_dense, x) -> float:
     """Value of the saddle function at dense-array arguments."""
-    _, _, quad = _batched_element_products(instance, E_dense, x)
+    _, quad = element_quads(E_dense, apply_B(instance, x))
     traces = np.einsum("qkk->q", E_dense).sum()
     pair = np.einsum("jn,jn->j", instance.loads, x)
     return float(traces + 2.0 * np.sum(pair - math.sqrt(instance.gamma) * np.sqrt(quad)))
@@ -354,7 +329,6 @@ class SolverConfig:
     log_stride: int = 1
     dense_threshold: int = 4000
     deterministic: bool = False
-    seed: int = 0
     gap_at_log: bool = True
 
     def __post_init__(self):
@@ -502,6 +476,9 @@ def run_solver(
                 pen_state = pen.compliance_solves(
                     instance, E, counter=counter, dense_threshold=config.dense_threshold
                 )
+            lit = pos = None
+            if pen_state is not None:
+                lit, pos = pen.violation_sums(instance, pen_state.compliances)
             feas_ok, _ = _quick_feasible(instance, E)
             record = IterationRecord(
                 t=t,
@@ -521,15 +498,10 @@ def run_solver(
                 flops=counter.total,
                 wall_ns=wall_ns,
                 compliances=None if pen_state is None else pen_state.compliances,
+                violation_literal=lit,
+                violation_positive=pos,
                 E_ref=E,
             )
-            if pen_state is not None:
-                record.violation_literal = float(
-                    np.minimum(pen_state.compliances - instance.gamma, 0.0).sum()
-                )
-                record.violation_positive = float(
-                    np.maximum(pen_state.compliances - instance.gamma, 0.0).sum()
-                )
             if sink is not None:
                 sink(record)
 

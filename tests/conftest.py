@@ -10,10 +10,14 @@ from fmopt.proj import SpectralProjection, project_spectral
 
 def make_synthetic_instance(rng, m=3, k=3, N=10, L=2, nig=2, n_loc=4,
                             rho_l=0.4, rho_u=2.5, r=0.1, gamma=4.0, eta=6.0, nu=0.0):
-    """Random sparse-support instance, not tied to any mesh."""
+    """Random sparse-support instance, not tied to any mesh.
+
+    ``n_loc`` is one support width for every element, or one per element
+    for ragged supports.
+    """
     elements = []
-    for _ in range(m):
-        cols = np.sort(rng.choice(N, size=min(n_loc, N), replace=False))
+    for width in np.broadcast_to(n_loc, (m,)):
+        cols = np.sort(rng.choice(N, size=min(int(width), N), replace=False))
         values = rng.normal(0.0, 1.0, size=(nig, k, cols.size))
         elements.append(ElementOperator(cols=cols, values=values))
     loads = rng.normal(0.0, 1.0, size=(L, N))

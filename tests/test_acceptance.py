@@ -386,7 +386,7 @@ def test_criterion_11_determinism(tmp_path):
         inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
         for name in ("a", "b"):
             cfg = cli.RunConfig(
-                iterations=200, stride=10, seed=7, deterministic=True,
+                iterations=200, stride=10, deterministic=True,
                 out_prefix=str(tmp_path / name),
             )
             cli.run(cfg, inst)

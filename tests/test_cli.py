@@ -145,3 +145,34 @@ class TestMain:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["L"] == 2
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--rho-l", "nan", "rho_l"),
+        ("--eta", "inf", "eta"),
+    ])
+    def test_nonfinite_input_exit_two(self, tmp_path, capsys, flag, value, field):
+        rc = cli.main([
+            "--mesh", "4x2", "--iters", "20", "--stride", "10", flag, value,
+            "--out", str(tmp_path / "n"),
+        ])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input"
+        assert field in err["error"]
+
+    def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def broken_run(config, instance):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "run", broken_run)
+        rc = cli.main(["--mesh", "2x2", "--iters", "2", "--out", str(tmp_path / "e")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+
+    def test_nonfinite_report_exit_three(self, tmp_path, capsys, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(cli.penalty, "violation_sums", lambda inst, comp: (nan, nan))
+        rc = cli.main(["--mesh", "2x2", "--iters", "2", "--out", str(tmp_path / "v")])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
+        assert not (tmp_path / "v_report.json").exists()

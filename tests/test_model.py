@@ -14,10 +14,12 @@ from fmopt.model import (
     MaterialState,
     ProblemInstance,
     apply_A,
+    apply_B,
+    apply_Bt,
     feasible_E,
     quad_A,
 )
-from fmopt.oracle import dense_stiffness_reference
+from fmopt.oracle import dense_stiffness_reference, dense_strain_matrices
 
 
 def identity_instance(k=2):
@@ -147,6 +149,33 @@ class TestApplyA:
         np.testing.assert_allclose(apply_A(inst, E, v), A @ v, atol=1e-12)
 
 
+class TestElementKernel:
+    @pytest.fixture
+    def ragged(self, rng):
+        return make_synthetic_instance(rng, m=4, N=11, L=3, n_loc=(2, 5, 3, 4))
+
+    def test_apply_Bt_is_adjoint_of_apply_B(self, rng, ragged):
+        X = rng.normal(size=(ragged.L, ragged.N))
+        Y = rng.normal(size=(ragged.L, ragged.m, ragged.nig, ragged.k))
+        BX, BtY = apply_B(ragged, X), apply_Bt(ragged, Y)
+        assert BX.shape == Y.shape and BtY.shape == X.shape
+        np.testing.assert_allclose(
+            np.einsum("jqlk,jqlk->j", BX, Y), np.einsum("jn,jn->j", X, BtY),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_matches_dense_strain_oracle(self, rng, ragged):
+        dense = np.stack(dense_strain_matrices(ragged))  # (m, nig, k, N)
+        X = rng.normal(size=(ragged.L, ragged.N))
+        Y = rng.normal(size=(ragged.L, ragged.m, ragged.nig, ragged.k))
+        np.testing.assert_allclose(
+            apply_B(ragged, X), np.einsum("qlkn,jn->jqlk", dense, X), rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            apply_Bt(ragged, Y), np.einsum("qlkn,jqlk->jn", dense, Y), rtol=1e-12, atol=1e-12
+        )
+
+
 class TestQuadA:
     def test_zero_vector(self, rng):
         inst = make_synthetic_instance(rng)
@@ -201,6 +230,15 @@ class TestInstanceValidation:
         el = ElementOperator(cols=np.arange(2), values=np.eye(2)[None, :, :])
         with pytest.raises(InvalidInstance):
             ProblemInstance([el], np.zeros((1, 2)), 0.1, 1.0, 0.1, 1.0, 1.0)  # k*r > rho_l
+
+    @pytest.mark.parametrize("field", ["rho_l", "rho_u", "r", "gamma", "eta", "nu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_scalar_rejected(self, field, bad):
+        el = ElementOperator(cols=np.arange(2), values=np.eye(2)[None, :, :])
+        args = dict(rho_l=0.2, rho_u=1.0, r=0.1, gamma=1.0, eta=1.0, nu=0.0)
+        args[field] = bad
+        with pytest.raises(InvalidInstance, match=field):
+            ProblemInstance([el], np.zeros((1, 2)), **args)
 
     def test_column_out_of_range_rejected(self):
         el = ElementOperator(cols=np.array([0, 5]), values=np.eye(2)[None, :, :])

@@ -14,7 +14,7 @@ from fmopt.model import (
     MaterialState,
     ProblemInstance,
 )
-from fmopt.oracle import da_step_reference, fd_check
+from fmopt.oracle import da_step_reference, dense_stiffness_reference, fd_check
 from fmopt.saddle import (
     DualAccumulators,
     SigmaController,
@@ -80,6 +80,31 @@ class TestSubgradients:
             inst, Estate, y_unit[0]
         )
         np.testing.assert_allclose(g_x[0], expected, atol=1e-12)
+
+    def test_three_loads_in_R_stored_and_plain(self, rng):
+        # load 0 in R, load 1 outside R with a stored unit representative,
+        # load 2 outside R without one
+        inst = make_synthetic_instance(rng, m=4, L=3)
+        Ed = random_feasible_blocks(rng, 4, 3, 0.4, 2.5, 0.1)
+        A = dense_stiffness_reference(inst, Ed)
+        x = np.zeros((3, inst.N))
+        x[0] = rng.normal(0, 1, inst.N)
+        y = np.zeros((3, inst.N))
+        y[:2] = rng.normal(0, 1, (2, inst.N))
+        y[1] /= math.sqrt(y[1] @ A @ y[1])
+        _, g_x, quad, in_R, used_plain = subgradients(inst, Ed, x, fallback_y=y)
+        assert in_R.tolist() == [True, False, False] and used_plain
+        sqrt_gamma = math.sqrt(inst.gamma)
+        q0 = float(x[0] @ A @ x[0])
+        assert quad[0] == pytest.approx(q0, rel=1e-12)
+        f = inst.loads
+        expected = [
+            2.0 * f[0] - 2.0 * sqrt_gamma / math.sqrt(q0) * (A @ x[0]),
+            2.0 * f[1] - 2.0 * sqrt_gamma * (A @ y[1]),
+            2.0 * f[2],
+        ]
+        for row, want in zip(g_x, expected):
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
 
     def test_finite_difference_gE(self, rng, small_mesh_instance):
         inst = small_mesh_instance
