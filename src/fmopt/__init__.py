@@ -35,7 +35,7 @@ from .model import (
     feasible_E,
     quad_A,
 )
-from .penalty import penalty_grad_E, penalty_value
+from .penalty import penalty_grad_correction, penalty_value
 from .proj import (
     BoxTraceLS,
     SpectralProjection,
@@ -57,9 +57,7 @@ from .saddle import (
     da_step,
     lagrangian_value,
     run_solver,
-    sigma_autotune,
-    subgrad_E,
-    subgrad_x,
+    subgradients,
 )
 
 __version__ = "0.1.0"

@@ -165,6 +165,7 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
         cert = diagnostics.approximation_certificate(
             instance, result.E_avg, result.x_avg.vectors, f_star_upper,
             dense_threshold=config.dense_threshold,
+            lam_min_BtB=None if constants is None else constants.lam_min_BtB,
         )
         certificate = {
             "f_star_upper_estimate": f_star_upper,

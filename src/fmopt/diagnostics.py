@@ -8,12 +8,14 @@ approximate-solution certificates, and the flop-count report.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FlopCounter, MaterialState, NumericalFailure, ProblemInstance, apply_B
+from . import penalty
+from .model import FlopCounter, MaterialState, NumericalFailure, ProblemInstance
 
 GAP_PREFACTOR_CONST = 0.37  # printed constant; beta_hat bound gives 0.36603
 
@@ -25,6 +27,7 @@ class BoundConstants:
     ``B_norm`` is the spectral norm of the stacked strain operator;
     ``lam_min_BtB`` is the smallest nonzero singular value squared (the
     rank-deficient flag records when zero singular values were dropped).
+    Both come from one eigendecomposition of A(I) = B^T B.
     ``D_E`` is the exact per-element maximum of the material prox term,
     while the printed bounds use the uniform form with ``rho_u_max``.
     """
@@ -86,24 +89,31 @@ def power_iteration_norm(instance: ProblemInstance, tol: float = 1e-8, max_iter:
 
 
 def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int = 4000):
-    """Smallest nonzero singular value of stacked B, squared; plus rank flag."""
+    """Smallest nonzero singular value of stacked B, squared; rank flag; ||B||_2.
+
+    The squared singular values of the (m*nig*k) x N stacked strain operator
+    are the eigenvalues of its N x N Gram matrix A(I) = B^T B, so one
+    symmetric eigendecomposition gives all three results.  Eigenvalues at
+    or below max(rows, N) * eps * lambda_max count as zero.
+    """
     if instance.N > dense_threshold:
-        raise NumericalFailure("dense SVD of B only supported on small instances")
-    # stacked B (m*nig*k rows) as the strains of the unit vectors
-    B = apply_B(instance, np.eye(instance.N)).reshape(instance.N, -1).T
-    sv = np.linalg.svd(B, compute_uv=False)
-    tol = max(B.shape) * np.finfo(float).eps * sv[0]
-    nonzero = sv[sv > tol]
-    if nonzero.size == 0:
+        raise NumericalFailure(
+            "dense eigendecomposition of B^T B only supported on small instances"
+        )
+    m, k, N = instance.m, instance.k, instance.N
+    gram = penalty.assemble_dense(instance, np.broadcast_to(np.eye(k), (m, k, k)))
+    lam = np.linalg.eigvalsh(gram)
+    rows = m * instance.nig * k
+    if not lam[-1] > 0.0:
         raise NumericalFailure("strain operator is identically zero")
-    deficient = nonzero.size < min(B.shape)
-    return float(nonzero[-1] ** 2), deficient, float(sv[0])
+    nonzero = lam[lam > max(rows, N) * np.finfo(float).eps * lam[-1]]
+    deficient = nonzero.size < min(rows, N)
+    return float(nonzero[0]), deficient, math.sqrt(lam[-1])
 
 
 def compute_constants(instance: ProblemInstance, tau: float) -> BoundConstants:
     """Evaluate the printed bound constants for one instance."""
-    B_norm = power_iteration_norm(instance)
-    lam_min, deficient, _ = smallest_nonzero_singular_sq(instance)
+    lam_min, deficient, B_norm = smallest_nonzero_singular_sq(instance)
     m, k, L = instance.m, instance.k, instance.L
     r, gamma, eta = instance.r, instance.gamma, instance.eta
     rho_u_max = float(instance.rho_u.max())
@@ -139,13 +149,14 @@ def optimal_parameters(instance: ProblemInstance, scheme: str):
     tau balances the two Lipschitz/diameter pairs; sigma is 1/sqrt(2D) for
     the weighted scheme and carries the extra combined-norm factor for the
     simple one (the printed simple-scheme sigma omits that factor and does
-    not reproduce its own final bound).
+    not reproduce its own final bound).  Only ``tau`` and ``D`` depend on
+    tau, so the constants are computed once.
     """
     const0 = compute_constants(instance, 0.5)
     L_E, L_x = const0.L_E, const0.L_x
     D_E, D_x = const0.D_E, const0.D_x
     tau = 1.0 / (1.0 + (L_x / L_E) * math.sqrt(D_E / D_x))
-    constants = compute_constants(instance, tau)
+    constants = dataclasses.replace(const0, tau=tau)
     D = constants.D
     if scheme == "weighted":
         sigma = 1.0 / math.sqrt(2.0 * D)
@@ -280,6 +291,7 @@ def approximation_certificate(
     x,
     f_star_upper: float,
     dense_threshold: int = 4000,
+    lam_min_BtB: float | None = None,
 ) -> CertificateReport:
     """Evaluate both sides of the constraint-violation bound at (E, x).
 
@@ -287,10 +299,9 @@ def approximation_certificate(
     certifies an exact solution; otherwise the root-compliance violation
     sum is compared against the data bound.  ``f_star_upper`` is an upper
     estimate of the optimal cost (e.g. the best feasible objective seen),
-    so the comparison is reported rather than asserted.
+    so the comparison is reported rather than asserted.  ``lam_min_BtB``
+    may carry the value already held in the run's BoundConstants.
     """
-    from . import penalty
-
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)
     state = penalty.compliance_solves(instance, E.dense(), dense_threshold=dense_threshold)
@@ -299,7 +310,9 @@ def approximation_certificate(
     lhs = float(
         np.sum(np.sqrt(comp[violated]) - math.sqrt(instance.gamma))
     ) if violated.size else 0.0
-    lam_min, _, _ = smallest_nonzero_singular_sq(instance, dense_threshold)
+    lam_min = lam_min_BtB
+    if lam_min is None:
+        lam_min, _, _ = smallest_nonzero_singular_sq(instance, dense_threshold)
     m_rho_l = float(np.sum(instance.rho_l))
     denom = 2.0 * instance.r * lam_min * instance.eta
     rhs = (f_star_upper - m_rho_l) / denom

@@ -359,21 +359,60 @@ def write_state(state: MaterialState, path) -> None:
 
 
 def read_state(path) -> MaterialState:
+    """Read an fmo-state/1 file written by ``write_state``.
+
+    Every block index in [0, m) must appear exactly once, with k finite
+    values per row and an exactly symmetric block; anything else raises
+    InvalidInstance naming the offending line.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != STATE_MAGIC:
         raise InvalidInstance(f"not a {STATE_MAGIC} file: {path}")
-    dims = {}
-    for tok in lines[1].split()[1:]:
-        key, val = tok.split("=")
-        dims[key] = int(val)
-    m, k = dims["m"], dims["k"]
+
+    def fail(pos: int, what: str) -> InvalidInstance:
+        return InvalidInstance(f"{path}, line {pos + 1}: {what}")
+
+    try:
+        head = lines[1].split()
+        if head[0] != "dims":
+            raise ValueError
+        dims = dict(tok.split("=") for tok in head[1:])
+        m, k = int(dims["m"]), int(dims["k"])
+        if m < 1 or k < 1:
+            raise ValueError
+    except (IndexError, KeyError, ValueError) as exc:
+        raise fail(1, "expected 'dims m=<int> k=<int>' with m, k >= 1") from exc
+    if len(lines) < 2 + m * (k + 1):
+        raise fail(len(lines), f"unexpected end of file, expected {m} blocks of {k} rows")
+
     blocks = np.zeros((m, k, k))
+    seen = np.zeros(m, dtype=bool)
     pos = 2
     for _ in range(m):
-        i = int(lines[pos].split()[1])
-        pos += 1
-        for row in range(k):
-            blocks[i, row] = [float(v) for v in lines[pos].split()]
-            pos += 1
+        head = lines[pos].split()
+        try:
+            if len(head) != 2 or head[0] != "block":
+                raise ValueError
+            i = int(head[1])
+        except ValueError as exc:
+            raise fail(pos, f"expected 'block <i>', got {lines[pos]!r}") from exc
+        if not 0 <= i < m:
+            raise fail(pos, f"block index {i} outside [0, {m})")
+        if seen[i]:
+            raise fail(pos, f"duplicate block {i}")
+        seen[i] = True
+        for row, n in enumerate(range(pos + 1, pos + 1 + k)):
+            vals = lines[n].split()
+            try:
+                blocks[i, row] = [float(v) for v in vals]
+            except ValueError as exc:
+                raise fail(n, f"expected {k} floats, got {lines[n]!r}") from exc
+            if not np.all(np.isfinite(blocks[i, row])):
+                raise fail(n, f"block {i} has a non-finite entry")
+        if not np.array_equal(blocks[i], blocks[i].T):
+            raise fail(pos, f"block {i} is not symmetric")
+        pos += k + 1
+    if pos < len(lines):
+        raise fail(pos, "unexpected content after the last block")
     return MaterialState.from_dense(blocks)

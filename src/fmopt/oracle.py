@@ -184,6 +184,21 @@ def dense_strain_matrices(instance):
     return out
 
 
+def singular_sq_reference(instance):
+    """(lam_min, deficient, top_sv) from the dense SVD of the stacked B.
+
+    Stacks every element/integration-point strain operator into one
+    (m*nig*k) x N matrix; singular values at or below
+    max(rows, N) * eps * sigma_max count as zero.
+    """
+    B = np.concatenate([d.reshape(-1, instance.N) for d in dense_strain_matrices(instance)])
+    sv = np.linalg.svd(B, compute_uv=False)
+    nonzero = sv[sv > max(B.shape) * np.finfo(float).eps * sv[0]]
+    if nonzero.size == 0:
+        raise FmoError("strain operator is identically zero")
+    return float(nonzero[-1] ** 2), nonzero.size < min(B.shape), float(sv[0])
+
+
 def dense_stiffness_reference(instance, E_blocks):
     """A(E) assembled densely with explicit loops (test reference only)."""
     E_blocks = np.asarray(E_blocks, dtype=float)

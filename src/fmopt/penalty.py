@@ -23,7 +23,7 @@ from .model import (
     ProblemInstance,
     apply_B,
 )
-from .saddle import lagrangian_value, subgradients
+from .saddle import lagrangian_value
 
 DENSE_THRESHOLD = 4000
 
@@ -129,20 +129,6 @@ def penalty_grad_correction(instance: ProblemInstance, state: PenaltyState):
     W = apply_B(instance, state.solutions.T[state.violated])
     corr = np.einsum("j,jqlk,jqlc->qkc", coef, W, W)
     return -corr
-
-
-def penalty_grad_E(
-    instance: ProblemInstance,
-    E: MaterialState,
-    x: DualState,
-    dense_threshold: int = DENSE_THRESHOLD,
-):
-    """Material-side gradient of p(E, x); equals the plain subgradient when
-    no compliance constraint is violated."""
-    instance.check_material(E)
-    g_E, _, _, _, _ = subgradients(instance, E.dense(), x.vectors)
-    state = compliance_solves(instance, E.dense(), dense_threshold=dense_threshold)
-    return g_E + penalty_grad_correction(instance, state)
 
 
 def violation_sums(instance: ProblemInstance, compliances) -> tuple:

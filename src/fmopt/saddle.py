@@ -156,11 +156,6 @@ class SigmaController:
         return self.sigma
 
 
-def sigma_autotune(controller: SigmaController, gap_samples) -> float:
-    """Feed one window of gap-bound samples to the controller."""
-    return controller.observe_window(gap_samples)
-
-
 def autotune_step_budget(L_norm: float, D: float, sigma0: float, window: int) -> int:
     """Upper bound on the number of test steps the controller may consume."""
     return int(math.ceil(2.5 + math.log2(L_norm / (sigma0 * math.sqrt(D))))) * window
@@ -204,20 +199,6 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
         counter.add("grads", instance.L * (instance.m * nig * per_l + instance.m * k * (k + 1)))
         counter.add("grads", 5 * instance.L * instance.N + 4 * instance.L)
     return g_E, g_x, quad, in_R, used_plain
-
-
-def subgrad_E(instance: ProblemInstance, E: MaterialState, x: DualState):
-    """Material-side subgradient blocks of the Lagrangian at (E, x)."""
-    instance.check_material(E)
-    g_E, _, _, _, _ = subgradients(instance, E.dense(), x.vectors)
-    return g_E
-
-
-def subgrad_x(instance: ProblemInstance, E: MaterialState, x: DualState):
-    """Adjoint-side subgradient vectors of the Lagrangian at (E, x)."""
-    instance.check_material(E)
-    _, g_x, _, _, _ = subgradients(instance, E.dense(), x.vectors)
-    return g_x
 
 
 def lagrangian_value(instance: ProblemInstance, E_dense, x) -> float:
@@ -443,7 +424,7 @@ def run_solver(
             kappa, upsilon, gap = diagnostics.gap_estimate(acc, instance)
             window_samples.append(gap)
             if len(window_samples) == controller.window:
-                schedule.sigma = sigma_autotune(controller, window_samples)
+                schedule.sigma = controller.observe_window(window_samples)
                 window_samples = []
                 if controller.frozen and constants is not None:
                     # theorem budget applies when sigma0 starts below the optimum
@@ -479,13 +460,20 @@ def run_solver(
             lit = pos = None
             if pen_state is not None:
                 lit, pos = pen.violation_sums(instance, pen_state.compliances)
+            objective = float(np.einsum("qkk->", E))
+            for name, value in (
+                ("objective", objective), ("gap", gap),
+                ("alpha", info["alpha"]), ("sigma", schedule.sigma),
+            ):
+                if value is not None and not math.isfinite(value):
+                    raise NumericalFailure(f"step {t}: {name} is not finite ({value})")
             feas_ok, _ = _quick_feasible(instance, E)
             record = IterationRecord(
                 t=t,
                 alpha=info["alpha"],
                 beta=info["beta"],
                 sigma=schedule.sigma,
-                objective=float(np.einsum("qkk->", E)),
+                objective=objective,
                 grad_norm=info["grad_norm"],
                 gap_kappa=kappa,
                 gap_upsilon=upsilon,

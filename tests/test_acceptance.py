@@ -218,8 +218,8 @@ def test_criterion_4_subgradient_validity():
             )
             assert np.all(comp > tight.gamma)
             x = rng.normal(0, 1, (tight.L, tight.N))
-            gp = penalty.penalty_grad_E(
-                tight, MaterialState.from_dense(blocks), DualState.from_array(x)
+            gp = saddle.subgradients(tight, blocks, x)[0] + penalty.penalty_grad_correction(
+                tight, penalty.compliance_solves(tight, blocks)
             )
             D = rng.normal(0, 1, blocks.shape)
             D = D + np.swapaxes(D, 1, 2)

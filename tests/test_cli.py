@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fmopt import cli, fem2d
+from fmopt import cli, diagnostics, fem2d
 from fmopt.cli import RunConfig, run
 
 
@@ -90,6 +90,27 @@ class TestMain:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["tau"] != 0.5
+
+    @pytest.mark.parametrize("params", [
+        ["--tau", "auto", "--sigma0", "auto"],
+        ["--tau", "0.3"],
+    ])
+    def test_bound_data_computed_once(self, tmp_path, capsys, monkeypatch, params):
+        calls = {"smallest_nonzero_singular_sq": 0, "power_iteration_norm": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(diagnostics, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(diagnostics, name, counted)
+        rc = cli.main([
+            "--mesh", "4x2", "--iters", "20", "--stride", "10", *params,
+            "--out", str(tmp_path / "c"),
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate"] is not None
+        assert calls == {"smallest_nonzero_singular_sq": 1, "power_iteration_norm": 0}
 
     def test_bad_input_exit_two(self, tmp_path, capsys):
         rc = cli.main(["--instance", str(tmp_path / "missing.fmo")])
@@ -176,3 +197,13 @@ class TestMain:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "numerical"
         assert not (tmp_path / "v_report.json").exists()
+
+    def test_nonfinite_gap_exit_three(self, tmp_path, capsys, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(diagnostics, "gap_estimate", lambda acc, inst: (nan, nan, nan))
+        rc = cli.main(["--mesh", "2x2", "--iters", "4", "--stride", "2",
+                       "--out", str(tmp_path / "g")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert "step 2: gap is not finite" in err["error"]

@@ -12,10 +12,11 @@ from fmopt.diagnostics import (
     optimal_parameters,
     theoretical_gap_bound,
 )
-from fmopt.model import ElementOperator, ProblemInstance
+from fmopt.model import ElementOperator, NumericalFailure, ProblemInstance
 from fmopt.oracle import (
     max_prox_over_block_reference,
     min_linear_over_block_reference,
+    singular_sq_reference,
 )
 
 
@@ -35,8 +36,19 @@ class TestConstants:
     def test_B_norm_matches_dense_svd(self, rng):
         inst = make_synthetic_instance(rng, m=5, N=14, n_loc=5)
         const = compute_constants(inst, 0.5)
-        _, _, top_sv = diagnostics.smallest_nonzero_singular_sq(inst)
-        assert const.B_norm == pytest.approx(top_sv, rel=1e-6)
+        lam_min, deficient, top_sv = singular_sq_reference(inst)
+        assert const.B_norm == pytest.approx(top_sv, rel=1e-12)
+        assert const.lam_min_BtB == pytest.approx(lam_min, rel=1e-9)
+        assert const.B_rank_deficient == deficient
+
+    def test_power_iteration_matches_dense_svd(self, rng, small_mesh_instance):
+        for inst in (make_synthetic_instance(rng, m=5, N=14, n_loc=5), small_mesh_instance):
+            _, _, top_sv = singular_sq_reference(inst)
+            assert diagnostics.power_iteration_norm(inst) == pytest.approx(top_sv, rel=1e-6)
+
+    def test_optimal_parameters_reuse_constants(self, small_mesh_instance):
+        tau, _, const = optimal_parameters(small_mesh_instance, "weighted")
+        assert const == compute_constants(small_mesh_instance, tau)
 
     def test_DE_extreme_point_attained(self, rng):
         # the closed form equals the direct maximization over one block
@@ -55,6 +67,51 @@ class TestConstants:
             best = max(best, 0.5 * float(np.sum(x**2)))
         assert best <= 0.5 * L * eta**2 + 1e-12
         assert best == pytest.approx(0.5 * L * eta**2, rel=1e-9)
+
+
+class TestSingularSq:
+    """The Gram eigendecomposition against the dense SVD of stacked B."""
+
+    @staticmethod
+    def assert_matches_svd(inst):
+        lam_min, deficient, top_sv = diagnostics.smallest_nonzero_singular_sq(inst)
+        ref_lam, ref_deficient, ref_top = singular_sq_reference(inst)
+        assert lam_min == pytest.approx(ref_lam, rel=1e-9)
+        assert top_sv == pytest.approx(ref_top, rel=1e-12)
+        assert deficient == ref_deficient
+        return deficient
+
+    def test_mesh_instance(self, small_mesh_instance):
+        spec = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0)
+        wide = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
+        for inst in (small_mesh_instance, wide):
+            assert not self.assert_matches_svd(inst)
+
+    def test_full_rank_synthetic(self, rng):
+        # every column touched; rows above, near and below N
+        for m, N, nig in ((5, 14, 2), (2, 6, 1), (2, 10, 1), (6, 9, 3)):
+            for _ in range(5):
+                inst = make_synthetic_instance(rng, m=m, N=N, nig=nig, n_loc=N)
+                assert not self.assert_matches_svd(inst)
+
+    def test_untouched_column_is_rank_deficient(self, rng):
+        N, k = 8, 3
+        elements = []
+        for _ in range(4):
+            cols = np.sort(rng.choice(N - 1, size=5, replace=False))
+            elements.append(ElementOperator(cols=cols, values=rng.normal(0, 1, (2, k, 5))))
+        inst = ProblemInstance(elements, rng.normal(0, 1, (1, N)), 0.4, 2.5, 0.1, 4.0, 6.0)
+        assert self.assert_matches_svd(inst)
+
+    def test_zero_operator_rejected(self):
+        el = ElementOperator(cols=np.arange(3), values=np.zeros((1, 3, 3)))
+        inst = ProblemInstance([el], np.ones((1, 3)), 0.4, 2.0, 0.1, 2.0, 3.0)
+        with pytest.raises(NumericalFailure):
+            diagnostics.smallest_nonzero_singular_sq(inst)
+
+    def test_dense_gate(self, small_mesh_instance):
+        with pytest.raises(NumericalFailure):
+            diagnostics.smallest_nonzero_singular_sq(small_mesh_instance, dense_threshold=4)
 
 
 class TestGapEstimate:
@@ -236,6 +293,15 @@ class TestCertificate:
         assert rep.rhs_penalized is not None
         assert rep.rhs_penalized <= rep.rhs_plain
         assert rep.lhs_root_violation <= rep.rhs_penalized
+
+    def test_given_lam_min_matches_computed(self, small_mesh_instance):
+        inst = small_mesh_instance
+        E = inst.start_material()
+        x = np.zeros((inst.L, inst.N))
+        lam_min = compute_constants(inst, 0.5).lam_min_BtB
+        given = diagnostics.approximation_certificate(inst, E, x, 20.0, lam_min_BtB=lam_min)
+        computed = diagnostics.approximation_certificate(inst, E, x, 20.0)
+        assert given.rhs_plain == computed.rhs_plain
 
     def test_violation_bound_on_solver_run(self, small_mesh_instance):
         inst = small_mesh_instance

@@ -162,6 +162,35 @@ class TestFileFormats:
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(state.dense(), again.dense())
 
+    @pytest.mark.parametrize("case,line", [
+        ("truncated", 10),
+        ("index_out_of_range", 7),
+        ("nan_entry", 4),
+        ("duplicate_block", 7),
+        ("negative_index", 7),
+        ("asymmetric_block", 3),
+    ])
+    def test_state_reader_rejects_malformed(self, tmp_path, rng, case, line):
+        path = tmp_path / "s.fmo"
+        fem2d.write_state(MaterialState.from_dense(rng.normal(0, 1, (2, 3, 3))), path)
+        lines = path.read_text().splitlines()  # header, dims, then 4 lines per block
+        if case == "truncated":
+            del lines[-1]
+        elif case == "index_out_of_range":
+            lines[6] = "block 2"
+        elif case == "nan_entry":
+            lines[3] = "nan " + lines[3].split(" ", 1)[1]
+        elif case == "duplicate_block":
+            lines[6] = "block 0"
+        elif case == "negative_index":
+            lines[6] = "block -1"
+        else:
+            row = lines[3].split()
+            lines[3] = " ".join([row[0], repr(float(row[1]) + 1.0), row[2]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInstance, match=f"line {line}:"):
+            fem2d.read_state(path)
+
     def test_mesh_spec_validation(self):
         with pytest.raises(InvalidInstance):
             MeshSpec(nx=0, ny=1)

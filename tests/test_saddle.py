@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import saddle
+from fmopt import diagnostics, saddle
 from fmopt.model import (
-    DualState,
     ElementOperator,
     InvalidInstance,
     MaterialState,
+    NumericalFailure,
     ProblemInstance,
 )
 from fmopt.oracle import da_step_reference, dense_stiffness_reference, fd_check
@@ -26,9 +26,6 @@ from fmopt.saddle import (
     grad_norm_star,
     lagrangian_value,
     run_solver,
-    sigma_autotune,
-    subgrad_E,
-    subgrad_x,
     subgradients,
 )
 
@@ -43,16 +40,13 @@ class TestSubgradients:
     def test_zero_x_gives_identity_blocks(self, rng):
         inst = make_synthetic_instance(rng, m=4)
         E = MaterialState.from_dense(random_feasible_blocks(rng, 4, 3, 0.4, 2.5, 0.1))
-        g = subgrad_E(inst, E, DualState.from_array(np.zeros((inst.L, inst.N))))
+        g, _, _, _, _ = subgradients(inst, E.dense(), np.zeros((inst.L, inst.N)))
         np.testing.assert_allclose(g, np.tile(np.eye(3), (4, 1, 1)), atol=1e-14)
 
     def test_identity_setup_hand_values(self):
         inst = identity_instance(k=2, gamma=1.0, f=[1.0, 0.0])
-        E = MaterialState.from_dense(np.eye(2)[None, :, :])
-        x = DualState.from_array(np.array([[1.0, 0.0]]))
-        gE = subgrad_E(inst, E, x)
+        gE, gx, _, _, _ = subgradients(inst, np.eye(2)[None, :, :], np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(gE[0], np.diag([0.0, 1.0]), atol=1e-14)
-        gx = subgrad_x(inst, E, x)
         np.testing.assert_allclose(gx, np.zeros((1, 2)), atol=1e-14)
 
     def test_out_of_R_uses_plain_selection(self, rng):
@@ -300,24 +294,24 @@ class TestSigmaController:
         rates = [0.1, 0.2, 0.3, 0.25]
         samples = [np.linspace(1.0, 1.0 - r, 10) for r in rates]
         for s in samples:
-            sigma_autotune(ctl, s)
+            ctl.observe_window(s)
         assert ctl.frozen
         assert ctl.sigma == pytest.approx(4.0)
         assert ctl.windows_used == 4
 
     def test_first_comparison_degrades(self):
         ctl = SigmaController(sigma0=1.0, window=10)
-        sigma_autotune(ctl, np.linspace(1.0, 0.8, 10))
-        sigma_autotune(ctl, np.linspace(1.0, 0.9, 10))
+        ctl.observe_window(np.linspace(1.0, 0.8, 10))
+        ctl.observe_window(np.linspace(1.0, 0.9, 10))
         assert ctl.frozen
         assert ctl.sigma == pytest.approx(1.0)
 
     def test_frozen_controller_ignores_windows(self):
         ctl = SigmaController(sigma0=1.0, window=10)
-        sigma_autotune(ctl, np.linspace(1.0, 0.8, 10))
-        sigma_autotune(ctl, np.linspace(1.0, 0.9, 10))
+        ctl.observe_window(np.linspace(1.0, 0.8, 10))
+        ctl.observe_window(np.linspace(1.0, 0.9, 10))
         before = ctl.sigma
-        sigma_autotune(ctl, np.linspace(1.0, 0.0, 10))
+        ctl.observe_window(np.linspace(1.0, 0.0, 10))
         assert ctl.sigma == before
 
     def test_synthetic_rate_peak_recovers_optimum(self):
@@ -331,7 +325,7 @@ class TestSigmaController:
         ctl = SigmaController(sigma0=1.0, window=10)
         while not ctl.frozen:
             r = rate_for(ctl.sigma)
-            sigma_autotune(ctl, np.linspace(1.0, 1.0 - r, 10))
+            ctl.observe_window(np.linspace(1.0, 1.0 - r, 10))
         assert sigma_star / 2 <= ctl.sigma <= 2 * sigma_star
 
     def test_window_minimum_enforced(self):
@@ -376,3 +370,10 @@ class TestRunSolver:
         cfg = SolverConfig(iterations=60, log_stride=10)
         run_solver(small_mesh_instance, cfg, sink=rows.append)
         assert all(r.gap >= -1e-8 for r in rows)
+
+    def test_nonfinite_gap_raises_naming_step(self, small_mesh_instance, monkeypatch):
+        nan = float("nan")
+        monkeypatch.setattr(diagnostics, "gap_estimate", lambda acc, inst: (nan, nan, nan))
+        cfg = SolverConfig(iterations=20, log_stride=10)
+        with pytest.raises(NumericalFailure, match="step 10: gap is not finite"):
+            run_solver(small_mesh_instance, cfg)
