@@ -272,59 +272,100 @@ def write_instance(instance: ProblemInstance, path) -> None:
 
 
 def read_instance(path) -> ProblemInstance:
+    """Read an fmo-inst/1 file written by ``write_instance``.
+
+    Every (element, integration point) header must appear exactly once
+    with indices in range, every entry must name a row in [0, k) and a
+    column in [0, N), and every load index in [0, L) must appear exactly
+    once with N values; anything else raises InvalidInstance naming the
+    offending line.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != INSTANCE_MAGIC:
         raise InvalidInstance(f"not a {INSTANCE_MAGIC} file: {path}")
     pos = 1
 
-    def take():
+    def fail(at: int, what: str) -> InvalidInstance:
+        return InvalidInstance(f"{path}, line {at + 1}: {what}")
+
+    def take(keyword=None, count=None):
+        """Split the next line, checking its leading keyword and token count."""
         nonlocal pos
         if pos >= len(lines):
-            raise InvalidInstance("truncated instance file")
-        ln = lines[pos]
+            raise fail(pos, "unexpected end of file")
+        toks = lines[pos].split()
         pos += 1
-        return ln
+        if keyword is not None and (not toks or toks[0] != keyword):
+            raise fail(pos - 1, f"expected '{keyword} ...', got {lines[pos - 1]!r}")
+        if count is not None and len(toks) != count:
+            raise fail(pos - 1, f"expected {count} fields, got {lines[pos - 1]!r}")
+        return toks
 
-    dims = {}
-    for tok in take().split()[1:]:
-        key, val = tok.split("=")
-        dims[key] = int(val)
-    params = {}
-    for _ in range(4):
-        _, name, val = take().split()
-        params[name] = float(val)
-    rho_l = np.array([float(v) for v in take().split()[1:]])
-    rho_u = np.array([float(v) for v in take().split()[1:]])
-    if rho_l.size != dims["m"] or rho_u.size != dims["m"]:
-        raise InvalidInstance("trace bound count does not match m")
+    try:
+        dims = dict(tok.split("=") for tok in take("dims", 6)[1:])
+        m, k, N, L, nig = (int(dims[key]) for key in ("m", "k", "N", "L", "nig"))
+        if min(m, k, N, L, nig) < 1:
+            raise ValueError
+    except (KeyError, ValueError) as exc:
+        what = "expected 'dims m=<int> k=<int> N=<int> L=<int> nig=<int>', all >= 1"
+        raise fail(1, what) from exc
 
-    triplets = [[None] * dims["nig"] for _ in range(dims["m"])]
-    for _ in range(dims["m"] * dims["nig"]):
-        head = take().split()
-        if head[0] != "B":
-            raise InvalidInstance(f"expected B header, got {head!r}")
-        i, ig, nnz = int(head[1]), int(head[2]), int(head[3])
-        entries = []
-        for _ in range(nnz):
-            row, col, val = take().split()
-            entries.append((int(row), int(col), float(val)))
-        triplets[i][ig] = entries
+    try:
+        params = {}
+        for _ in range(4):
+            _, name, val = take("param", 3)
+            if name not in ("r", "gamma", "eta", "nu") or name in params:
+                raise fail(pos - 1, f"unexpected or repeated parameter {name!r}")
+            params[name] = float(val)
+        rho_l = np.array([float(v) for v in take("rho_l", m + 1)[1:]])
+        rho_u = np.array([float(v) for v in take("rho_u", m + 1)[1:]])
+
+        triplets = [[None] * nig for _ in range(m)]
+        for _ in range(m * nig):
+            head = take("B", 4)
+            i, ig, nnz = int(head[1]), int(head[2]), int(head[3])
+            if not (0 <= i < m and 0 <= ig < nig and nnz >= 0):
+                raise fail(pos - 1, f"B header needs 0 <= i < {m}, 0 <= ig < {nig}, nnz >= 0")
+            if triplets[i][ig] is not None:
+                raise fail(pos - 1, f"duplicate B header for element {i}, point {ig}")
+            entries = []
+            for n in range(pos, min(pos + nnz, len(lines))):
+                try:
+                    row, col, val = lines[n].split()
+                    row, col, val = int(row), int(col), float(val)
+                except ValueError as exc:
+                    raise fail(n, f"expected '<row> <col> <value>', got {lines[n]!r}") from exc
+                if not (0 <= row < k and 0 <= col < N):
+                    raise fail(n, f"entry needs 0 <= row < {k} and 0 <= col < {N}")
+                entries.append((row, col, val))
+            pos += len(entries)
+            if len(entries) < nnz:
+                raise fail(pos, "unexpected end of file")
+            triplets[i][ig] = entries
+
+        loads = np.zeros((L, N))
+        seen = np.zeros(L, dtype=bool)
+        for _ in range(L):
+            j = int(take("load", 2)[1])
+            if not 0 <= j < L or seen[j]:
+                raise fail(pos - 1, f"load index {j} outside [0, {L}) or repeated")
+            seen[j] = True
+            loads[j] = [float(v) for v in take(count=N)]
+    except ValueError as exc:
+        raise fail(pos - 1, f"cannot parse {lines[pos - 1]!r}") from exc
+    if pos < len(lines):
+        raise fail(pos, "unexpected content after the last load")
 
     elements = []
-    for i in range(dims["m"]):
+    for i in range(m):
         cols = sorted({c for ig_list in triplets[i] for _, c, _ in ig_list})
         col_of = {c: a for a, c in enumerate(cols)}
-        values = np.zeros((dims["nig"], dims["k"], len(cols)))
-        for ig in range(dims["nig"]):
+        values = np.zeros((nig, k, len(cols)))
+        for ig in range(nig):
             for row, col, val in triplets[i][ig]:
                 values[ig, row, col_of[col]] = val
         elements.append(ElementOperator(cols=np.asarray(cols, dtype=np.int64), values=values))
-
-    loads = np.zeros((dims["L"], dims["N"]))
-    for _ in range(dims["L"]):
-        j = int(take().split()[1])
-        loads[j] = [float(v) for v in take().split()]
 
     return ProblemInstance(
         elements,

@@ -214,7 +214,7 @@ class ProblemInstance:
                 raise InvalidInstance(f"{name} must be finite")
         if not (self.r > 0):
             raise InvalidInstance("eigenvalue floor r must be positive")
-        if np.any(self.k * self.r > self.rho_l + FEAS_TOL):
+        if np.any(self.k * self.r > self.rho_l * (1.0 + FEAS_TOL)):
             raise InvalidInstance("need k*r <= rho_l for every element")
         if np.any(self.rho_l > self.rho_u):
             raise InvalidInstance("need rho_l <= rho_u for every element")
@@ -329,7 +329,7 @@ def element_quads(E_dense, W):
     Tiny negative forms from roundoff near the PSD boundary are clamped to
     zero; anything below -QUAD_CLAMP is treated as corrupted state.
     """
-    EW = np.einsum("qkc,jqlc->jqlk", E_dense, W)
+    EW = W @ np.swapaxes(E_dense, -1, -2)
     quad = np.einsum("jqlk,jqlk->j", W, EW)
     low = float(quad.min(initial=0.0))
     if low < -QUAD_CLAMP:
@@ -340,6 +340,18 @@ def element_quads(E_dense, W):
     return EW, np.maximum(quad, 0.0)
 
 
+def element_gram(W, coef) -> np.ndarray:
+    """Weighted per-element Gram blocks sum_j coef_j sum_l w_{j,i,l} w_{j,i,l}^T.
+
+    ``W`` holds strains from ``apply_B``, shape (L, m, nig, k); the result
+    has shape (m, k, k).  One batched matmul over the (m, L*nig, k) stack.
+    """
+    L, m, nig, k = W.shape
+    stack = np.swapaxes(W, 0, 1).reshape(m, L * nig, k)
+    weighted = np.swapaxes(coef[:, None, None, None] * W, 0, 1).reshape(m, L * nig, k)
+    return np.swapaxes(stack, 1, 2) @ weighted
+
+
 def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter | None = None):
     """Apply the stiffness operator A(E) to a vector, element by element.
 
@@ -347,7 +359,7 @@ def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter
     """
     instance.check_material(E)
     v = _check_vector(instance, v)
-    EW = np.einsum("qkc,jqlc->jqlk", E.dense(), apply_B(instance, v[None]))
+    EW = apply_B(instance, v[None]) @ np.swapaxes(E.dense(), -1, -2)
     if counter is not None:
         k, nloc = instance.k, instance.n_loc
         counter.add("apply_A", instance.nig * instance.m * (4 * k * nloc + 2 * k * k))

@@ -22,6 +22,7 @@ from .model import (
     NumericalFailure,
     ProblemInstance,
     apply_B,
+    element_gram,
 )
 from .saddle import lagrangian_value
 
@@ -127,8 +128,7 @@ def penalty_grad_correction(instance: ProblemInstance, state: PenaltyState):
         1.0 - math.sqrt(instance.gamma) / np.sqrt(state.compliances[state.violated]), 0.0
     )
     W = apply_B(instance, state.solutions.T[state.violated])
-    corr = np.einsum("j,jqlk,jqlc->qkc", coef, W, W)
-    return -corr
+    return -element_gram(W, coef)
 
 
 def violation_sums(instance: ProblemInstance, compliances) -> tuple:

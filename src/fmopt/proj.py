@@ -459,13 +459,44 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     """Batched material update: project r*I - s/(beta*tau) blockwise.
 
     Equivalent to the per-block three-case spectrum update (cross-checked
-    in the tests); implemented through one batched eigendecomposition and
-    the vectorized trace scans on mu = r - lam/(beta*tau).
+    in the tests).  Most blocks need no eigenvectors: with Y = r*I - s/bt
+    and T its trace clipped to [rho_l, rho_u], the shifted point
+    Z = Y + ((T - tr Y)/k) I is the projection whenever lambda_min(Z) >= r
+    (the trace multiplier alone satisfies the KKT conditions).  That is
+    certified by the trace/Frobenius bound on lambda_max(s)
+    (Wolkowicz-Styan); only the blocks it cannot certify go through the
+    batched eigendecomposition and the vectorized trace scans.
     """
     s_blocks = np.asarray(s_blocks, dtype=float)
     m, k, _ = s_blocks.shape
     rho_l = np.broadcast_to(np.asarray(rho_l, dtype=float), (m,))
     rho_u = np.broadcast_to(np.asarray(rho_u, dtype=float), (m,))
+    diag = np.arange(k)
+    mean = np.trace(s_blocks, axis1=1, axis2=2) / k
+    dev = s_blocks.copy()
+    dev[:, diag, diag] -= mean[:, None]
+    spread = np.sqrt((k - 1) / k * np.einsum("qij,qij->q", dev, dev))
+    tr_y = k * (r - mean / beta_tau)
+    shift = (np.clip(tr_y, rho_l, rho_u) - tr_y) / k
+    out = s_blocks / -beta_tau
+    out[:, diag, diag] += (r + shift)[:, None]
+    # lambda_max(s) <= mean + spread, so lambda_min(Z) >= r where this holds;
+    # the negated test also sends non-finite blocks to the scans
+    scan = np.flatnonzero(~(mean + spread <= shift * beta_tau))
+    if scan.size:
+        out[scan] = _project_blocks_eigh(
+            s_blocks[scan], beta_tau, rho_l[scan], rho_u[scan], r
+        )
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
+
+
+def _project_blocks_eigh(s_blocks, beta_tau: float, rho_l, rho_u, r: float):
+    """The material update through one batched eigendecomposition.
+
+    Runs the vectorized trace scans on mu = r - lam/(beta*tau) and rebuilds
+    Q diag(omega) Q^T; the fallback of ``project_blocks``.
+    """
+    k = s_blocks.shape[1]
     lam, Q = np.linalg.eigh(s_blocks)
     mu = r - lam / beta_tau  # eigenvalues of the point being projected
     clipped = np.maximum(mu, r)
@@ -492,5 +523,4 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
         phi = shift[np.arange(mu_sub.shape[0]), q - 1]
         omega[mask] = np.maximum(mu_sub + phi[:, None], r)
 
-    out = np.einsum("qij,qj,qkj->qik", Q, omega, Q)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    return (Q * omega[:, None, :]) @ Q.swapaxes(1, 2)

@@ -27,6 +27,7 @@ from .model import (
     ProblemInstance,
     apply_B,
     apply_Bt,
+    element_gram,
     element_quads,
 )
 
@@ -179,7 +180,7 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
 
     coef = np.zeros(instance.L)
     coef[in_R] = sqrt_gamma / np.sqrt(quad[in_R])
-    g_E = -np.einsum("j,jqlk,jqlc->qkc", coef, W, W)
+    g_E = -element_gram(W, coef)
     g_E += np.eye(instance.k)[None, :, :]
     # loads outside R have coef 0, so their rows already hold the plain 2 f_j
     g_x = 2.0 * instance.loads - 2.0 * coef[:, None] * apply_Bt(instance, EW)
@@ -189,7 +190,7 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
         stored = plain & np.any(fallback_y, axis=1)
         plain &= ~stored
         if stored.any():
-            EWy = np.einsum("qkc,jqlc->jqlk", E_dense, apply_B(instance, fallback_y[stored]))
+            EWy = apply_B(instance, fallback_y[stored]) @ np.swapaxes(E_dense, -1, -2)
             g_x[stored] -= 2.0 * sqrt_gamma * apply_Bt(instance, EWy)
     used_plain = bool(plain.any())
 

@@ -191,6 +191,46 @@ class TestFileFormats:
         with pytest.raises(InvalidInstance, match=f"line {line}:"):
             fem2d.read_state(path)
 
+    @pytest.mark.parametrize("case,edit,line", [
+        # B headers start on lines 9, 18, 27 and 36 (8 entries each); the
+        # load header is line 45 and its row line 46
+        ("element_out_of_range", {9: "B 1 0 8"}, 9),
+        ("point_out_of_range", {9: "B 0 4 8"}, 9),
+        ("negative_element", {9: "B -1 0 8"}, 9),
+        ("duplicate_header", {18: "B 0 0 8"}, 18),
+        ("row_out_of_range", {10: "3 0 0.5"}, 10),
+        ("negative_row", {10: "-1 0 0.5"}, 10),
+        ("column_out_of_range", {10: "0 4 0.5"}, 10),
+        ("malformed_entry", {10: "0 x 0.5"}, 10),
+        ("load_out_of_range", {45: "load 1"}, 45),
+        ("negative_load", {45: "load -1"}, 45),
+        ("short_load_row", {46: "0.0 0.0 0.0"}, 46),
+        ("unknown_parameter", {4: "param gama 5.0"}, 4),
+        ("truncated", {46: None}, 46),
+        ("trailing_content", {47: "load 0"}, 47),
+    ])
+    def test_instance_reader_rejects_malformed(self, tmp_path, tiny_mesh_instance, capsys,
+                                               case, edit, line):
+        from fmopt import cli
+
+        path = tmp_path / "bad.fmo"
+        fem2d.write_instance(tiny_mesh_instance, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 46 and lines[44] == "load 0"
+        for number, text in edit.items():
+            if text is None:
+                del lines[number - 1]
+            elif number > len(lines):
+                lines.append(text)
+            else:
+                lines[number - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInstance, match=f"line {line}:"):
+            fem2d.read_instance(path)
+        rc = cli.main(["--instance", str(path), "--iters", "2", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_mesh_spec_validation(self):
         with pytest.raises(InvalidInstance):
             MeshSpec(nx=0, ny=1)

@@ -230,6 +230,8 @@ class TestInstanceValidation:
         el = ElementOperator(cols=np.arange(2), values=np.eye(2)[None, :, :])
         with pytest.raises(InvalidInstance):
             ProblemInstance([el], np.zeros((1, 2)), 0.1, 1.0, 0.1, 1.0, 1.0)  # k*r > rho_l
+        with pytest.raises(InvalidInstance):  # slack is relative: an empty window at 0
+            ProblemInstance([el], np.zeros((1, 2)), 0.0, 0.0, 1e-12, 1.0, 1.0)
 
     @pytest.mark.parametrize("field", ["rho_l", "rho_u", "r", "gamma", "eta", "nu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

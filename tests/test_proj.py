@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmopt import proj
 from fmopt.model import FmoError, InvalidInstance
 from fmopt.oracle import kkt_residual_standard, qp_reference, spectral_kkt_reference
 from fmopt.proj import (
@@ -404,16 +405,70 @@ class TestMaterialSpectrumScans:
             np.testing.assert_allclose(np.sort(omega), np.sort(np.linalg.eigvalsh(Z)), atol=1e-10)
         assert hits["l"] > 20 and hits["g"] > 20
 
-    def test_project_blocks_matches_per_block_dispatch(self, rng):
-        m, k, r = 40, 3, 0.15
-        s = rng.normal(0, 2, (m, k, k))
-        s = s + np.swapaxes(s, 1, 2)
-        rho_l = k * r + np.abs(rng.normal(0, 1, m))
-        rho_u = rho_l + np.abs(rng.normal(0, 2, m))
-        beta_tau = 0.8
-        batched = project_blocks(s, beta_tau, rho_l, rho_u, r)
-        for i in range(m):
-            lam, Q = np.linalg.eigh(s[i])
-            omega = project_material_spectrum(lam, beta_tau, rho_l[i], rho_u[i], k, r)
-            ref = (Q * omega) @ Q.T
-            np.testing.assert_allclose(batched[i], ref, atol=1e-10)
+    def test_project_blocks_matches_per_block_dispatch(self, rng, monkeypatch):
+        # random blocks; near-isotropic blocks t*I + eps*G; and blocks with
+        # spectrum (a, b, ..., b), where the trace/Frobenius bound on the top
+        # eigenvalue is exact, placed 1e-9 inside (certified trace shift) and
+        # outside (eigendecomposition) the certificate boundary
+        scanned = set()
+        eigh_path = proj._project_blocks_eigh
+
+        def counted(s_sub, *args):
+            scanned.update(blk.tobytes() for blk in s_sub)
+            return eigh_path(s_sub, *args)
+
+        monkeypatch.setattr(proj, "_project_blocks_eigh", counted)
+        r, beta_tau = 0.15, 0.8
+        for k in (2, 3, 6):
+            lo, hi = k * r + 0.5, k * r + 2.0  # trace window of the structured blocks
+            blocks, rho_l, rho_u, expect_scan = [], [], [], []
+
+            def add(s, lo_=lo, hi_=hi, scan=None):
+                blocks.append(s)
+                rho_l.append(lo_)
+                rho_u.append(hi_)
+                expect_scan.append(scan)
+
+            for _ in range(40):
+                g = rng.normal(0, 2, (k, k))
+                lo_ = k * r + abs(rng.normal(0, 1))
+                add(g + g.T, lo_, lo_ + abs(rng.normal(0, 2)))
+            # tr(r I - t I / beta_tau) above hi (cap), inside the window, below lo (floor)
+            for t in (beta_tau * (r - (hi + 1) / k), beta_tau * (r - (lo + hi) / (2 * k)),
+                      beta_tau * (r - (lo - 1) / k)):
+                for eps in (0.0, 1e-14, 1e-8, 1e-3):
+                    g = rng.normal(0, 1, (k, k))
+                    add(t * np.eye(k) + eps * (g + g.T))
+            # certified iff (k-1)(a-b) <= beta_tau*(bound - k r) in the cap and
+            # floor cases, and iff a <= 0 in the interior case
+            b_cap = -beta_tau * (hi - k * r) / (k - 1) - 1.0
+            b_mid = -beta_tau * ((lo + hi) / 2 - k * r) / (k - 1)
+            for a_star, b in ((b_cap + beta_tau * (hi - k * r) / (k - 1), b_cap),
+                              (1.0 + beta_tau * (lo - k * r) / (k - 1), 1.0),
+                              (0.0, b_mid)):
+                for delta, scan in ((-1e-9, False), (1e-9, True)):
+                    Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+                    add((Q * np.array([a_star + delta] + [b] * (k - 1))) @ Q.T, scan=scan)
+
+            s = np.array(blocks)
+            rho_l, rho_u = np.array(rho_l), np.array(rho_u)
+            batched = project_blocks(s, beta_tau, rho_l, rho_u, r)
+            hits = set()
+            for i in range(s.shape[0]):
+                lam, Q = np.linalg.eigh(s[i])
+                omega = project_material_spectrum(lam, beta_tau, rho_l[i], rho_u[i], k, r)
+                ref = (Q * omega) @ Q.T
+                np.testing.assert_allclose(batched[i], ref, atol=1e-10)
+                np.testing.assert_array_equal(batched[i], batched[i].T)
+                on_scan = s[i].tobytes() in scanned
+                if expect_scan[i] is not None:
+                    assert on_scan == expect_scan[i], (k, i)
+                neg_sum = lam[lam < 0].sum()
+                if neg_sum < beta_tau * (k * r - rho_u[i]):
+                    case = "cap"
+                elif neg_sum > beta_tau * (k * r - rho_l[i]):
+                    case = "floor"
+                else:
+                    case = "interior"
+                hits.add((case, on_scan))
+            assert hits == {(c, p) for c in ("cap", "floor", "interior") for p in (False, True)}

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import diagnostics, saddle
+from fmopt import diagnostics, fem2d, saddle
 from fmopt.model import (
     ElementOperator,
     InvalidInstance,
@@ -377,3 +379,42 @@ class TestRunSolver:
         cfg = SolverConfig(iterations=20, log_stride=10)
         with pytest.raises(NumericalFailure, match="step 10: gap is not finite"):
             run_solver(small_mesh_instance, cfg)
+
+
+@st.composite
+def instance_parameters(draw):
+    """A valid parameter set with any subset of it replaced by arbitrary values."""
+    r = draw(st.floats(1e-3, 1.0))
+    rho_l = 3 * r + draw(st.floats(0.0, 5.0))
+    params = {
+        "rho_l": rho_l,
+        "rho_u": rho_l + draw(st.floats(0.0, 5.0)),
+        "r": r,
+        "gamma": draw(st.floats(1e-3, 1e3)),
+        "eta": draw(st.floats(1e-3, 1e3)),
+        "nu": draw(st.floats(0.0, 1e3)),
+    }
+    arbitrary = st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]), st.floats(-1e3, 1e3)
+    )
+    for name in draw(st.sets(st.sampled_from(sorted(params)))):
+        params[name] = draw(arbitrary)
+    return params
+
+
+@given(instance_parameters())
+@settings(max_examples=200, deadline=None)
+def test_instance_parameters_rejected_or_run_finite(params):
+    spec = fem2d.MeshSpec(nx=2, ny=1, lx=2.0, ly=1.0)
+    try:
+        instance = fem2d.build_instance(spec, **params)
+    except InvalidInstance:
+        return
+    records = []
+    result = run_solver(instance, SolverConfig(iterations=20, log_stride=10), sink=records.append)
+    assert [rec.t for rec in records] == [10, 20]
+    for rec in records:
+        assert math.isfinite(rec.objective) and math.isfinite(rec.gap)
+    for state in (result.E_last.packed, result.x_last.vectors, result.E_avg.packed,
+                  result.x_avg.vectors):
+        assert np.all(np.isfinite(state))
