@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, fem2d, penalty, saddle
-from .model import FmoError, InvalidInstance, NumericalFailure, ProblemInstance
+from .model import (
+    FmoError,
+    InvalidInstance,
+    MaterialState,
+    NumericalFailure,
+    ProblemInstance,
+)
 
 CSV_HEADER = (
     "t,objective,gap_estimate,theoretical_bound,violation_literal,"
@@ -63,8 +69,9 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
     """Solve one instance and write CSV/report/state artifacts.
 
     Returns the report dictionary.  Violation columns are filled from the
-    dense compliance solve at logged rows (penalty mode already has them);
-    above the dense threshold they are recorded as NaN.
+    banded compliance solve at logged rows (penalty mode already has them);
+    above the dense threshold they are recorded as NaN, and the final
+    violation and the certificate are left out.
     """
     prefix = out_prefix or config.out_prefix
     if config.eta is not None or config.nu is not None:
@@ -116,9 +123,7 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
             nonlocal best_feasible_obj
             lit, pos = rec.violation_literal, rec.violation_positive
             if lit is None and dense_ok and config.mode == "plain":
-                comp = penalty.compliances_from_dense(
-                    instance, penalty.assemble_dense(instance, rec.E_ref)
-                )
+                comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
                 lit, pos = penalty.violation_sums(instance, comp)
             if pos is not None and rec.feasible and pos <= 0.0:
                 obj = rec.objective
@@ -151,9 +156,7 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
     feasible_flag = None
     certificate = None
     if dense_ok:
-        comp = penalty.compliances_from_dense(
-            instance, penalty.assemble_dense(instance, result.E_last.dense())
-        )
+        comp = fem2d.reference_compliance(instance, result.E_last)
         final_literal, final_positive = penalty.violation_sums(instance, comp)
         from .model import feasible_E
 
@@ -249,7 +252,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rung.add_argument("--nu", type=float, default=None, help="override the instance nu")
     rung.add_argument("--stride", type=int, default=1)
     rung.add_argument("--deterministic", action="store_true")
-    rung.add_argument("--dense-threshold", type=int, default=4000)
+    rung.add_argument(
+        "--dense-threshold",
+        type=int,
+        default=4000,
+        help="above this N, refuse penalty mode (dense A(E) per step) and leave out the "
+        "per-row violation columns, the final violation and the certificate (dense B^T B "
+        "spectrum); the bound data behind auto tau/sigma0 keep a fixed N <= 4000 gate",
+    )
     rung.add_argument("--out", default="fmopt_run", help="output path prefix")
     return p
 

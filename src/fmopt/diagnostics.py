@@ -300,13 +300,14 @@ def approximation_certificate(
     sum is compared against the data bound.  ``f_star_upper`` is an upper
     estimate of the optimal cost (e.g. the best feasible objective seen),
     so the comparison is reported rather than asserted.  ``lam_min_BtB``
-    may carry the value already held in the run's BoundConstants.
+    may carry the value already held in the run's BoundConstants; without
+    it, ``dense_threshold`` gates its dense computation.  The compliances
+    come from the banded solve and need no gate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)
-    state = penalty.compliance_solves(instance, E.dense(), dense_threshold=dense_threshold)
-    comp = state.compliances
-    violated = state.violated
+    comp = penalty.compliances(instance, E.dense())
+    violated = np.flatnonzero(comp > instance.gamma)
     lhs = float(
         np.sum(np.sqrt(comp[violated]) - math.sqrt(instance.gamma))
     ) if violated.size else 0.0

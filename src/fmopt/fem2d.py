@@ -18,7 +18,6 @@ import numpy as np
 
 from .model import (
     ElementOperator,
-    FmoError,
     InvalidInstance,
     MaterialState,
     NumericalFailure,
@@ -200,19 +199,11 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
     return ProblemInstance(elements, loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
-def reference_compliance(instance: ProblemInstance, E: MaterialState, dense_threshold: int = 4000):
-    """Per-load compliances <A(E)^{-1} f_j, f_j> by dense factorization.
-
-    A small-N report/test helper; refuses above the dense threshold.
-    """
-    if instance.N > dense_threshold:
-        raise FmoError(
-            f"reference_compliance is dense-only (N={instance.N} > {dense_threshold})"
-        )
+def reference_compliance(instance: ProblemInstance, E: MaterialState):
+    """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size)."""
     from . import penalty
 
-    A = penalty.assemble_dense(instance, E.dense())
-    return penalty.compliances_from_dense(instance, A)
+    return penalty.compliances(instance, E.dense())
 
 
 # -- file formats ---------------------------------------------------------

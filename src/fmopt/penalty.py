@@ -1,9 +1,11 @@
-"""Penalized Lagrangian: dense compliance evaluation and its gradient.
+"""Penalized Lagrangian, its gradient, and compliance evaluation.
 
 The penalty term nu * sum_j ([sqrt(compliance_j) - sqrt(gamma)]_+)^2 pulls
 iterates toward compliance feasibility at the cost of one dense
-factorization of A(E) per iteration, so everything here is gated on a
-dense-size threshold.
+factorization of A(E) per iteration, so penalty mode is gated on a
+dense-size threshold.  Compliances outside penalty mode (report rows,
+certificate, gamma probe) come from ``compliances``, a banded Cholesky
+in reverse Cuthill-McKee order that needs no gate.
 """
 
 from __future__ import annotations
@@ -39,10 +41,19 @@ class PenaltyState:
     violated: np.ndarray  # indices with compliance > gamma
 
 
+def element_stiffness(instance: ProblemInstance, E_dense):
+    """Per-element stiffnesses sum_l B_{i,l}^T E_i B_{i,l}, shape (m, n_loc, n_loc).
+
+    Two batched matmuls over the (m, nig*k, n_loc) strain stack.
+    """
+    m, nig, k, n_loc = instance.B_packed.shape
+    EB = (np.asarray(E_dense)[:, None] @ instance.B_packed).reshape(m, nig * k, n_loc)
+    return np.swapaxes(instance.B_packed.reshape(m, nig * k, n_loc), 1, 2) @ EB
+
+
 def assemble_dense(instance: ProblemInstance, E_dense, counter: FlopCounter | None = None):
     """Dense A(E): per-element congruences scattered into an N x N matrix."""
-    EB = np.einsum("qkc,qlcb->qlkb", E_dense, instance.B_packed)
-    ke = np.einsum("qlka,qlkb->qab", instance.B_packed, EB)
+    ke = element_stiffness(instance, E_dense)
     cols = instance.cols_packed  # flattened (row, col) target of every ke entry
     idx = (cols[:, :, None] * instance.N + cols[:, None, :]).ravel()
     A = np.bincount(idx, weights=ke.ravel(), minlength=instance.N**2).reshape(
@@ -82,6 +93,63 @@ def _factor_and_solve(instance: ProblemInstance, A, counter: FlopCounter | None 
         solutions=sol,
         violated=np.flatnonzero(comp > instance.gamma),
     )
+
+
+def _band_layout(instance: ProblemInstance):
+    """Reverse Cuthill-McKee order of the DOFs and the lower-band scatter index.
+
+    Returns ``(perm, lower, band_idx, bw)``: ``perm`` lists the DOFs in RCM
+    order, ``lower`` masks the (m, n_loc, n_loc) element-stiffness entries
+    on or below the diagonal in that order, and ``band_idx`` is the flat
+    position of each of them in (bw + 1, N) LAPACK lower band storage.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    N, cols = instance.N, instance.cols_packed
+    # padded columns, and any column an element's B leaves at zero, add nothing
+    real = np.any(instance.B_packed != 0.0, axis=(1, 2))
+    pair = real[:, :, None] & real[:, None, :]
+    rows_of = np.broadcast_to(cols[:, :, None], pair.shape)[pair]
+    cols_of = np.broadcast_to(cols[:, None, :], pair.shape)[pair]
+    graph = csr_array((np.ones(rows_of.size, dtype=np.int8), (rows_of, cols_of)), shape=(N, N))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    pos = np.empty(N, dtype=np.int64)
+    pos[perm] = np.arange(N)
+    P = pos[cols]
+    offset = P[:, :, None] - P[:, None, :]  # row minus column in RCM order
+    lower = pair & (offset >= 0)
+    band_idx = offset[lower] * N + np.broadcast_to(P[:, None, :], pair.shape)[lower]
+    return perm, lower, band_idx, int(offset[lower].max(initial=0))
+
+
+def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
+    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E).
+
+    In reverse Cuthill-McKee order A(E) of a mesh is banded, so LAPACK's
+    band factorization costs about N bw^2 flops instead of N^3 / 3.  The
+    order is rebuilt on every call, so nothing is cached on the instance;
+    no N x N array is formed, so no size gate applies.
+    """
+    N = instance.N
+    perm, lower, band_idx, bw = _band_layout(instance)
+    band = np.bincount(
+        band_idx, weights=element_stiffness(instance, E_dense)[lower], minlength=(bw + 1) * N
+    ).reshape(bw + 1, N)
+    try:
+        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        lam_min = float(
+            scipy.linalg.eigvals_banded(
+                band, lower=True, select="i", select_range=(0, 0), check_finite=False
+            )[0]
+        )
+        raise NumericalFailure(
+            f"stiffness singular - check boundary conditions (lambda_min ~ {lam_min:.3e})"
+        ) from exc
+    loads = instance.loads[:, perm]
+    sol = scipy.linalg.cho_solve_banded((factor, True), loads.T, check_finite=False)
+    return np.einsum("nj,jn->j", sol, loads)
 
 
 def compliance_solves(

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from fmopt import cli, diagnostics, fem2d
+from fmopt import cli, diagnostics, fem2d, penalty
 from fmopt.cli import RunConfig, run
+from fmopt.model import ElementOperator, NumericalFailure, ProblemInstance
 
 
 @pytest.fixture
@@ -138,6 +139,40 @@ class TestMain:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "numerical"
+
+    def test_untouched_dof_singular_exit_three(self, tmp_path, capsys, tiny_mesh_instance):
+        # a free DOF that no element touches makes A(E) singular; the banded
+        # solve must say so, and a plain CLI run must exit 3 at its first row
+        base = tiny_mesh_instance
+        loads = np.hstack([base.loads, np.zeros((base.L, 1))])
+        inst = ProblemInstance(base.elements, loads, 0.3, 3.0, 0.05, 5.0, 8.0)
+        zero_B = ProblemInstance(
+            [ElementOperator(cols=np.arange(2), values=np.zeros((4, 3, 2)))],
+            np.ones((1, 4)), 0.3, 3.0, 0.05, 1.0, 1.0,
+        )
+        for singular in (inst, zero_B):
+            with pytest.raises(NumericalFailure, match="stiffness singular"):
+                penalty.compliances(singular, singular.start_material().dense())
+        path = tmp_path / "untouched.fmo"
+        fem2d.write_instance(inst, path)
+        rc = cli.main([
+            "--instance", str(path), "--iters", "2", "--stride", "1",
+            "--out", str(tmp_path / "u"),
+        ])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert "stiffness singular" in err["error"]
+        assert len((tmp_path / "u.csv").read_text().splitlines()) == 1  # header only
+
+    def test_default_gamma_probe_above_dense_gate(self, tmp_path, capsys):
+        # N = 4032: the default gamma comes from a compliance probe over the
+        # dense threshold, which the banded solve handles
+        rc = cli.main(["--mesh", "63x31", "--iters", "2", "--out", str(tmp_path / "d")])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["N"] == 4032
+        assert report["certificate"] is None
 
     def test_save_instance_roundtrip(self, tmp_path):
         saved = tmp_path / "gen.fmo"

@@ -3,11 +3,25 @@
 import numpy as np
 import pytest
 
-from fmopt import fem2d
+from fmopt import fem2d, penalty
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance, element_matrices
-from fmopt.model import InvalidInstance, MaterialState
+from fmopt.model import ElementOperator, InvalidInstance, MaterialState, ProblemInstance
 from fmopt.oracle import compliances_reference, dense_stiffness_reference
-from conftest import random_feasible_blocks
+from conftest import make_synthetic_instance, random_feasible_blocks
+
+
+def renumbered(inst, perm):
+    """The same problem with free DOF j renamed perm[j]."""
+    elements = []
+    for el in inst.elements:
+        cols = perm[el.cols]
+        order = np.argsort(cols)
+        elements.append(ElementOperator(cols=cols[order], values=el.values[:, :, order]))
+    loads = np.empty_like(inst.loads)
+    loads[:, perm] = inst.loads
+    return ProblemInstance(
+        elements, loads, inst.rho_l, inst.rho_u, inst.r, inst.gamma, inst.eta, inst.nu
+    )
 
 
 def hand_B_unit_square(xi, eta):
@@ -106,12 +120,30 @@ class TestBuildInstance:
 
 class TestReferenceCompliance:
     def test_matches_dense_lu_oracle(self, rng, tiny_mesh_instance):
-        inst = tiny_mesh_instance
-        blocks = random_feasible_blocks(rng, 1, 3, 0.3, 3.0, 0.05)
-        E = MaterialState.from_dense(blocks)
-        got = fem2d.reference_compliance(inst, E)
-        ref = compliances_reference(inst, blocks)
-        np.testing.assert_allclose(got, ref, rtol=1e-10)
+        # the banded Cholesky in RCM order against dense LU: a one-element mesh,
+        # a mesh with L=3, ragged element supports, and both with their DOFs
+        # renumbered at random so that the ordering has real work to do
+        spec = MeshSpec(nx=5, ny=3, lx=5.0, ly=3.0, loads=(
+            LoadSpec("right_edge", (0.0, -1.0)),
+            LoadSpec("bottom_right", (1.0, 0.0)),
+            LoadSpec("top_right", (0.5, 0.5)),
+        ))
+        mesh = build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
+        ragged = make_synthetic_instance(rng, m=8, N=12, n_loc=[3, 4, 5, 6, 7, 8, 9, 10])
+        cases = (
+            tiny_mesh_instance,
+            mesh,
+            renumbered(mesh, rng.permutation(mesh.N)),
+            ragged,
+            renumbered(ragged, rng.permutation(ragged.N)),
+        )
+        for inst in cases:
+            blocks = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
+            assert np.linalg.eigvalsh(dense_stiffness_reference(inst, blocks))[0] > 1e-6
+            ref = compliances_reference(inst, blocks)
+            np.testing.assert_allclose(penalty.compliances(inst, blocks), ref, rtol=1e-10)
+            got = fem2d.reference_compliance(inst, MaterialState.from_dense(blocks))
+            np.testing.assert_allclose(got, ref, rtol=1e-10)
 
     def test_scaling_inverse_in_material(self, rng, small_mesh_instance):
         inst = small_mesh_instance

@@ -2,11 +2,12 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_feasible_blocks
+from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt import fem2d, penalty, saddle
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance
 from fmopt.model import DualState, FmoError, MaterialState
@@ -162,6 +163,28 @@ class TestPenaltyMode:
             pen = (time.perf_counter() - t0) / 3
             ratios.append(pen / plain)
         assert ratios[-1] > ratios[0]
+
+
+class TestElementStiffness:
+    def test_matches_einsum_form(self, rng, small_mesh_instance):
+        ragged = make_synthetic_instance(rng, m=5, N=9, n_loc=[2, 4, 6, 8, 9])
+        for inst in (small_mesh_instance, ragged):
+            E = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
+            EB = np.einsum("qkc,qlcb->qlkb", E, inst.B_packed)
+            ref = np.einsum("qlka,qlkb->qab", inst.B_packed, EB)
+            np.testing.assert_allclose(penalty.element_stiffness(inst, E), ref, rtol=0, atol=1e-13)
+
+    def test_banded_compliance_forms_no_dense_matrix(self):
+        inst = tight_instance(nx=32, ny=16)
+        E = inst.start_material().dense()
+        penalty.compliances(inst, E)  # the first call also imports scipy.sparse
+        tracemalloc.start()
+        try:
+            penalty.compliances(inst, E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < inst.N**2 * 8 / 4
 
 
 class TestViolationSums:
