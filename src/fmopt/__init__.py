@@ -22,7 +22,6 @@ from .fem2d import (
 from .model import (
     DimensionMismatch,
     DualState,
-    ElementOperator,
     FlopCounter,
     FmoError,
     InvalidInstance,

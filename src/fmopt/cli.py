@@ -76,7 +76,8 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
     prefix = out_prefix or config.out_prefix
     if config.eta is not None or config.nu is not None:
         instance = ProblemInstance(
-            instance.elements,
+            instance.cols_packed,
+            instance.B_packed,
             instance.loads,
             instance.rho_l,
             instance.rho_u,

@@ -12,12 +12,12 @@ row-major from the lower-left of the grid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    ElementOperator,
     InvalidInstance,
     MaterialState,
     NumericalFailure,
@@ -83,24 +83,18 @@ def node_grid(spec: MeshSpec):
     return np.arange((spec.nx + 1) * (spec.ny + 1)).reshape(spec.ny + 1, spec.nx + 1)
 
 
-def element_nodes(spec: MeshSpec, ex: int, ey: int) -> np.ndarray:
-    n1 = ey * (spec.nx + 1) + ex
-    return np.array([n1, n1 + 1, n1 + spec.nx + 2, n1 + spec.nx + 1])
-
-
 def element_matrices(spec: MeshSpec):
     """Strain operators of every element over the full (unfixed) DOF set.
 
     Returns ``(node_ids, B_local)`` where ``node_ids`` is (m, 4) and
     ``B_local`` is (m, 4, 3, 8): for each Gauss point the 3x8 matrix whose
     node blocks stack the mapped gradient, one derivative per normal-strain
-    row and the half-shear row.
+    row and the half-shear row.  Every element of the uniform grid has the
+    same operator, so ``B_local`` is a read-only broadcast of one template.
+    Elements are numbered row-major from the lower left, like the nodes.
     """
     hx, hy = spec.lx / spec.nx, spec.ly / spec.ny
     jac_inv = np.array([2.0 / hx, 2.0 / hy])  # rectangle: diagonal Jacobian
-    m = spec.nx * spec.ny
-    node_ids = np.zeros((m, 4), dtype=np.int64)
-    B_local = np.zeros((m, 4, 3, 8))
     point_B = []
     for xi, eta in GAUSS_POINTS:
         grad = shape_gradients(xi, eta) * jac_inv[:, None]  # (2, 4) physical
@@ -114,13 +108,10 @@ def element_matrices(spec: MeshSpec):
     point_B = np.stack(point_B)
     if not np.all(np.isfinite(point_B)):
         raise NumericalFailure("degenerate element: singular Jacobian")
-    i = 0
-    for ey in range(spec.ny):
-        for ex in range(spec.nx):
-            node_ids[i] = element_nodes(spec, ex, ey)
-            B_local[i] = point_B
-            i += 1
-    return node_ids, B_local
+    # lower-left node of each element, then the corners counterclockwise
+    lower_left = node_grid(spec)[:-1, :-1].reshape(-1, 1)
+    node_ids = lower_left + np.array([0, 1, spec.nx + 2, spec.nx + 1])
+    return node_ids, np.broadcast_to(point_B, (node_ids.shape[0],) + point_B.shape)
 
 
 def fixed_nodes(spec: MeshSpec) -> np.ndarray:
@@ -169,22 +160,20 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
     dof_of_node[free_nodes, 1] = 2 * np.arange(free_nodes.size) + 1
     N = 2 * free_nodes.size
 
-    elements = []
-    for i in range(node_ids.shape[0]):
-        keep_cols = []
-        keep_dofs = []
-        for a, node in enumerate(node_ids[i]):
-            for comp in range(2):
-                dof = dof_of_node[node, comp]
-                if dof >= 0:
-                    keep_cols.append(2 * a + comp)
-                    keep_dofs.append(dof)
-        keep_cols = np.asarray(keep_cols, dtype=np.int64)
-        keep_dofs = np.asarray(keep_dofs, dtype=np.int64)
-        order = np.argsort(keep_dofs)
-        elements.append(
-            ElementOperator(cols=keep_dofs[order], values=B_local[i][:, :, keep_cols[order]])
-        )
+    # free DOF of each local column (node-major, x before y).  Each row is
+    # sorted by DOF with the fixed columns (key N) last, then cut to the
+    # widest kept row; fixed columns left inside it become zero padding on
+    # DOF 0.
+    dofs = dof_of_node[node_ids].reshape(node_ids.shape[0], -1)
+    dofs[dofs < 0] = N
+    order = np.argsort(dofs, axis=1, kind="stable")
+    dofs = np.take_along_axis(dofs, order, axis=1)
+    width = int((dofs < N).sum(axis=1).max())
+    cols = np.ascontiguousarray(dofs[:, :width])
+    padding = cols == N
+    cols[padding] = 0
+    B = np.take_along_axis(B_local, order[:, None, None, :width], axis=3)
+    np.copyto(B, 0.0, where=padding[:, None, None, :])
 
     loads = np.zeros((len(spec.loads), N))
     for j, load in enumerate(spec.loads):
@@ -196,7 +185,7 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
             loads[j, dof_of_node[node, 0]] += share[0]
             loads[j, dof_of_node[node, 1]] += share[1]
 
-    return ProblemInstance(elements, loads, rho_l, rho_u, r, gamma, eta, nu)
+    return ProblemInstance(cols, B, loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
 def reference_compliance(instance: ProblemInstance, E: MaterialState):
@@ -249,12 +238,19 @@ def write_instance(instance: ProblemInstance, path) -> None:
         lines.append(f"param {name} {_fmt(getattr(instance, name))}")
     lines.append("rho_l " + " ".join(_fmt(v) for v in instance.rho_l))
     lines.append("rho_u " + " ".join(_fmt(v) for v in instance.rho_u))
-    for i, el in enumerate(instance.elements):
-        for ig in range(instance.nig):
-            trips = list(el.triplets(ig))
-            lines.append(f"B {i} {ig} {len(trips)}")
-            for row, col, val in trips:
-                lines.append(f"{row} {col} {_fmt(val)}")
+    # nonzeros in (element, point, row, local column) order, padding skipped
+    elem, point, rows, local = np.nonzero(instance.B_packed)
+    entries = zip(
+        rows.tolist(),
+        instance.cols_packed[elem, local].tolist(),
+        instance.B_packed[elem, point, rows, local].tolist(),
+    )
+    nnz = np.bincount(elem * instance.nig + point, minlength=instance.m * instance.nig)
+    for block, count in enumerate(nnz.tolist()):
+        i, ig = divmod(block, instance.nig)
+        lines.append(f"B {i} {ig} {count}")
+        for row, col, val in itertools.islice(entries, count):
+            lines.append(f"{row} {col} {_fmt(val)}")
     for j in range(instance.L):
         lines.append(f"load {j}")
         lines.append(" ".join(_fmt(v) for v in instance.loads[j]))
@@ -267,9 +263,9 @@ def read_instance(path) -> ProblemInstance:
 
     Every (element, integration point) header must appear exactly once
     with indices in range, every entry must name a row in [0, k) and a
-    column in [0, N), and every load index in [0, L) must appear exactly
-    once with N values; anything else raises InvalidInstance naming the
-    offending line.
+    column in [0, N) at most once per header, and every load index in
+    [0, L) must appear exactly once with N values; anything else raises
+    InvalidInstance naming the offending line.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -312,15 +308,16 @@ def read_instance(path) -> ProblemInstance:
         rho_l = np.array([float(v) for v in take("rho_l", m + 1)[1:]])
         rho_u = np.array([float(v) for v in take("rho_u", m + 1)[1:]])
 
-        triplets = [[None] * nig for _ in range(m)]
+        counts = {}  # i * nig + ig -> entry count, in file order
+        entries, values = [], []  # row * N + col and value of each entry
         for _ in range(m * nig):
             head = take("B", 4)
             i, ig, nnz = int(head[1]), int(head[2]), int(head[3])
             if not (0 <= i < m and 0 <= ig < nig and nnz >= 0):
                 raise fail(pos - 1, f"B header needs 0 <= i < {m}, 0 <= ig < {nig}, nnz >= 0")
-            if triplets[i][ig] is not None:
+            if i * nig + ig in counts:
                 raise fail(pos - 1, f"duplicate B header for element {i}, point {ig}")
-            entries = []
+            block = set()
             for n in range(pos, min(pos + nnz, len(lines))):
                 try:
                     row, col, val = lines[n].split()
@@ -329,11 +326,15 @@ def read_instance(path) -> ProblemInstance:
                     raise fail(n, f"expected '<row> <col> <value>', got {lines[n]!r}") from exc
                 if not (0 <= row < k and 0 <= col < N):
                     raise fail(n, f"entry needs 0 <= row < {k} and 0 <= col < {N}")
-                entries.append((row, col, val))
-            pos += len(entries)
-            if len(entries) < nnz:
+                if row * N + col in block:
+                    raise fail(n, f"repeated entry ({row}, {col}) in element {i}, point {ig}")
+                block.add(row * N + col)
+                entries.append(row * N + col)
+                values.append(val)
+            pos += len(block)
+            if len(block) < nnz:
                 raise fail(pos, "unexpected end of file")
-            triplets[i][ig] = entries
+            counts[i * nig + ig] = nnz
 
         loads = np.zeros((L, N))
         seen = np.zeros(L, dtype=bool)
@@ -348,18 +349,23 @@ def read_instance(path) -> ProblemInstance:
     if pos < len(lines):
         raise fail(pos, "unexpected content after the last load")
 
-    elements = []
-    for i in range(m):
-        cols = sorted({c for ig_list in triplets[i] for _, c, _ in ig_list})
-        col_of = {c: a for a, c in enumerate(cols)}
-        values = np.zeros((nig, k, len(cols)))
-        for ig in range(nig):
-            for row, col, val in triplets[i][ig]:
-                values[ig, row, col_of[col]] = val
-        elements.append(ElementOperator(cols=np.asarray(cols, dtype=np.int64), values=values))
+    elem, point = np.divmod(np.repeat(list(counts), list(counts.values())), nig)
+    row, col = np.divmod(np.array(entries, dtype=np.int64), N)
+    # the support of each element is the sorted set of its columns: the
+    # distinct element * N + col keys, of which element i's start at first[i]
+    # (sorted by hand: the first np.unique call imports numpy.ma, 1.3 MB)
+    keys = np.sort(elem * N + col)
+    support = keys[np.diff(keys, prepend=-1) != 0]
+    first = np.searchsorted(support, np.arange(m) * N)
+    width = np.diff(first, append=support.size)
+    cols = np.zeros((m, int(width.max())), dtype=np.int64)
+    cols[support // N, np.arange(support.size) - np.repeat(first, width)] = support % N
+    B = np.zeros((m, nig, k, cols.shape[1]))
+    B[elem, point, row, np.searchsorted(support, elem * N + col) - first[elem]] = values
 
     return ProblemInstance(
-        elements,
+        cols,
+        B,
         loads,
         rho_l,
         rho_u,

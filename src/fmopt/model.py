@@ -2,9 +2,10 @@
 
 A design is a list of m symmetric k-by-k material blocks; the stiffness
 operator A(E) = sum_i sum_l B_{i,l}^T E_i B_{i,l} is never materialized
-here, it is applied element by element through the sparse per-element
-operators B_{i,l}.  ``apply_B`` and its adjoint ``apply_Bt`` are the one
-element kernel every sweep in the package goes through.
+here, it is applied through the per-element operators B_{i,l}, stored
+packed on their column supports in ``ProblemInstance``.  ``apply_B`` and
+its adjoint ``apply_Bt`` are the one element kernel every sweep in the
+package goes through.
 
 States are value types, safe to hand between threads.  Per-element
 contributions reduce through an associative sum in a fixed element order,
@@ -133,32 +134,22 @@ class DualState:
         return np.linalg.norm(self.vectors, axis=1)
 
 
-@dataclass(frozen=True)
-class ElementOperator:
-    """The nig strain operators of one element, restricted to its column support.
-
-    ``values[l]`` is the dense k-by-n_loc block of B_{i,l}; ``cols`` maps the
-    local columns to global free-DOF indices.
-    """
-
-    cols: np.ndarray  # (n_loc,) int, strictly increasing
-    values: np.ndarray  # (nig, k, n_loc)
-
-    def triplets(self, ig: int):
-        """Yield (row, global_col, value) for B_{i,ig}, nonzeros only."""
-        block = self.values[ig]
-        rows, lcols = np.nonzero(block)
-        for a, b in zip(rows, lcols):
-            yield int(a), int(self.cols[b]), float(block[a, b])
-
-
 class ProblemInstance:
     """Immutable description of one material design problem.
 
+    The element operators are stored packed: element i couples the free
+    DOFs ``cols_packed[i]`` through the nig dense k-by-n_loc blocks
+    ``B_packed[i]``.  Supports narrower than n_loc are padded with columns
+    whose B entries are all zero (builders point them at DOF 0); padding
+    contributes nothing to any element sweep.
+
     Parameters
     ----------
-    elements : list of ElementOperator
-        Per-element sparse strain operators (m entries, nig each).
+    cols : int ndarray (m, n_loc)
+        Free-DOF index of each local column of each element.
+    B : ndarray (m, nig, k, n_loc)
+        Per-element strain operators B_{i,l} on their column supports.
+        Both arrays are kept as given, not copied.
     loads : ndarray (L, N)
         Load vectors on the free DOFs.
     rho_l, rho_u : ndarray (m,)
@@ -173,14 +164,18 @@ class ProblemInstance:
         Penalty weight; 0 disables the penalty term.
     """
 
-    def __init__(self, elements, loads, rho_l, rho_u, r, gamma, eta, nu=0.0):
-        self.elements = list(elements)
+    def __init__(self, cols, B, loads, rho_l, rho_u, r, gamma, eta, nu=0.0):
+        self.cols_packed = np.asarray(cols)
+        self.B_packed = np.asarray(B, dtype=float)
         self.loads = np.atleast_2d(np.asarray(loads, dtype=float))
-        self.m = len(self.elements)
+        if self.B_packed.ndim != 4 or self.cols_packed.ndim != 2:
+            raise DimensionMismatch(
+                f"expected cols (m, n_loc) and B (m, nig, k, n_loc), "
+                f"got {self.cols_packed.shape} and {self.B_packed.shape}"
+            )
+        self.m, self.nig, self.k, self.n_loc = self.B_packed.shape
         if self.m == 0:
             raise InvalidInstance("instance has no elements")
-        first = self.elements[0].values
-        self.nig, self.k = first.shape[0], first.shape[1]
         self.N = self.loads.shape[1]
         self.L = self.loads.shape[0]
         self.rho_l = np.broadcast_to(np.asarray(rho_l, dtype=float), (self.m,)).copy()
@@ -190,23 +185,32 @@ class ProblemInstance:
         self.eta = float(eta)
         self.nu = float(nu)
         self._validate()
-        self._pack()
 
     def _validate(self) -> None:
-        for i, el in enumerate(self.elements):
-            if el.values.shape[:2] != (self.nig, self.k):
-                raise DimensionMismatch(
-                    f"element {i}: operator shape {el.values.shape} "
-                    f"inconsistent with (nig={self.nig}, k={self.k})"
-                )
-            if el.cols.ndim != 1 or el.values.shape[2] != el.cols.shape[0]:
-                raise DimensionMismatch(f"element {i}: column support mismatch")
-            if not np.all(np.isfinite(el.values)):
-                raise InvalidInstance(f"element {i}: non-finite operator entries")
-            if el.cols.size and (el.cols.min() < 0 or el.cols.max() >= self.N):
-                raise DimensionMismatch(
-                    f"element {i}: column index outside [0, {self.N})"
-                )
+        cols, B = self.cols_packed, self.B_packed
+        if cols.shape != (self.m, self.n_loc):
+            # the first element whose support and operator disagree
+            first = 0 if cols.shape[1] != self.n_loc else min(cols.shape[0], self.m)
+            raise DimensionMismatch(
+                f"element {first}: column support {cols.shape} does not match "
+                f"operator {B.shape}"
+            )
+        if cols.dtype.kind not in "iu":
+            raise InvalidInstance(f"column indices must be integers, got {cols.dtype}")
+        bad = ~np.isfinite(B).all(axis=(1, 2, 3))
+        if bad.any():
+            raise InvalidInstance(f"element {bad.argmax()}: non-finite operator entries")
+        bad = ((cols < 0) | (cols >= self.N)).any(axis=1)
+        if bad.any():
+            raise DimensionMismatch(
+                f"element {bad.argmax()}: column index outside [0, {self.N})"
+            )
+        # a DOF may back at most one column that is not padding, or the
+        # instance file would list one (row, col) entry twice
+        named = np.sort(np.where((B != 0).any(axis=(1, 2)), cols, -1), axis=1)
+        bad = ((named[:, 1:] == named[:, :-1]) & (named[:, 1:] >= 0)).any(axis=1)
+        if bad.any():
+            raise InvalidInstance(f"element {bad.argmax()}: a DOF backs two columns")
         if not np.all(np.isfinite(self.loads)):
             raise InvalidInstance("loads contain non-finite entries")
         for name in ("rho_l", "rho_u", "r", "gamma", "eta", "nu"):
@@ -220,20 +224,6 @@ class ProblemInstance:
             raise InvalidInstance("need rho_l <= rho_u for every element")
         if not (self.gamma > 0 and self.eta > 0 and self.nu >= 0):
             raise InvalidInstance("need gamma > 0, eta > 0, nu >= 0")
-
-    def _pack(self) -> None:
-        # Pad ragged column supports to a rectangle so element loops can be
-        # batched; padded columns carry zero values and are harmless.
-        nloc = max(el.cols.shape[0] for el in self.elements)
-        self.n_loc = nloc
-        cols = np.zeros((self.m, nloc), dtype=np.int64)
-        vals = np.zeros((self.m, self.nig, self.k, nloc))
-        for i, el in enumerate(self.elements):
-            w = el.cols.shape[0]
-            cols[i, :w] = el.cols
-            vals[i, :, :, :w] = el.values
-        self.cols_packed = cols
-        self.B_packed = vals
 
     # -- starting point ----------------------------------------------------
 

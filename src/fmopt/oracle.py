@@ -173,13 +173,12 @@ def fd_check(f, point, direction, analytic_dd, step: float = 1e-6) -> float:
 
 
 def dense_strain_matrices(instance):
-    """Dense (nig, k, N) strain operators per element, built from triplets."""
+    """Dense (nig, k, N) strain operators per element, built entry by entry."""
     out = []
-    for el in instance.elements:
+    for cols, values in zip(instance.cols_packed, instance.B_packed):
         dense = np.zeros((instance.nig, instance.k, instance.N))
-        for ig in range(instance.nig):
-            for row, col, val in el.triplets(ig):
-                dense[ig, row, col] += val
+        for ig, row, c in zip(*np.nonzero(values)):
+            dense[ig, row, cols[c]] += values[ig, row, c]
         out.append(dense)
     return out
 

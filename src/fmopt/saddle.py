@@ -111,7 +111,6 @@ class SigmaController:
 
     sigma0: float
     window: int
-    rate_metric: str = "gap_decrease"
     v: int = 0
     sigma: float = field(init=False)
     phase: str = "baseline"  # baseline -> growing -> frozen

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmopt import fem2d
-from fmopt.model import ElementOperator, ProblemInstance
+from fmopt.model import ProblemInstance
 from fmopt.proj import SpectralProjection, project_spectral
 
 
@@ -13,15 +13,17 @@ def make_synthetic_instance(rng, m=3, k=3, N=10, L=2, nig=2, n_loc=4,
     """Random sparse-support instance, not tied to any mesh.
 
     ``n_loc`` is one support width for every element, or one per element
-    for ragged supports.
+    for ragged supports; narrower supports are padded with zero columns
+    on DOF 0.
     """
-    elements = []
-    for width in np.broadcast_to(n_loc, (m,)):
-        cols = np.sort(rng.choice(N, size=min(int(width), N), replace=False))
-        values = rng.normal(0.0, 1.0, size=(nig, k, cols.size))
-        elements.append(ElementOperator(cols=cols, values=values))
+    widths = np.minimum(np.broadcast_to(n_loc, (m,)), N)
+    cols = np.zeros((m, int(widths.max())), dtype=np.int64)
+    B = np.zeros((m, nig, k, cols.shape[1]))
+    for i, width in enumerate(widths):
+        cols[i, :width] = np.sort(rng.choice(N, size=width, replace=False))
+        B[i, :, :, :width] = rng.normal(0.0, 1.0, size=(nig, k, width))
     loads = rng.normal(0.0, 1.0, size=(L, N))
-    return ProblemInstance(elements, loads, rho_l, rho_u, r, gamma, eta, nu)
+    return ProblemInstance(cols, B, loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
 def random_feasible_blocks(rng, m, k, rho_l, rho_u, r):

@@ -7,7 +7,7 @@ import pytest
 
 from fmopt import cli, diagnostics, fem2d, penalty
 from fmopt.cli import RunConfig, run
-from fmopt.model import ElementOperator, NumericalFailure, ProblemInstance
+from fmopt.model import NumericalFailure, ProblemInstance
 
 
 @pytest.fixture
@@ -126,10 +126,10 @@ class TestMain:
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         import numpy as np
 
-        from fmopt.model import ElementOperator, ProblemInstance
+        from fmopt.model import ProblemInstance
 
-        el = ElementOperator(cols=np.arange(2), values=np.zeros((4, 3, 2)))
-        inst = ProblemInstance([el], np.ones((1, 4)), 0.3, 3.0, 0.05, 1.0, 1.0, 1.0)
+        inst = ProblemInstance(np.arange(2)[None], np.zeros((1, 4, 3, 2)), np.ones((1, 4)),
+                               0.3, 3.0, 0.05, 1.0, 1.0, 1.0)
         path = tmp_path / "singular.fmo"
         fem2d.write_instance(inst, path)
         rc = cli.main([
@@ -145,10 +145,9 @@ class TestMain:
         # solve must say so, and a plain CLI run must exit 3 at its first row
         base = tiny_mesh_instance
         loads = np.hstack([base.loads, np.zeros((base.L, 1))])
-        inst = ProblemInstance(base.elements, loads, 0.3, 3.0, 0.05, 5.0, 8.0)
+        inst = ProblemInstance(base.cols_packed, base.B_packed, loads, 0.3, 3.0, 0.05, 5.0, 8.0)
         zero_B = ProblemInstance(
-            [ElementOperator(cols=np.arange(2), values=np.zeros((4, 3, 2)))],
-            np.ones((1, 4)), 0.3, 3.0, 0.05, 1.0, 1.0,
+            np.arange(2)[None], np.zeros((1, 4, 3, 2)), np.ones((1, 4)), 0.3, 3.0, 0.05, 1.0, 1.0,
         )
         for singular in (inst, zero_B):
             with pytest.raises(NumericalFailure, match="stiffness singular"):

@@ -12,7 +12,7 @@ from fmopt.diagnostics import (
     optimal_parameters,
     theoretical_gap_bound,
 )
-from fmopt.model import ElementOperator, NumericalFailure, ProblemInstance
+from fmopt.model import NumericalFailure, ProblemInstance
 from fmopt.oracle import (
     max_prox_over_block_reference,
     min_linear_over_block_reference,
@@ -23,8 +23,8 @@ from fmopt.oracle import (
 class TestConstants:
     def test_identity_operator_closed_form(self):
         k = 3
-        el = ElementOperator(cols=np.arange(k), values=np.eye(k)[None, :, :])
-        inst = ProblemInstance([el], np.zeros((1, k)), 0.4, 2.0, 0.1, 2.0, 3.0)
+        inst = ProblemInstance(np.arange(k)[None], np.eye(k)[None, None], np.zeros((1, k)),
+                               0.4, 2.0, 0.1, 2.0, 3.0)
         const = compute_constants(inst, 0.5)
         assert const.B_norm == pytest.approx(1.0, abs=1e-6)
         assert const.L_E2 == pytest.approx(
@@ -96,16 +96,17 @@ class TestSingularSq:
 
     def test_untouched_column_is_rank_deficient(self, rng):
         N, k = 8, 3
-        elements = []
-        for _ in range(4):
-            cols = np.sort(rng.choice(N - 1, size=5, replace=False))
-            elements.append(ElementOperator(cols=cols, values=rng.normal(0, 1, (2, k, 5))))
-        inst = ProblemInstance(elements, rng.normal(0, 1, (1, N)), 0.4, 2.5, 0.1, 4.0, 6.0)
+        cols = np.zeros((4, 5), dtype=np.int64)
+        B = np.zeros((4, 2, k, 5))
+        for i in range(4):
+            cols[i] = np.sort(rng.choice(N - 1, size=5, replace=False))
+            B[i] = rng.normal(0, 1, (2, k, 5))
+        inst = ProblemInstance(cols, B, rng.normal(0, 1, (1, N)), 0.4, 2.5, 0.1, 4.0, 6.0)
         assert self.assert_matches_svd(inst)
 
     def test_zero_operator_rejected(self):
-        el = ElementOperator(cols=np.arange(3), values=np.zeros((1, 3, 3)))
-        inst = ProblemInstance([el], np.ones((1, 3)), 0.4, 2.0, 0.1, 2.0, 3.0)
+        inst = ProblemInstance(np.arange(3)[None], np.zeros((1, 1, 3, 3)), np.ones((1, 3)),
+                               0.4, 2.0, 0.1, 2.0, 3.0)
         with pytest.raises(NumericalFailure):
             diagnostics.smallest_nonzero_singular_sq(inst)
 
@@ -271,7 +272,7 @@ class TestCertificate:
         x = np.zeros((inst.L, inst.N))
         rep1 = diagnostics.approximation_certificate(inst, E, x, f_star_upper=20.0)
         big = ProblemInstance(
-            inst.elements, inst.loads, inst.rho_l, inst.rho_u, inst.r,
+            inst.cols_packed, inst.B_packed, inst.loads, inst.rho_l, inst.rho_u, inst.r,
             inst.gamma, 10.0 * inst.eta, inst.nu,
         )
         rep2 = diagnostics.approximation_certificate(big, E, x, f_star_upper=20.0)

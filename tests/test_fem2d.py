@@ -5,34 +5,32 @@ import pytest
 
 from fmopt import fem2d, penalty
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance, element_matrices
-from fmopt.model import ElementOperator, InvalidInstance, MaterialState, ProblemInstance
+from fmopt.model import InvalidInstance, MaterialState, ProblemInstance
 from fmopt.oracle import compliances_reference, dense_stiffness_reference
 from conftest import make_synthetic_instance, random_feasible_blocks
 
 
 def renumbered(inst, perm):
     """The same problem with free DOF j renamed perm[j]."""
-    elements = []
-    for el in inst.elements:
-        cols = perm[el.cols]
-        order = np.argsort(cols)
-        elements.append(ElementOperator(cols=cols[order], values=el.values[:, :, order]))
+    order = np.argsort(perm[inst.cols_packed], axis=1)
+    cols = np.take_along_axis(perm[inst.cols_packed], order, axis=1)
+    B = np.take_along_axis(inst.B_packed, order[:, None, None, :], axis=3)
     loads = np.empty_like(inst.loads)
     loads[:, perm] = inst.loads
     return ProblemInstance(
-        elements, loads, inst.rho_l, inst.rho_u, inst.r, inst.gamma, inst.eta, inst.nu
+        cols, B, loads, inst.rho_l, inst.rho_u, inst.r, inst.gamma, inst.eta, inst.nu
     )
 
 
-def hand_B_unit_square(xi, eta):
-    """Independent transcription: 3x8 strain matrix for the unit 1x1 element.
+def hand_B(xi, eta, hx=1.0, hy=1.0):
+    """Independent transcription: 3x8 strain matrix of one hx-by-hy element.
 
-    Unit square, hx = hy = 1, so physical gradients are 2x the reference
-    gradients.  Node order CCW from lower-left; DOFs node-major (x, y).
+    Physical gradients are 2/hx and 2/hy times the reference gradients.
+    Node order CCW from lower-left; DOFs node-major (x, y).
     """
     dxi = 0.25 * np.array([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
     deta = 0.25 * np.array([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
-    gx, gy = 2.0 * dxi, 2.0 * deta
+    gx, gy = (2.0 / hx) * dxi, (2.0 / hy) * deta
     B = np.zeros((3, 8))
     for a in range(4):
         B[0, 2 * a] = gx[a]
@@ -50,13 +48,13 @@ class TestElementMatrices:
         a = 1.0 / np.sqrt(3.0)
         pts = [(-a, -a), (a, -a), (a, a), (-a, a)]
         for ig, (xi, eta) in enumerate(pts):
-            np.testing.assert_allclose(B_local[0, ig], hand_B_unit_square(xi, eta), atol=1e-14)
+            np.testing.assert_allclose(B_local[0, ig], hand_B(xi, eta), atol=1e-14)
 
     def test_one_element_left_fixed_dimensions(self, tiny_mesh_instance):
         inst = tiny_mesh_instance
         assert inst.N == 4 and inst.m == 1 and inst.k == 3 and inst.nig == 4
-        for el in inst.elements:
-            assert el.values.shape == (4, 3, 4)
+        assert inst.n_loc == 4
+        assert inst.cols_packed.shape == (1, 4) and inst.B_packed.shape == (1, 4, 3, 4)
 
     def test_gram_form_is_psd(self, rng):
         spec = MeshSpec(nx=3, ny=2, lx=1.5, ly=1.0)
@@ -77,7 +75,71 @@ class TestElementMatrices:
                 np.testing.assert_allclose(strains, 0.0, atol=1e-13)
 
 
+def transcribed_build(spec):
+    """Independent transcription of ``build_instance``, one element at a time.
+
+    Returns ``(cols, B, loads)`` packed as ``ProblemInstance`` stores them:
+    each element keeps its free columns sorted by DOF, and narrower rows are
+    padded with zero columns on DOF 0 up to the widest row.  Loads must use
+    explicit node tuples.
+    """
+    nx, ny = spec.nx, spec.ny
+    a = 1.0 / np.sqrt(3.0)
+    template = np.stack([hand_B(xi, eta, spec.lx / nx, spec.ly / ny)
+                         for xi, eta in ((-a, -a), (a, -a), (a, a), (-a, a))])
+    fixed = {
+        "left": [iy * (nx + 1) for iy in range(ny + 1)],
+        "right": [iy * (nx + 1) + nx for iy in range(ny + 1)],
+        "bottom": list(range(nx + 1)),
+        "top": [ny * (nx + 1) + ix for ix in range(nx + 1)],
+    }[spec.fixed_edge]
+    x_dof = {}  # free node -> its x DOF; the y DOF follows
+    for node in range((nx + 1) * (ny + 1)):
+        if node not in fixed:
+            x_dof[node] = 2 * len(x_dof)
+    supports = []  # per element: sorted (free DOF, local column) pairs
+    for ey in range(ny):
+        for ex in range(nx):
+            n1 = ey * (nx + 1) + ex
+            pairs = []
+            for corner, node in enumerate((n1, n1 + 1, n1 + nx + 2, n1 + nx + 1)):
+                if node in x_dof:
+                    pairs += [(x_dof[node], 2 * corner), (x_dof[node] + 1, 2 * corner + 1)]
+            supports.append(sorted(pairs))
+    width = max(len(pairs) for pairs in supports)
+    cols = np.zeros((nx * ny, width), dtype=np.int64)
+    B = np.zeros((nx * ny, 4, 3, width))
+    for i, pairs in enumerate(supports):
+        for c, (dof, local) in enumerate(pairs):
+            cols[i, c] = dof
+            B[i, :, :, c] = template[:, :, local]
+    loads = np.zeros((len(spec.loads), 2 * len(x_dof)))
+    for j, load in enumerate(spec.loads):
+        for node in load.nodes:
+            loads[j, x_dof[node]] += load.force[0] / len(load.nodes)
+            loads[j, x_dof[node] + 1] += load.force[1] / len(load.nodes)
+    return cols, B, loads
+
+
 class TestBuildInstance:
+    @pytest.mark.parametrize("fixed_edge", ["left", "right", "bottom", "top"])
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 3), (3, 1), (4, 3)])
+    def test_packed_arrays_match_transcription(self, fixed_edge, nx, ny):
+        # two load cases: the whole edge opposite the fixed one, and its last node
+        grid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+        opposite = {"left": grid[:, -1], "right": grid[:, 0],
+                    "bottom": grid[-1, :], "top": grid[0, :]}[fixed_edge]
+        loads = (LoadSpec(tuple(opposite.tolist()), (0.3, -1.0)),
+                 LoadSpec((int(opposite[-1]),), (1.0, 0.25)))
+        spec = MeshSpec(nx=nx, ny=ny, lx=2.0 * nx, ly=1.5 * ny, fixed_edge=fixed_edge,
+                        loads=loads)
+        inst = build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
+        cols, B, loads = transcribed_build(spec)
+        assert inst.n_loc == cols.shape[1]
+        np.testing.assert_array_equal(inst.cols_packed, cols)
+        np.testing.assert_array_equal(inst.B_packed, B)
+        np.testing.assert_array_equal(inst.loads, loads)
+
     def test_free_dof_count(self):
         spec = MeshSpec(nx=3, ny=2, lx=3.0, ly=2.0)
         inst = build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
@@ -161,22 +223,26 @@ class TestReferenceCompliance:
 
 
 class TestFileFormats:
-    def test_instance_roundtrip_bit_exact(self, tmp_path, small_mesh_instance):
-        inst = small_mesh_instance
-        p1 = tmp_path / "a.fmo"
-        p2 = tmp_path / "b.fmo"
-        fem2d.write_instance(inst, p1)
-        again = fem2d.read_instance(p1)
-        fem2d.write_instance(again, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert again.m == inst.m and again.N == inst.N and again.L == inst.L
-        np.testing.assert_array_equal(again.loads, inst.loads)
-        np.testing.assert_array_equal(again.rho_l, inst.rho_l)
-        for a, b in zip(inst.elements, again.elements):
-            np.testing.assert_array_equal(a.cols, b.cols)
-            np.testing.assert_array_equal(a.values, b.values)
-        for name in ("r", "gamma", "eta", "nu"):
-            assert getattr(again, name) == getattr(inst, name)
+    def test_instance_roundtrip_bit_exact(self, tmp_path, rng, small_mesh_instance):
+        ragged = make_synthetic_instance(rng, m=4, N=11, L=3, n_loc=(2, 5, 3, 4))
+        # no nonzero entries at all, so no column support (n_loc 0)
+        zero_operator = ProblemInstance(np.zeros((2, 0), dtype=np.int64), np.zeros((2, 1, 3, 0)),
+                                        np.ones((1, 3)), 0.4, 2.0, 0.1, 2.0, 3.0)
+        for n, inst in enumerate((small_mesh_instance, ragged, zero_operator)):
+            p1 = tmp_path / f"a{n}.fmo"
+            p2 = tmp_path / f"b{n}.fmo"
+            fem2d.write_instance(inst, p1)
+            again = fem2d.read_instance(p1)
+            fem2d.write_instance(again, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert again.m == inst.m and again.N == inst.N and again.L == inst.L
+            np.testing.assert_array_equal(again.loads, inst.loads)
+            np.testing.assert_array_equal(again.rho_l, inst.rho_l)
+            assert again.n_loc == inst.n_loc
+            np.testing.assert_array_equal(again.cols_packed, inst.cols_packed)
+            np.testing.assert_array_equal(again.B_packed, inst.B_packed)
+            for name in ("r", "gamma", "eta", "nu"):
+                assert getattr(again, name) == getattr(inst, name)
 
     def test_instance_rejects_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.fmo"
@@ -240,6 +306,7 @@ class TestFileFormats:
         ("unknown_parameter", {4: "param gama 5.0"}, 4),
         ("truncated", {46: None}, 46),
         ("trailing_content", {47: "load 0"}, 47),
+        ("repeated_entry", {10: "0 0 0.5", 11: "0 0 123.0"}, 11),
     ])
     def test_instance_reader_rejects_malformed(self, tmp_path, tiny_mesh_instance, capsys,
                                                case, edit, line):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt.model import (
     DimensionMismatch,
-    ElementOperator,
     FlopCounter,
     InvalidInstance,
     MaterialState,
@@ -24,8 +23,8 @@ from fmopt.oracle import dense_stiffness_reference, dense_strain_matrices
 
 def identity_instance(k=2):
     """One element, one integration point, B = I_k, N = k."""
-    el = ElementOperator(cols=np.arange(k), values=np.eye(k)[None, :, :])
-    return ProblemInstance([el], np.zeros((1, k)), k * 0.1, 5.0, 0.1, 1.0, 1.0)
+    return ProblemInstance(np.arange(k)[None], np.eye(k)[None, None], np.zeros((1, k)),
+                           k * 0.1, 5.0, 0.1, 1.0, 1.0)
 
 
 class TestMaterialState:
@@ -134,13 +133,12 @@ class TestApplyA:
             apply_A(inst, E, np.zeros(inst.N + 1))
 
     def test_ragged_column_supports_padded_correctly(self, rng):
-        elements = []
-        for nloc in (2, 5, 3):
-            cols = np.sort(rng.choice(9, size=nloc, replace=False))
-            elements.append(
-                ElementOperator(cols=cols, values=rng.normal(size=(2, 3, nloc)))
-            )
-        inst = ProblemInstance(elements, rng.normal(size=(2, 9)), 0.4, 2.5, 0.1, 2.0, 3.0)
+        cols = np.zeros((3, 5), dtype=np.int64)
+        B = np.zeros((3, 2, 3, 5))
+        for i, nloc in enumerate((2, 5, 3)):
+            cols[i, :nloc] = np.sort(rng.choice(9, size=nloc, replace=False))
+            B[i, :, :, :nloc] = rng.normal(size=(2, 3, nloc))
+        inst = ProblemInstance(cols, B, rng.normal(size=(2, 9)), 0.4, 2.5, 0.1, 2.0, 3.0)
         assert inst.n_loc == 5
         blocks = random_feasible_blocks(rng, 3, 3, 0.4, 2.5, 0.1)
         E = MaterialState.from_dense(blocks)
@@ -221,31 +219,63 @@ class TestQuadA:
 
 
 class TestInstanceValidation:
+    ONE = dict(cols=np.arange(2)[None], B=np.eye(2)[None, None])  # B = I_2, N = 2
+
     def test_nonfinite_operator_rejected(self, rng):
-        el = ElementOperator(cols=np.arange(2), values=np.full((1, 2, 2), np.nan))
-        with pytest.raises(InvalidInstance):
-            ProblemInstance([el], np.zeros((1, 2)), 0.2, 1.0, 0.1, 1.0, 1.0)
+        with pytest.raises(InvalidInstance, match="element 0"):
+            ProblemInstance(np.arange(2)[None], np.full((1, 1, 2, 2), np.nan),
+                            np.zeros((1, 2)), 0.2, 1.0, 0.1, 1.0, 1.0)
+        inst = make_synthetic_instance(rng, m=3, N=6)
+        B = inst.B_packed.copy()
+        B[2, 1, 0, 3] = np.nan
+        with pytest.raises(InvalidInstance, match="element 2"):
+            ProblemInstance(inst.cols_packed, B, inst.loads, 0.4, 2.5, 0.1, 4.0, 6.0)
 
     def test_trace_window_vs_floor_rejected(self, rng):
-        el = ElementOperator(cols=np.arange(2), values=np.eye(2)[None, :, :])
         with pytest.raises(InvalidInstance):
-            ProblemInstance([el], np.zeros((1, 2)), 0.1, 1.0, 0.1, 1.0, 1.0)  # k*r > rho_l
+            ProblemInstance(**self.ONE, loads=np.zeros((1, 2)), rho_l=0.1, rho_u=1.0,
+                            r=0.1, gamma=1.0, eta=1.0)  # k*r > rho_l
         with pytest.raises(InvalidInstance):  # slack is relative: an empty window at 0
-            ProblemInstance([el], np.zeros((1, 2)), 0.0, 0.0, 1e-12, 1.0, 1.0)
+            ProblemInstance(**self.ONE, loads=np.zeros((1, 2)), rho_l=0.0, rho_u=0.0,
+                            r=1e-12, gamma=1.0, eta=1.0)
 
     @pytest.mark.parametrize("field", ["rho_l", "rho_u", "r", "gamma", "eta", "nu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_scalar_rejected(self, field, bad):
-        el = ElementOperator(cols=np.arange(2), values=np.eye(2)[None, :, :])
         args = dict(rho_l=0.2, rho_u=1.0, r=0.1, gamma=1.0, eta=1.0, nu=0.0)
         args[field] = bad
         with pytest.raises(InvalidInstance, match=field):
-            ProblemInstance([el], np.zeros((1, 2)), **args)
+            ProblemInstance(**self.ONE, loads=np.zeros((1, 2)), **args)
 
-    def test_column_out_of_range_rejected(self):
-        el = ElementOperator(cols=np.array([0, 5]), values=np.eye(2)[None, :, :])
+    def test_column_out_of_range_rejected(self, rng):
+        with pytest.raises(DimensionMismatch, match="element 0"):
+            ProblemInstance(np.array([[0, 5]]), np.eye(2)[None, None],
+                            np.zeros((1, 3)), 0.2, 1.0, 0.1, 1.0, 1.0)
+        inst = make_synthetic_instance(rng, m=3, N=6)
+        for bad in (-1, inst.N):
+            cols = inst.cols_packed.copy()
+            cols[1, 2] = bad
+            with pytest.raises(DimensionMismatch, match="element 1"):
+                ProblemInstance(cols, inst.B_packed, inst.loads, 0.4, 2.5, 0.1, 4.0, 6.0)
+
+    def test_repeated_dof_rejected(self):
+        B = np.ones((2, 1, 2, 3))
+        B[0, :, :, 2] = 0.0  # padding may repeat a DOF of a real column
+        ProblemInstance(np.array([[0, 1, 0], [0, 1, 2]]), B, np.zeros((1, 3)),
+                        0.2, 1.0, 0.1, 1.0, 1.0)
+        with pytest.raises(InvalidInstance, match="element 1"):
+            ProblemInstance(np.array([[0, 1, 0], [2, 1, 2]]), B, np.zeros((1, 3)),
+                            0.2, 1.0, 0.1, 1.0, 1.0)
+
+    def test_support_operator_shape_mismatch_rejected(self, rng):
+        inst = make_synthetic_instance(rng, m=3, N=6)
+        args = (inst.loads, 0.4, 2.5, 0.1, 4.0, 6.0)
+        with pytest.raises(DimensionMismatch, match="element 0"):  # widths differ
+            ProblemInstance(inst.cols_packed[:, :-1], inst.B_packed, *args)
+        with pytest.raises(DimensionMismatch, match="element 2"):  # no support for element 2
+            ProblemInstance(inst.cols_packed[:2], inst.B_packed, *args)
         with pytest.raises(DimensionMismatch):
-            ProblemInstance([el], np.zeros((1, 3)), 0.2, 1.0, 0.1, 1.0, 1.0)
+            ProblemInstance(inst.cols_packed[0], inst.B_packed, *args)
 
 
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1))

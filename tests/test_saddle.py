@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt import diagnostics, fem2d, saddle
 from fmopt.model import (
-    ElementOperator,
     InvalidInstance,
     MaterialState,
     NumericalFailure,
@@ -33,9 +32,9 @@ from fmopt.saddle import (
 
 
 def identity_instance(k=2, gamma=1.0, f=None):
-    el = ElementOperator(cols=np.arange(k), values=np.eye(k)[None, :, :])
     loads = np.zeros((1, k)) if f is None else np.asarray(f, float)[None, :]
-    return ProblemInstance([el], loads, k * 0.1, 5.0, 0.1, gamma, 1.0)
+    return ProblemInstance(np.arange(k)[None], np.eye(k)[None, None], loads, k * 0.1, 5.0, 0.1,
+                           gamma, 1.0)
 
 
 class TestSubgradients:
