@@ -91,15 +91,15 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
     constants = None
     if tau is None or sigma0 is None:
         auto_tau, auto_sigma, constants = diagnostics.optimal_parameters(
-            instance, config.scheme
+            instance, config.scheme, config.dense_threshold
         )
         tau = auto_tau if tau is None else tau
         sigma0 = auto_sigma if sigma0 is None else sigma0
     if constants is None:
         try:
-            constants = diagnostics.compute_constants(instance, tau)
+            constants = diagnostics.compute_constants(instance, tau, config.dense_threshold)
         except FmoError:
-            constants = None  # bound column stays empty on huge instances
+            constants = None  # bound column stays empty above the dense threshold
 
     solver_config = saddle.SolverConfig(
         scheme=config.scheme,
@@ -257,9 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dense-threshold",
         type=int,
         default=4000,
-        help="above this N, refuse penalty mode (dense A(E) per step) and leave out the "
-        "per-row violation columns, the final violation and the certificate (dense B^T B "
-        "spectrum); the bound data behind auto tau/sigma0 keep a fixed N <= 4000 gate",
+        help="above this N, refuse penalty mode (dense A(E) per step) and --tau/--sigma0 "
+        "auto (bound data from the dense B^T B spectrum), and leave out the theoretical "
+        "bound column, the per-row violation columns, the final violation and the "
+        "certificate",
     )
     rung.add_argument("--out", default="fmopt_run", help="output path prefix")
     return p

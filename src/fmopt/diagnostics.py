@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import penalty
-from .model import FlopCounter, MaterialState, NumericalFailure, ProblemInstance
+from .model import (
+    FlopCounter,
+    InvalidInstance,
+    MaterialState,
+    NumericalFailure,
+    ProblemInstance,
+)
 
 GAP_PREFACTOR_CONST = 0.37  # printed constant; beta_hat bound gives 0.36603
 
@@ -94,11 +100,13 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     The squared singular values of the (m*nig*k) x N stacked strain operator
     are the eigenvalues of its N x N Gram matrix A(I) = B^T B, so one
     symmetric eigendecomposition gives all three results.  Eigenvalues at
-    or below max(rows, N) * eps * lambda_max count as zero.
+    or below max(rows, N) * eps * lambda_max count as zero.  Instances
+    with N above ``dense_threshold`` are refused as input (InvalidInstance).
     """
     if instance.N > dense_threshold:
-        raise NumericalFailure(
-            "dense eigendecomposition of B^T B only supported on small instances"
+        raise InvalidInstance(
+            f"the bound constants need a dense eigendecomposition of B^T B, refused "
+            f"for N={instance.N} above --dense-threshold {dense_threshold}"
         )
     m, k, N = instance.m, instance.k, instance.N
     gram = penalty.assemble_dense(instance, np.broadcast_to(np.eye(k), (m, k, k)))
@@ -111,9 +119,15 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     return float(nonzero[0]), deficient, math.sqrt(lam[-1])
 
 
-def compute_constants(instance: ProblemInstance, tau: float) -> BoundConstants:
-    """Evaluate the printed bound constants for one instance."""
-    lam_min, deficient, B_norm = smallest_nonzero_singular_sq(instance)
+def compute_constants(
+    instance: ProblemInstance, tau: float, dense_threshold: int = 4000
+) -> BoundConstants:
+    """Evaluate the printed bound constants for one instance.
+
+    ``dense_threshold`` gates the dense B^T B eigendecomposition behind
+    them (see ``smallest_nonzero_singular_sq``).
+    """
+    lam_min, deficient, B_norm = smallest_nonzero_singular_sq(instance, dense_threshold)
     m, k, L = instance.m, instance.k, instance.L
     r, gamma, eta = instance.r, instance.gamma, instance.eta
     rho_u_max = float(instance.rho_u.max())
@@ -143,16 +157,16 @@ def compute_constants(instance: ProblemInstance, tau: float) -> BoundConstants:
     )
 
 
-def optimal_parameters(instance: ProblemInstance, scheme: str):
+def optimal_parameters(instance: ProblemInstance, scheme: str, dense_threshold: int = 4000):
     """(tau, sigma, constants) that realize the printed gap bounds.
 
     tau balances the two Lipschitz/diameter pairs; sigma is 1/sqrt(2D) for
     the weighted scheme and carries the extra combined-norm factor for the
     simple one (the printed simple-scheme sigma omits that factor and does
     not reproduce its own final bound).  Only ``tau`` and ``D`` depend on
-    tau, so the constants are computed once.
+    tau, so the constants are computed once, under ``dense_threshold``.
     """
-    const0 = compute_constants(instance, 0.5)
+    const0 = compute_constants(instance, 0.5, dense_threshold)
     L_E, L_x = const0.L_E, const0.L_x
     D_E, D_x = const0.D_E, const0.D_x
     tau = 1.0 / (1.0 + (L_x / L_E) * math.sqrt(D_E / D_x))

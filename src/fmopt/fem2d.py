@@ -160,20 +160,21 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
     dof_of_node[free_nodes, 1] = 2 * np.arange(free_nodes.size) + 1
     N = 2 * free_nodes.size
 
-    # free DOF of each local column (node-major, x before y).  Each row is
-    # sorted by DOF with the fixed columns (key N) last, then cut to the
-    # widest kept row; fixed columns left inside it become zero padding on
-    # DOF 0.
-    dofs = dof_of_node[node_ids].reshape(node_ids.shape[0], -1)
+    # free DOF of each local column (node-major, x before y), element axis
+    # last.  Each element's columns are sorted by DOF with the fixed columns
+    # (key N) last, then cut to the widest kept support; fixed columns left
+    # inside it become zero padding on DOF 0.  Gathering along the
+    # transposed template writes B straight into element-last storage.
+    dofs = dof_of_node[node_ids].reshape(node_ids.shape[0], -1).T
     dofs[dofs < 0] = N
-    order = np.argsort(dofs, axis=1, kind="stable")
-    dofs = np.take_along_axis(dofs, order, axis=1)
-    width = int((dofs < N).sum(axis=1).max())
-    cols = np.ascontiguousarray(dofs[:, :width])
+    order = np.argsort(dofs, axis=0, kind="stable")
+    dofs = np.take_along_axis(dofs, order, axis=0)
+    width = int((dofs < N).sum(axis=0).max())
+    cols = dofs[:width]
     padding = cols == N
     cols[padding] = 0
-    B = np.take_along_axis(B_local, order[:, None, None, :width], axis=3)
-    np.copyto(B, 0.0, where=padding[:, None, None, :])
+    B = np.take_along_axis(np.moveaxis(B_local, 0, -1), order[None, None, :width], axis=2)
+    np.copyto(B, 0.0, where=padding)
 
     loads = np.zeros((len(spec.loads), N))
     for j, load in enumerate(spec.loads):
@@ -185,7 +186,7 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
             loads[j, dof_of_node[node, 0]] += share[0]
             loads[j, dof_of_node[node, 1]] += share[1]
 
-    return ProblemInstance(cols, B, loads, rho_l, rho_u, r, gamma, eta, nu)
+    return ProblemInstance(cols.T, np.moveaxis(B, -1, 0), loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
 def reference_compliance(instance: ProblemInstance, E: MaterialState):
@@ -268,7 +269,9 @@ def read_instance(path) -> ProblemInstance:
     InvalidInstance naming the offending line.
     """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline ending the last line
     if not lines or lines[0] != INSTANCE_MAGIC:
         raise InvalidInstance(f"not a {INSTANCE_MAGIC} file: {path}")
     pos = 1
@@ -308,33 +311,39 @@ def read_instance(path) -> ProblemInstance:
         rho_l = np.array([float(v) for v in take("rho_l", m + 1)[1:]])
         rho_u = np.array([float(v) for v in take("rho_u", m + 1)[1:]])
 
-        counts = {}  # i * nig + ig -> entry count, in file order
-        entries, values = [], []  # row * N + col and value of each entry
-        for _ in range(m * nig):
-            head = take("B", 4)
-            i, ig, nnz = int(head[1]), int(head[2]), int(head[3])
-            if not (0 <= i < m and 0 <= ig < nig and nnz >= 0):
-                raise fail(pos - 1, f"B header needs 0 <= i < {m}, 0 <= ig < {nig}, nnz >= 0")
-            if i * nig + ig in counts:
-                raise fail(pos - 1, f"duplicate B header for element {i}, point {ig}")
-            block = set()
-            for n in range(pos, min(pos + nnz, len(lines))):
-                try:
-                    row, col, val = lines[n].split()
-                    row, col, val = int(row), int(col), float(val)
-                except ValueError as exc:
-                    raise fail(n, f"expected '<row> <col> <value>', got {lines[n]!r}") from exc
-                if not (0 <= row < k and 0 <= col < N):
-                    raise fail(n, f"entry needs 0 <= row < {k} and 0 <= col < {N}")
-                if row * N + col in block:
-                    raise fail(n, f"repeated entry ({row}, {col}) in element {i}, point {ig}")
-                block.add(row * N + col)
-                entries.append(row * N + col)
-                values.append(val)
-            pos += len(block)
-            if len(block) < nnz:
-                raise fail(pos, "unexpected end of file")
-            counts[i * nig + ig] = nnz
+        section = _parse_B_section(lines, pos, m, nig, k, N)
+        if section is None:
+            # an irregular section: parse it line by line to name the bad line
+            counts = {}  # i * nig + ig -> entry count, in file order
+            entries, values = [], []  # row * N + col and value of each entry
+            for _ in range(m * nig):
+                head = take("B", 4)
+                i, ig, nnz = int(head[1]), int(head[2]), int(head[3])
+                if not (0 <= i < m and 0 <= ig < nig and nnz >= 0):
+                    raise fail(pos - 1, f"B header needs 0 <= i < {m}, 0 <= ig < {nig}, nnz >= 0")
+                if i * nig + ig in counts:
+                    raise fail(pos - 1, f"duplicate B header for element {i}, point {ig}")
+                block = set()
+                for n in range(pos, min(pos + nnz, len(lines))):
+                    try:
+                        row, col, val = lines[n].split()
+                        row, col, val = int(row), int(col), float(val)
+                    except ValueError as exc:
+                        raise fail(n, f"expected '<row> <col> <value>', got {lines[n]!r}") from exc
+                    if not (0 <= row < k and 0 <= col < N):
+                        raise fail(n, f"entry needs 0 <= row < {k} and 0 <= col < {N}")
+                    if row * N + col in block:
+                        raise fail(n, f"repeated entry ({row}, {col}) in element {i}, point {ig}")
+                    block.add(row * N + col)
+                    entries.append(row * N + col)
+                    values.append(val)
+                pos += len(block)
+                if len(block) < nnz:
+                    raise fail(pos, "unexpected end of file")
+                counts[i * nig + ig] = nnz
+            section = (pos, np.repeat(list(counts), list(counts.values())),
+                       np.array(entries, dtype=np.int64), values)
+        pos, block, entries, values = section
 
         loads = np.zeros((L, N))
         seen = np.zeros(L, dtype=bool)
@@ -349,8 +358,8 @@ def read_instance(path) -> ProblemInstance:
     if pos < len(lines):
         raise fail(pos, "unexpected content after the last load")
 
-    elem, point = np.divmod(np.repeat(list(counts), list(counts.values())), nig)
-    row, col = np.divmod(np.array(entries, dtype=np.int64), N)
+    elem, point = np.divmod(block, nig)
+    row, col = np.divmod(entries, N)
     # the support of each element is the sorted set of its columns: the
     # distinct element * N + col keys, of which element i's start at first[i]
     # (sorted by hand: the first np.unique call imports numpy.ma, 1.3 MB)
@@ -358,14 +367,14 @@ def read_instance(path) -> ProblemInstance:
     support = keys[np.diff(keys, prepend=-1) != 0]
     first = np.searchsorted(support, np.arange(m) * N)
     width = np.diff(first, append=support.size)
-    cols = np.zeros((m, int(width.max())), dtype=np.int64)
-    cols[support // N, np.arange(support.size) - np.repeat(first, width)] = support % N
-    B = np.zeros((m, nig, k, cols.shape[1]))
-    B[elem, point, row, np.searchsorted(support, elem * N + col) - first[elem]] = values
+    cols = np.zeros((int(width.max()), m), dtype=np.int64)  # element-last storage
+    cols[np.arange(support.size) - np.repeat(first, width), support // N] = support % N
+    B = np.zeros((nig, k, cols.shape[0], m))
+    B[point, row, np.searchsorted(support, elem * N + col) - first[elem], elem] = values
 
     return ProblemInstance(
-        cols,
-        B,
+        cols.T,
+        np.moveaxis(B, -1, 0),
         loads,
         rho_l,
         rho_u,
@@ -374,6 +383,51 @@ def read_instance(path) -> ProblemInstance:
         params["eta"],
         params["nu"],
     )
+
+
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
+def _parse_B_section(lines, pos, m, nig, k, N):
+    """The m * nig B blocks of an instance file from line ``pos``, in bulk.
+
+    Returns ``(pos, block, key, value)``: the line after the section and,
+    per entry, its block i * nig + ig, its row * N + col and its value; or
+    None when any line breaks a rule of ``read_instance`` (which then parses
+    the section line by line to name it).  The entry lines go through one
+    ``np.loadtxt`` call, which accepts no field that ``int`` or ``float``
+    would reject.
+    """
+    heads, body = [], []
+    try:
+        for _ in range(m * nig):
+            head = lines[pos].split()
+            if len(head) != 4 or head[0] != "B":
+                return None
+            heads.append([int(v) for v in head[1:]])
+            nnz = heads[-1][2]
+            if nnz < 0 or pos + 1 + nnz > len(lines):
+                return None
+            body += lines[pos + 1:pos + 1 + nnz]
+            pos += 1 + nnz
+        if not body:
+            return None
+        entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+        i, ig, nnz = np.array(heads, dtype=np.int64).T
+    except (IndexError, ValueError, OverflowError):
+        return None
+    row, col = entries["row"], entries["col"]
+    ids = i * nig + ig
+    if not (entries.size == len(body)  # loadtxt skips blank lines
+            and np.all((0 <= i) & (i < m) & (0 <= ig) & (ig < nig))
+            and np.all((0 <= row) & (row < k) & (0 <= col) & (col < N))
+            and np.bincount(ids, minlength=m * nig).max() == 1):
+        return None
+    block, key = np.repeat(ids, nnz), row * N + col
+    keys = np.sort(block * (k * N) + key)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return pos, block, key, entries["value"]
 
 
 def write_state(state: MaterialState, path) -> None:

@@ -7,6 +7,16 @@ packed on their column supports in ``ProblemInstance``.  ``apply_B`` and
 its adjoint ``apply_Bt`` are the one element kernel every sweep in the
 package goes through.
 
+Per-element arrays are stored with the element axis last and contiguous:
+the operators as (nig, k, n_loc, m), material blocks and the dual sums as
+(k, k, m), strains as (L, nig, k, m).  The m independent k-by-k problems
+of an iteration are then a few multiply-adds (einsum and elementwise
+kernels) over length-m vectors, with no batched matmul.  Every function
+still takes and returns the element axis first -- (m, k, k), (L, m, nig, k)
+-- as zero-copy transposed views of that storage, e.g.
+``np.moveaxis(blocks, -1, 0)`` for (k, k, m) blocks; inputs in C order are
+accepted and give the same results.
+
 States are value types, safe to hand between threads.  Per-element
 contributions reduce through an associative sum in a fixed element order,
 so repeated runs on the same build are bit-reproducible.
@@ -93,13 +103,13 @@ class MaterialState:
         return self.packed.shape[0]
 
     def dense(self) -> np.ndarray:
-        """Return the blocks as a dense (m, k, k) array (always symmetric)."""
+        """The blocks as a dense (m, k, k) view of (k, k, m) storage (always symmetric)."""
         k = self.k
         iu, ju = _pack_indices(k)
-        out = np.zeros((self.m, k, k))
-        out[:, iu, ju] = self.packed
-        out[:, ju, iu] = self.packed
-        return out
+        out = np.zeros((k, k, self.m))
+        out[iu, ju] = self.packed.T
+        out[ju, iu] = self.packed.T
+        return np.moveaxis(out, -1, 0)
 
     def traces(self) -> np.ndarray:
         k = self.k
@@ -143,13 +153,19 @@ class ProblemInstance:
     whose B entries are all zero (builders point them at DOF 0); padding
     contributes nothing to any element sweep.
 
+    The storage is element-last and C-contiguous: ``B`` is
+    (nig, k, n_loc, m) and ``cols`` is (n_loc, m).  ``B_packed`` and
+    ``cols_packed`` are transposed views of it with the element axis first.
+
     Parameters
     ----------
     cols : int ndarray (m, n_loc)
         Free-DOF index of each local column of each element.
     B : ndarray (m, nig, k, n_loc)
         Per-element strain operators B_{i,l} on their column supports.
-        Both arrays are kept as given, not copied.
+        Views of element-last storage (such as the ``cols_packed`` and
+        ``B_packed`` of another instance) are kept as given; arrays in
+        element-major order are copied once into it.
     loads : ndarray (L, N)
         Load vectors on the free DOFs.
     rho_l, rho_u : ndarray (m,)
@@ -165,17 +181,25 @@ class ProblemInstance:
     """
 
     def __init__(self, cols, B, loads, rho_l, rho_u, r, gamma, eta, nu=0.0):
-        self.cols_packed = np.asarray(cols)
-        self.B_packed = np.asarray(B, dtype=float)
+        cols, B = np.asarray(cols), np.asarray(B, dtype=float)
         self.loads = np.atleast_2d(np.asarray(loads, dtype=float))
-        if self.B_packed.ndim != 4 or self.cols_packed.ndim != 2:
+        if B.ndim != 4 or cols.ndim != 2:
             raise DimensionMismatch(
                 f"expected cols (m, n_loc) and B (m, nig, k, n_loc), "
-                f"got {self.cols_packed.shape} and {self.B_packed.shape}"
+                f"got {cols.shape} and {B.shape}"
             )
-        self.m, self.nig, self.k, self.n_loc = self.B_packed.shape
+        self.m, self.nig, self.k, self.n_loc = B.shape
         if self.m == 0:
             raise InvalidInstance("instance has no elements")
+        if cols.shape != (self.m, self.n_loc):
+            # the first element whose support and operator disagree
+            first = 0 if cols.shape[1] != self.n_loc else min(cols.shape[0], self.m)
+            raise DimensionMismatch(
+                f"element {first}: column support {cols.shape} does not match "
+                f"operator {B.shape}"
+            )
+        self.cols = np.ascontiguousarray(cols.T)
+        self.B = np.ascontiguousarray(np.moveaxis(B, 0, -1))
         self.N = self.loads.shape[1]
         self.L = self.loads.shape[0]
         self.rho_l = np.broadcast_to(np.asarray(rho_l, dtype=float), (self.m,)).copy()
@@ -186,29 +210,32 @@ class ProblemInstance:
         self.nu = float(nu)
         self._validate()
 
+    @property
+    def B_packed(self) -> np.ndarray:
+        """The operators as an (m, nig, k, n_loc) view of the element-last storage."""
+        return np.moveaxis(self.B, -1, 0)
+
+    @property
+    def cols_packed(self) -> np.ndarray:
+        """The column supports as an (m, n_loc) view of the element-last storage."""
+        return self.cols.T
+
     def _validate(self) -> None:
-        cols, B = self.cols_packed, self.B_packed
-        if cols.shape != (self.m, self.n_loc):
-            # the first element whose support and operator disagree
-            first = 0 if cols.shape[1] != self.n_loc else min(cols.shape[0], self.m)
-            raise DimensionMismatch(
-                f"element {first}: column support {cols.shape} does not match "
-                f"operator {B.shape}"
-            )
+        cols, B = self.cols, self.B
         if cols.dtype.kind not in "iu":
             raise InvalidInstance(f"column indices must be integers, got {cols.dtype}")
-        bad = ~np.isfinite(B).all(axis=(1, 2, 3))
+        bad = ~np.isfinite(B).all(axis=(0, 1, 2))
         if bad.any():
             raise InvalidInstance(f"element {bad.argmax()}: non-finite operator entries")
-        bad = ((cols < 0) | (cols >= self.N)).any(axis=1)
+        bad = ((cols < 0) | (cols >= self.N)).any(axis=0)
         if bad.any():
             raise DimensionMismatch(
                 f"element {bad.argmax()}: column index outside [0, {self.N})"
             )
         # a DOF may back at most one column that is not padding, or the
         # instance file would list one (row, col) entry twice
-        named = np.sort(np.where((B != 0).any(axis=(1, 2)), cols, -1), axis=1)
-        bad = ((named[:, 1:] == named[:, :-1]) & (named[:, 1:] >= 0)).any(axis=1)
+        named = np.sort(np.where((B != 0).any(axis=(0, 1)), cols, -1), axis=0)
+        bad = ((named[1:] == named[:-1]) & (named[1:] >= 0)).any(axis=0)
         if bad.any():
             raise InvalidInstance(f"element {bad.argmax()}: a DOF backs two columns")
         if not np.all(np.isfinite(self.loads)):
@@ -295,31 +322,40 @@ def _check_vector(instance: ProblemInstance, v: np.ndarray) -> np.ndarray:
 def apply_B(instance: ProblemInstance, X) -> np.ndarray:
     """Element strains B_{i,l} x_j for every row x_j of X: shape (L, m, nig, k).
 
-    One gather of the column supports and one contraction with the packed
-    operators; padded columns carry zero values and contribute nothing.
+    One gather of the column supports and one einsum over the local
+    columns, elementwise along the elements; the result is a view of
+    (L, nig, k, m) storage.  Padded columns carry zero values and
+    contribute nothing.
     """
-    return np.einsum("qlkd,jqd->jqlk", instance.B_packed, X[:, instance.cols_packed])
+    W = np.einsum("lkdq,jdq->jlkq", instance.B, np.take(X, instance.cols, axis=1))
+    return np.moveaxis(W, -1, 1)
 
 
 def apply_Bt(instance: ProblemInstance, Y) -> np.ndarray:
     """Adjoint of ``apply_B``: sum_i sum_l B_{i,l}^T y_{j,i,l}, shape (L, N).
 
     The per-element rows are summed into the global DOFs by one bincount
-    over all loads, in fixed element order.
+    over all loads, in fixed (load, local column, element) order.
     """
     n_rows, N = Y.shape[0], instance.N
-    local = np.einsum("qlkd,jqlk->jqd", instance.B_packed, Y)
-    idx = (np.arange(n_rows)[:, None, None] * N + instance.cols_packed).ravel()
+    local = np.einsum("lkdq,jlkq->jdq", instance.B, np.moveaxis(Y, 1, -1))
+    idx = (np.arange(n_rows)[:, None, None] * N + instance.cols).ravel()
     return np.bincount(idx, weights=local.ravel(), minlength=n_rows * N).reshape(n_rows, N)
 
 
-def element_quads(E_dense, W):
+def element_products(E, W) -> np.ndarray:
+    """E_i w_{j,i,l} for every strain of W from ``apply_B``; same shape as W."""
+    EW = np.einsum("abq,jlbq->jlaq", np.moveaxis(E, 0, -1), np.moveaxis(W, 1, -1))
+    return np.moveaxis(EW, -1, 1)
+
+
+def element_quads(E, W):
     """(E_i W, <W, E W> per load) for strains W from ``apply_B``.
 
     Tiny negative forms from roundoff near the PSD boundary are clamped to
     zero; anything below -QUAD_CLAMP is treated as corrupted state.
     """
-    EW = W @ np.swapaxes(E_dense, -1, -2)
+    EW = element_products(E, W)
     quad = np.einsum("jqlk,jqlk->j", W, EW)
     low = float(quad.min(initial=0.0))
     if low < -QUAD_CLAMP:
@@ -334,12 +370,11 @@ def element_gram(W, coef) -> np.ndarray:
     """Weighted per-element Gram blocks sum_j coef_j sum_l w_{j,i,l} w_{j,i,l}^T.
 
     ``W`` holds strains from ``apply_B``, shape (L, m, nig, k); the result
-    has shape (m, k, k).  One batched matmul over the (m, L*nig, k) stack.
+    is an (m, k, k) view of (k, k, m) storage, from one einsum.
     """
-    L, m, nig, k = W.shape
-    stack = np.swapaxes(W, 0, 1).reshape(m, L * nig, k)
-    weighted = np.swapaxes(coef[:, None, None, None] * W, 0, 1).reshape(m, L * nig, k)
-    return np.swapaxes(stack, 1, 2) @ weighted
+    W = np.moveaxis(W, 1, -1)
+    gram = np.einsum("jlaq,jlbq->abq", coef[:, None, None, None] * W, W)
+    return np.moveaxis(gram, -1, 0)
 
 
 def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter | None = None):
@@ -349,7 +384,7 @@ def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter
     """
     instance.check_material(E)
     v = _check_vector(instance, v)
-    EW = apply_B(instance, v[None]) @ np.swapaxes(E.dense(), -1, -2)
+    EW = element_products(E.dense(), apply_B(instance, v[None]))
     if counter is not None:
         k, nloc = instance.k, instance.n_loc
         counter.add("apply_A", instance.nig * instance.m * (4 * k * nloc + 2 * k * k))

@@ -44,11 +44,19 @@ class PenaltyState:
 def element_stiffness(instance: ProblemInstance, E_dense):
     """Per-element stiffnesses sum_l B_{i,l}^T E_i B_{i,l}, shape (m, n_loc, n_loc).
 
-    Two batched matmuls over the (m, nig*k, n_loc) strain stack.
+    Einsums over the element-last operators, one row of the upper triangle
+    at a time (the blocks are symmetric); the result is a view of
+    (n_loc, n_loc, m) storage.
     """
-    m, nig, k, n_loc = instance.B_packed.shape
-    EB = (np.asarray(E_dense)[:, None] @ instance.B_packed).reshape(m, nig * k, n_loc)
-    return np.swapaxes(instance.B_packed.reshape(m, nig * k, n_loc), 1, 2) @ EB
+    nig, k, n_loc, m = instance.B.shape
+    B = instance.B.reshape(nig * k, n_loc, m)
+    EB = np.einsum("cdq,ldbq->lcbq", np.moveaxis(E_dense, 0, -1), instance.B)
+    EB = EB.reshape(nig * k, n_loc, m)
+    ke = np.empty((n_loc, n_loc, m))
+    for a in range(n_loc):
+        np.einsum("xq,xbq->bq", B[:, a], EB[:, a:], out=ke[a, a:])
+        ke[a + 1:, a] = ke[a, a + 1:]
+    return np.moveaxis(ke, -1, 0)
 
 
 def assemble_dense(instance: ProblemInstance, E_dense, counter: FlopCounter | None = None):

@@ -455,6 +455,22 @@ def project_material_spectrum(lam, beta_tau: float, rho_l: float, rho_u: float, 
     return omega
 
 
+def trace_spread(blocks):
+    """Per-block mean eigenvalue and spread of symmetric (k, k, m) blocks.
+
+    ``mean = tr/k`` and ``spread = sqrt((k-1)/k) ||S - mean I||_F`` bound
+    the spectrum: mean - spread <= lambda_min and lambda_max <=
+    mean + spread (Wolkowicz & Styan, Bounds for eigenvalues using traces,
+    1980).  Computed elementwise along the element axis.
+    """
+    k = blocks.shape[0]
+    diag = np.arange(k)
+    mean = np.trace(blocks) / k
+    dev = blocks.copy()
+    dev[diag, diag] -= mean
+    return mean, np.sqrt((k - 1) / k * np.einsum("ijq,ijq->q", dev, dev))
+
+
 def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float):
     """Batched material update: project r*I - s/(beta*tau) blockwise.
 
@@ -464,37 +480,39 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     Z = Y + ((T - tr Y)/k) I is the projection whenever lambda_min(Z) >= r
     (the trace multiplier alone satisfies the KKT conditions).  That is
     certified by the trace/Frobenius bound on lambda_max(s)
-    (Wolkowicz-Styan); only the blocks it cannot certify go through the
-    batched eigendecomposition and the vectorized trace scans.
+    (Wolkowicz-Styan), computed elementwise on (k, k, m) slices; only the
+    blocks it cannot certify are gathered into (n, k, k) for the batched
+    eigendecomposition and the vectorized trace scans.  ``s_blocks`` is
+    (m, k, k) in any layout; the result is an (m, k, k) view of (k, k, m)
+    storage.
     """
-    s_blocks = np.asarray(s_blocks, dtype=float)
-    m, k, _ = s_blocks.shape
+    s = np.moveaxis(np.asarray(s_blocks, dtype=float), 0, -1)
+    k, _, m = s.shape
     rho_l = np.broadcast_to(np.asarray(rho_l, dtype=float), (m,))
     rho_u = np.broadcast_to(np.asarray(rho_u, dtype=float), (m,))
     diag = np.arange(k)
-    mean = np.trace(s_blocks, axis1=1, axis2=2) / k
-    dev = s_blocks.copy()
-    dev[:, diag, diag] -= mean[:, None]
-    spread = np.sqrt((k - 1) / k * np.einsum("qij,qij->q", dev, dev))
+    mean, spread = trace_spread(s)
     tr_y = k * (r - mean / beta_tau)
     shift = (np.clip(tr_y, rho_l, rho_u) - tr_y) / k
-    out = s_blocks / -beta_tau
-    out[:, diag, diag] += (r + shift)[:, None]
+    out = np.divide(s, -beta_tau, out=np.empty((k, k, m)))
+    out[diag, diag] += r + shift
     # lambda_max(s) <= mean + spread, so lambda_min(Z) >= r where this holds;
     # the negated test also sends non-finite blocks to the scans
     scan = np.flatnonzero(~(mean + spread <= shift * beta_tau))
     if scan.size:
-        out[scan] = _project_blocks_eigh(
-            s_blocks[scan], beta_tau, rho_l[scan], rho_u[scan], r
+        sub = _project_blocks_eigh(
+            np.moveaxis(s[:, :, scan], -1, 0), beta_tau, rho_l[scan], rho_u[scan], r
         )
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+        out[:, :, scan] = np.moveaxis(sub, 0, -1)
+    return np.moveaxis(0.5 * (out + out.transpose(1, 0, 2)), -1, 0)
 
 
 def _project_blocks_eigh(s_blocks, beta_tau: float, rho_l, rho_u, r: float):
     """The material update through one batched eigendecomposition.
 
     Runs the vectorized trace scans on mu = r - lam/(beta*tau) and rebuilds
-    Q diag(omega) Q^T; the fallback of ``project_blocks``.
+    Q diag(omega) Q^T elementwise on (k, k, n) storage, returned as an
+    (n, k, k) view; the fallback of ``project_blocks``.
     """
     k = s_blocks.shape[1]
     lam, Q = np.linalg.eigh(s_blocks)
@@ -523,4 +541,5 @@ def _project_blocks_eigh(s_blocks, beta_tau: float, rho_l, rho_u, r: float):
         phi = shift[np.arange(mu_sub.shape[0]), q - 1]
         omega[mask] = np.maximum(mu_sub + phi[:, None], r)
 
-    return (Q * omega[:, None, :]) @ Q.swapaxes(1, 2)
+    Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
+    return np.moveaxis(np.einsum("ijq,kjq->ikq", Q * omega.T, Q), -1, 0)

@@ -28,6 +28,7 @@ from .model import (
     apply_B,
     apply_Bt,
     element_gram,
+    element_products,
     element_quads,
 )
 
@@ -80,7 +81,11 @@ def beta_hat_sequence(t_max: int) -> np.ndarray:
 
 @dataclass
 class DualAccumulators:
-    """Running dual sums and the averaging/gap bookkeeping."""
+    """Running dual sums and the averaging/gap bookkeeping.
+
+    ``s_E`` and ``E_avg`` are (m, k, k) views of (k, k, m) storage, updated
+    in place.
+    """
 
     s_E: np.ndarray  # (m, k, k)
     s_x: np.ndarray  # (L, N)
@@ -92,10 +97,11 @@ class DualAccumulators:
 
     @classmethod
     def zeros(cls, instance: ProblemInstance) -> "DualAccumulators":
+        blocks = (instance.k, instance.k, instance.m)
         return cls(
-            s_E=np.zeros((instance.m, instance.k, instance.k)),
+            s_E=np.moveaxis(np.zeros(blocks), -1, 0),
             s_x=np.zeros((instance.L, instance.N)),
-            E_avg=np.zeros((instance.m, instance.k, instance.k)),
+            E_avg=np.moveaxis(np.zeros(blocks), -1, 0),
             x_avg=np.zeros((instance.L, instance.N)),
         )
 
@@ -189,7 +195,7 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
         stored = plain & np.any(fallback_y, axis=1)
         plain &= ~stored
         if stored.any():
-            EWy = apply_B(instance, fallback_y[stored]) @ np.swapaxes(E_dense, -1, -2)
+            EWy = element_products(E_dense, apply_B(instance, fallback_y[stored]))
             g_x[stored] -= 2.0 * sqrt_gamma * apply_Bt(instance, EWy)
     used_plain = bool(plain.any())
 
@@ -509,11 +515,27 @@ def run_solver(
 
 
 def _quick_feasible(instance: ProblemInstance, E_dense) -> tuple:
-    traces = np.einsum("qkk->q", E_dense)
-    eigmin = np.linalg.eigvalsh(E_dense)[:, 0]
+    """Row feasibility flag: trace window and eigenvalue floor, 1e-9 slack.
+
+    lambda_min(E_i) >= tr/k - sqrt((k-1)/k) ||E_i - (tr/k) I||_F
+    (Wolkowicz-Styan, ``proj.trace_spread``), so a block whose bound clears
+    the floor by more than its rounding error needs no eigensolver;
+    ``eigvalsh`` runs on the rest, and non-finite blocks fail.  Returns
+    ``(ok, floor_ok)`` with the per-block verdict on the floor.
+    """
+    E = np.moveaxis(E_dense, 0, -1)
+    mean, spread = proj.trace_spread(E)
+    traces = np.trace(E)
+    floor = instance.r - 1e-9
+    slack = 64 * np.finfo(float).eps * (np.abs(mean) + spread)
+    floor_ok = mean - spread >= floor + slack
+    rest = np.flatnonzero(~floor_ok & np.isfinite(E).all(axis=(0, 1)))
+    if rest.size:
+        eigmin = np.linalg.eigvalsh(np.moveaxis(E[:, :, rest], -1, 0))[:, 0]
+        floor_ok[rest] = eigmin >= floor
     ok = bool(
         np.all(traces <= instance.rho_u + 1e-9)
         and np.all(traces >= instance.rho_l - 1e-9)
-        and np.all(eigmin >= instance.r - 1e-9)
+        and np.all(floor_ok)
     )
-    return ok, (traces, eigmin)
+    return ok, floor_ok

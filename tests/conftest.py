@@ -14,16 +14,17 @@ def make_synthetic_instance(rng, m=3, k=3, N=10, L=2, nig=2, n_loc=4,
 
     ``n_loc`` is one support width for every element, or one per element
     for ragged supports; narrower supports are padded with zero columns
-    on DOF 0.
+    on DOF 0.  The arrays are filled in element-last storage, as the
+    instance keeps them.
     """
     widths = np.minimum(np.broadcast_to(n_loc, (m,)), N)
-    cols = np.zeros((m, int(widths.max())), dtype=np.int64)
-    B = np.zeros((m, nig, k, cols.shape[1]))
+    cols = np.zeros((int(widths.max()), m), dtype=np.int64)
+    B = np.zeros((nig, k, cols.shape[0], m))
     for i, width in enumerate(widths):
-        cols[i, :width] = np.sort(rng.choice(N, size=width, replace=False))
-        B[i, :, :, :width] = rng.normal(0.0, 1.0, size=(nig, k, width))
+        cols[:width, i] = np.sort(rng.choice(N, size=width, replace=False))
+        B[:, :, :width, i] = rng.normal(0.0, 1.0, size=(nig, k, width))
     loads = rng.normal(0.0, 1.0, size=(L, N))
-    return ProblemInstance(cols, B, loads, rho_l, rho_u, r, gamma, eta, nu)
+    return ProblemInstance(cols.T, np.moveaxis(B, -1, 0), loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
 def random_feasible_blocks(rng, m, k, rho_l, rho_u, r):

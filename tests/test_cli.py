@@ -92,6 +92,20 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["tau"] != 0.5
 
+    @pytest.mark.parametrize("threshold,code", [(11, 2), (12, 0)])
+    def test_dense_threshold_gates_auto_parameters(self, tmp_path, capsys, threshold, code):
+        # a 2x2 mesh has N = 12: auto tau needs the dense B^T B spectrum
+        rc = cli.main([
+            "--mesh", "2x2", "--iters", "2", "--tau", "auto",
+            "--dense-threshold", str(threshold), "--out", str(tmp_path / "t"),
+        ])
+        assert rc == code
+        if code:
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "input" and "--dense-threshold" in err["error"]
+        else:
+            assert json.loads(capsys.readouterr().out)["N"] == 12
+
     @pytest.mark.parametrize("params", [
         ["--tau", "auto", "--sigma0", "auto"],
         ["--tau", "0.3"],

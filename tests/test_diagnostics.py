@@ -12,7 +12,7 @@ from fmopt.diagnostics import (
     optimal_parameters,
     theoretical_gap_bound,
 )
-from fmopt.model import NumericalFailure, ProblemInstance
+from fmopt.model import InvalidInstance, NumericalFailure, ProblemInstance
 from fmopt.oracle import (
     max_prox_over_block_reference,
     min_linear_over_block_reference,
@@ -111,7 +111,8 @@ class TestSingularSq:
             diagnostics.smallest_nonzero_singular_sq(inst)
 
     def test_dense_gate(self, small_mesh_instance):
-        with pytest.raises(NumericalFailure):
+        # a size limit is refused as input, not reported as a numerical failure
+        with pytest.raises(InvalidInstance, match="--dense-threshold"):
             diagnostics.smallest_nonzero_singular_sq(small_mesh_instance, dense_threshold=4)
 
 

@@ -244,6 +244,20 @@ class TestFileFormats:
             for name in ("r", "gamma", "eta", "nu"):
                 assert getattr(again, name) == getattr(inst, name)
 
+    def test_line_by_line_parse_reads_valid_files_alike(self, tmp_path, rng, monkeypatch,
+                                                        small_mesh_instance):
+        # the per-line parse that names bad lines is the reference for the bulk one
+        ragged = make_synthetic_instance(rng, m=4, N=11, L=3, n_loc=(2, 5, 3, 4))
+        for n, inst in enumerate((small_mesh_instance, ragged)):
+            path = tmp_path / f"i{n}.fmo"
+            fem2d.write_instance(inst, path)
+            bulk = fem2d.read_instance(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(fem2d, "_parse_B_section", lambda *args: None)
+                by_line = fem2d.read_instance(path)
+            np.testing.assert_array_equal(by_line.cols, bulk.cols)
+            np.testing.assert_array_equal(by_line.B, bulk.B)
+
     def test_instance_rejects_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.fmo"
         p.write_text("not-an-instance\n")
@@ -307,6 +321,9 @@ class TestFileFormats:
         ("truncated", {46: None}, 46),
         ("trailing_content", {47: "load 0"}, 47),
         ("repeated_entry", {10: "0 0 0.5", 11: "0 0 123.0"}, 11),
+        ("blank_entry", {10: ""}, 10),
+        ("commented_entry", {10: "0 0 0.5 # note"}, 10),
+        ("fractional_row", {10: "0.0 0 0.5"}, 10),
     ])
     def test_instance_reader_rejects_malformed(self, tmp_path, tiny_mesh_instance, capsys,
                                                case, edit, line):
