@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from fmopt import cli, fem2d
+from fmopt import cli, fem2d, saddle
 
 
 def main() -> int:
@@ -29,14 +29,8 @@ def main() -> int:
     fem2d.write_instance(instance, outdir / "cantilever.fmo")
 
     for scheme in ("simple", "weighted"):
-        config = cli.RunConfig(
-            scheme=scheme,
-            iterations=50000,
-            sigma0=0.5,
-            stride=500,
-            out_prefix=str(outdir / f"cantilever_{scheme}"),
-        )
-        report = cli.run(config, instance)
+        config = saddle.SolverConfig(scheme=scheme, iterations=50000, sigma0=0.5, log_stride=500)
+        report = cli.run(config, instance, str(outdir / f"cantilever_{scheme}"))
         print(
             f"{scheme}: obj {report['obj0']} -> {report['obj']:.3f}, "
             f"const={report['const']}, cpu={report['cpu']:.1f}s"

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from fmopt import cli, fem2d
+from fmopt import cli, fem2d, saddle
 
 
 def main() -> int:
@@ -31,14 +31,10 @@ def main() -> int:
 
     for mode, nu in (("penalty", 10.0), ("plain", 0.0)):
         instance = fem2d.build_instance(spec, 0.3, 3.0, 0.05, gamma, 20.0, nu)
-        config = cli.RunConfig(
-            mode=mode,
-            iterations=iters,
-            sigma0=1.0,
-            stride=max(iters // 100, 1),
-            out_prefix=str(outdir / f"tight_{mode}"),
+        config = saddle.SolverConfig(
+            mode=mode, iterations=iters, sigma0=1.0, log_stride=max(iters // 100, 1)
         )
-        report = cli.run(config, instance)
+        report = cli.run(config, instance, str(outdir / f"tight_{mode}"))
         print(
             f"{mode:8s}: violation+ {report['violation_positive']:.4f}, "
             f"obj {report['obj']:.2f}, cpu {report['cpu']:.1f}s "

@@ -11,50 +11,28 @@ Exit codes: 0 success, 2 bad input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, fem2d, penalty, saddle
 from .model import (
+    DENSE_THRESHOLD,
     FmoError,
     InvalidInstance,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    feasible_E,
 )
 
 CSV_HEADER = (
     "t,objective,gap_estimate,theoretical_bound,violation_literal,"
     "violation_positive,sigma,alpha,wall_ns,flops"
 )
-
-
-@dataclass
-class RunConfig:
-    """Everything one batch run needs besides the instance itself."""
-
-    mode: str = "plain"
-    scheme: str = "simple"
-    iterations: int = 1000
-    tau: float | None = 0.5
-    sigma0: float | None = 1.0
-    autotune_window: int = 0
-    eta: float | None = None
-    nu: float | None = None
-    stride: int = 1
-    deterministic: bool = False
-    dense_threshold: int = 4000
-    out_prefix: str = "fmopt_run"
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidInstance("need iterations >= 1")
-        if self.stride < 1:
-            raise InvalidInstance("need stride >= 1")
 
 
 def _csv_cell(value) -> str:
@@ -65,56 +43,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = None) -> dict:
-    """Solve one instance and write CSV/report/state artifacts.
+def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str) -> dict:
+    """Solve one instance and write CSV/report/state artifacts under ``out_prefix``.
 
-    Returns the report dictionary.  Violation columns are filled from the
-    banded compliance solve at logged rows (penalty mode already has them);
-    above the dense threshold they are recorded as NaN, and the final
-    violation and the certificate are left out.
+    Resolves an auto (None) ``tau`` or ``sigma0`` from the bound constants,
+    which are computed once and also feed the bound column and the
+    certificate.  Returns the report dictionary.  Violation columns are
+    filled from the banded compliance solve at logged rows (penalty mode
+    already has them); above the dense threshold they are recorded as NaN,
+    the bound column stays empty, and the final violation and the
+    certificate are left out.
     """
-    prefix = out_prefix or config.out_prefix
-    if config.eta is not None or config.nu is not None:
-        instance = ProblemInstance(
-            instance.cols_packed,
-            instance.B_packed,
-            instance.loads,
-            instance.rho_l,
-            instance.rho_u,
-            instance.r,
-            instance.gamma,
-            instance.eta if config.eta is None else config.eta,
-            instance.nu if config.nu is None else config.nu,
-        )
-
-    tau, sigma0 = config.tau, config.sigma0
-    constants = None
-    if tau is None or sigma0 is None:
-        auto_tau, auto_sigma, constants = diagnostics.optimal_parameters(
-            instance, config.scheme, config.dense_threshold
-        )
-        tau = auto_tau if tau is None else tau
-        sigma0 = auto_sigma if sigma0 is None else sigma0
-    if constants is None:
-        try:
-            constants = diagnostics.compute_constants(instance, tau, config.dense_threshold)
-        except FmoError:
-            constants = None  # bound column stays empty above the dense threshold
-
-    solver_config = saddle.SolverConfig(
-        scheme=config.scheme,
-        mode=config.mode,
-        iterations=config.iterations,
-        tau=tau,
-        sigma0=sigma0,
-        autotune_window=config.autotune_window,
-        log_stride=config.stride,
-        dense_threshold=config.dense_threshold,
-        deterministic=config.deterministic,
-    )
-
     dense_ok = instance.N <= config.dense_threshold
-    csv_path = f"{prefix}.csv"
+    tau, sigma0, constants = config.tau, config.sigma0, None
+    if tau is None or sigma0 is None:
+        tau, auto_sigma, constants = diagnostics.optimal_parameters(
+            instance, config.scheme, tau, config.dense_threshold
+        )
+        sigma0 = auto_sigma if sigma0 is None else sigma0
+    elif dense_ok:
+        constants = diagnostics.compute_constants(instance, tau, config.dense_threshold)
+    config = dataclasses.replace(config, tau=tau, sigma0=sigma0)
+
+    csv_path = f"{out_prefix}.csv"
     best_feasible_obj = None
 
     with open(csv_path, "w") as csv_file:
@@ -145,11 +96,11 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
             csv_file.write(",".join(_csv_cell(v) for v in row) + "\n")
 
         t0 = time.perf_counter()
-        result = saddle.run_solver(instance, solver_config, sink, constants)
+        result = saddle.run_solver(instance, config, sink, constants)
         cpu = time.perf_counter() - t0
 
-    state_path = f"{prefix}_state.txt"
-    avg_path = f"{prefix}_state_avg.txt"
+    state_path = f"{out_prefix}_state.txt"
+    avg_path = f"{out_prefix}_state_avg.txt"
     fem2d.write_state(result.E_last, state_path)
     fem2d.write_state(result.E_avg, avg_path)
 
@@ -159,8 +110,6 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
     if dense_ok:
         comp = fem2d.reference_compliance(instance, result.E_last)
         final_literal, final_positive = penalty.violation_sums(instance, comp)
-        from .model import feasible_E
-
         in_Q, _ = feasible_E(instance, result.E_last)
         feasible_flag = bool(in_Q and final_positive <= 1e-9 * max(1.0, instance.gamma))
         f_star_upper = best_feasible_obj
@@ -168,8 +117,7 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
             f_star_upper = float(np.sum(instance.rho_u))  # always an upper bound
         cert = diagnostics.approximation_certificate(
             instance, result.E_avg, result.x_avg.vectors, f_star_upper,
-            dense_threshold=config.dense_threshold,
-            lam_min_BtB=None if constants is None else constants.lam_min_BtB,
+            lam_min_BtB=constants.lam_min_BtB,
         )
         certificate = {
             "f_star_upper_estimate": f_star_upper,
@@ -198,8 +146,8 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
         "scheme": config.scheme,
         "mode": config.mode,
         "iterations": config.iterations,
-        "tau": tau,
-        "sigma0": sigma0,
+        "tau": config.tau,
+        "sigma0": config.sigma0,
         "sigma_final": result.sigma_final,
         "fallback_events": result.fallback_events,
         "best_feasible_obj": best_feasible_obj,
@@ -213,7 +161,7 @@ def run(config: RunConfig, instance: ProblemInstance, out_prefix: str | None = N
         text = json.dumps(report, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailure(f"report holds a non-finite value: {exc}") from exc
-    with open(f"{prefix}_report.json", "w") as fh:
+    with open(f"{out_prefix}_report.json", "w") as fh:
         fh.write(text)
     return report
 
@@ -256,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rung.add_argument(
         "--dense-threshold",
         type=int,
-        default=4000,
+        default=DENSE_THRESHOLD,
         help="above this N, refuse penalty mode (dense A(E) per step) and --tau/--sigma0 "
         "auto (bound data from the dense B^T B spectrum), and leave out the theoretical "
         "bound column, the per-row violation columns, the final violation and the "
@@ -278,7 +226,19 @@ def _parse_loads(tokens):
 def _instance_from_args(args) -> ProblemInstance:
     if args.instance:
         inst = fem2d.read_instance(args.instance)
-        return inst
+        if args.eta is None and args.nu is None:
+            return inst
+        return ProblemInstance(
+            inst.cols_packed,
+            inst.B_packed,
+            inst.loads,
+            inst.rho_l,
+            inst.rho_u,
+            inst.r,
+            inst.gamma,
+            inst.eta if args.eta is None else args.eta,
+            inst.nu if args.nu is None else args.nu,
+        )
     if not args.mesh:
         raise InvalidInstance("provide --instance or --mesh")
     nx, _, ny = args.mesh.partition("x")
@@ -315,21 +275,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         instance = _instance_from_args(args)
-        config = RunConfig(
-            mode=args.mode,
+        config = saddle.SolverConfig(
             scheme=args.scheme,
+            mode=args.mode,
             iterations=args.iters,
             tau=None if args.tau == "auto" else float(args.tau),
             sigma0=None if args.sigma0 == "auto" else float(args.sigma0),
             autotune_window=args.autotune_window,
-            eta=args.eta,
-            nu=args.nu,
-            stride=args.stride,
-            deterministic=args.deterministic,
+            log_stride=args.stride,
             dense_threshold=args.dense_threshold,
-            out_prefix=args.out,
+            deterministic=args.deterministic,
         )
-        report = run(config, instance)
+        report = run(config, instance, args.out)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
         return _fail(exc, "numerical", 3)
     except (InvalidInstance, FileNotFoundError, ValueError) as exc:

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import penalty
 from .model import (
+    DENSE_THRESHOLD,
     FlopCounter,
-    InvalidInstance,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    check_dense_size,
 )
 
 GAP_PREFACTOR_CONST = 0.37  # printed constant; beta_hat bound gives 0.36603
@@ -94,20 +95,19 @@ def power_iteration_norm(instance: ProblemInstance, tol: float = 1e-8, max_iter:
     )
 
 
-def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int = 4000):
+def smallest_nonzero_singular_sq(
+    instance: ProblemInstance, dense_threshold: int = DENSE_THRESHOLD
+):
     """Smallest nonzero singular value of stacked B, squared; rank flag; ||B||_2.
 
     The squared singular values of the (m*nig*k) x N stacked strain operator
     are the eigenvalues of its N x N Gram matrix A(I) = B^T B, so one
     symmetric eigendecomposition gives all three results.  Eigenvalues at
     or below max(rows, N) * eps * lambda_max count as zero.  Instances
-    with N above ``dense_threshold`` are refused as input (InvalidInstance).
+    with N above ``dense_threshold`` are refused as input
+    (``model.check_dense_size``).
     """
-    if instance.N > dense_threshold:
-        raise InvalidInstance(
-            f"the bound constants need a dense eigendecomposition of B^T B, refused "
-            f"for N={instance.N} above --dense-threshold {dense_threshold}"
-        )
+    check_dense_size(instance, "the bound data (the B^T B spectrum)", dense_threshold)
     m, k, N = instance.m, instance.k, instance.N
     gram = penalty.assemble_dense(instance, np.broadcast_to(np.eye(k), (m, k, k)))
     lam = np.linalg.eigvalsh(gram)
@@ -120,7 +120,7 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
 
 
 def compute_constants(
-    instance: ProblemInstance, tau: float, dense_threshold: int = 4000
+    instance: ProblemInstance, tau: float, dense_threshold: int = DENSE_THRESHOLD
 ) -> BoundConstants:
     """Evaluate the printed bound constants for one instance.
 
@@ -157,20 +157,26 @@ def compute_constants(
     )
 
 
-def optimal_parameters(instance: ProblemInstance, scheme: str, dense_threshold: int = 4000):
+def optimal_parameters(
+    instance: ProblemInstance,
+    scheme: str,
+    tau: float | None = None,
+    dense_threshold: int = DENSE_THRESHOLD,
+):
     """(tau, sigma, constants) that realize the printed gap bounds.
 
-    tau balances the two Lipschitz/diameter pairs; sigma is 1/sqrt(2D) for
-    the weighted scheme and carries the extra combined-norm factor for the
-    simple one (the printed simple-scheme sigma omits that factor and does
-    not reproduce its own final bound).  Only ``tau`` and ``D`` depend on
-    tau, so the constants are computed once, under ``dense_threshold``.
+    tau, unless given, balances the two Lipschitz/diameter pairs; sigma is
+    1/sqrt(2D) at that tau for the weighted scheme and carries the extra
+    combined-norm factor for the simple one (the printed simple-scheme
+    sigma omits that factor and does not reproduce its own final bound).
+    Only ``tau`` and ``D`` depend on tau, so the constants are computed
+    once, under ``dense_threshold``, and returned at the tau used.
     """
-    const0 = compute_constants(instance, 0.5, dense_threshold)
-    L_E, L_x = const0.L_E, const0.L_x
-    D_E, D_x = const0.D_E, const0.D_x
-    tau = 1.0 / (1.0 + (L_x / L_E) * math.sqrt(D_E / D_x))
-    constants = dataclasses.replace(const0, tau=tau)
+    constants = compute_constants(instance, 0.5 if tau is None else tau, dense_threshold)
+    L_E, L_x = constants.L_E, constants.L_x
+    if tau is None:
+        tau = 1.0 / (1.0 + (L_x / L_E) * math.sqrt(constants.D_E / constants.D_x))
+        constants = dataclasses.replace(constants, tau=tau)
     D = constants.D
     if scheme == "weighted":
         sigma = 1.0 / math.sqrt(2.0 * D)
@@ -304,7 +310,6 @@ def approximation_certificate(
     E: MaterialState,
     x,
     f_star_upper: float,
-    dense_threshold: int = 4000,
     lam_min_BtB: float | None = None,
 ) -> CertificateReport:
     """Evaluate both sides of the constraint-violation bound at (E, x).
@@ -315,8 +320,8 @@ def approximation_certificate(
     estimate of the optimal cost (e.g. the best feasible objective seen),
     so the comparison is reported rather than asserted.  ``lam_min_BtB``
     may carry the value already held in the run's BoundConstants; without
-    it, ``dense_threshold`` gates its dense computation.  The compliances
-    come from the banded solve and need no gate.
+    it, the dense computation is gated at ``model.DENSE_THRESHOLD``.  The
+    compliances come from the banded solve and need no gate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)
@@ -327,7 +332,7 @@ def approximation_certificate(
     ) if violated.size else 0.0
     lam_min = lam_min_BtB
     if lam_min is None:
-        lam_min, _, _ = smallest_nonzero_singular_sq(instance, dense_threshold)
+        lam_min, _, _ = smallest_nonzero_singular_sq(instance)
     m_rho_l = float(np.sum(instance.rho_l))
     denom = 2.0 * instance.r * lam_min * instance.eta
     rhs = (f_star_upper - m_rho_l) / denom

@@ -30,6 +30,7 @@ import numpy as np
 
 FEAS_TOL = 1e-9  # eigenvalue/trace slack after a double-precision projection
 QUAD_CLAMP = 1e-9  # quad form more negative than this signals corrupted state
+DENSE_THRESHOLD = 4000  # largest N for which an N x N matrix (A(E), B^T B) is formed
 
 
 class FmoError(Exception):
@@ -270,6 +271,18 @@ class ProblemInstance:
                 f"material state (m={E.m}, k={E.k}) does not match "
                 f"instance (m={self.m}, k={self.k})"
             )
+
+
+def check_dense_size(instance: ProblemInstance, what: str, threshold: int = DENSE_THRESHOLD):
+    """Refuse, as bad input, work that forms an N x N matrix for N above ``threshold``.
+
+    The one size gate of the package: penalty mode (a dense A(E) per step)
+    and the bound data (the dense B^T B spectrum) both go through it.
+    """
+    if instance.N > threshold:
+        raise InvalidInstance(
+            f"{what} is dense-only: N={instance.N} is above --dense-threshold {threshold}"
+        )
 
 
 @dataclass(frozen=True)

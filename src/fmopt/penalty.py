@@ -2,10 +2,11 @@
 
 The penalty term nu * sum_j ([sqrt(compliance_j) - sqrt(gamma)]_+)^2 pulls
 iterates toward compliance feasibility at the cost of one dense
-factorization of A(E) per iteration, so penalty mode is gated on a
-dense-size threshold.  Compliances outside penalty mode (report rows,
-certificate, gamma probe) come from ``compliances``, a banded Cholesky
-in reverse Cuthill-McKee order that needs no gate.
+factorization of A(E) per iteration, so ``compliance_solves`` refuses N
+above the dense threshold through ``model.check_dense_size`` (bad input,
+CLI exit 2).  Compliances outside penalty mode (report rows, certificate,
+gamma probe) come from ``compliances``, a banded Cholesky in reverse
+Cuthill-McKee order that needs no gate.
 """
 
 from __future__ import annotations
@@ -17,18 +18,17 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
+    DENSE_THRESHOLD,
     DualState,
     FlopCounter,
-    FmoError,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
     apply_B,
+    check_dense_size,
     element_gram,
 )
 from .saddle import lagrangian_value
-
-DENSE_THRESHOLD = 4000
 
 
 @dataclass
@@ -167,26 +167,18 @@ def compliance_solves(
     dense_threshold: int = DENSE_THRESHOLD,
 ) -> PenaltyState:
     """Assemble, factor, and solve for every load; the per-iteration workhorse."""
-    if instance.N > dense_threshold:
-        raise FmoError(
-            f"penalty mode is dense-only: N={instance.N} exceeds threshold {dense_threshold}"
-        )
+    check_dense_size(instance, "penalty mode", dense_threshold)
     A = assemble_dense(instance, E_dense, counter)
     return _factor_and_solve(instance, A, counter)
 
 
-def penalty_value(
-    instance: ProblemInstance,
-    E: MaterialState,
-    x: DualState,
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> float:
+def penalty_value(instance: ProblemInstance, E: MaterialState, x: DualState) -> float:
     """Penalized Lagrangian value p(E, x)."""
     instance.check_material(E)
     base = lagrangian_value(instance, E.dense(), x.vectors)
     if instance.nu == 0.0:
         return base
-    state = compliance_solves(instance, E.dense(), dense_threshold=dense_threshold)
+    state = compliance_solves(instance, E.dense())
     sq = np.maximum(np.sqrt(state.compliances) - math.sqrt(instance.gamma), 0.0)
     return base + instance.nu * float(np.sum(sq**2))
 

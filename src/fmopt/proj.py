@@ -348,27 +348,41 @@ def project_spectral(problem: SpectralProjection):
     """
     W = 0.5 * (problem.U + problem.U.T)
     lam, Q = np.linalg.eigh(W)
-    omega = _project_spectrum(lam, problem.c_l, problem.c_u, problem.r)
+    omega = _project_spectra(lam[None], problem.c_l, problem.c_u, problem.r)[0]
     Z = (Q * omega) @ Q.T
     return 0.5 * (Z + Z.T)
 
 
-def _project_spectrum(lam: np.ndarray, c_l: float, c_u: float, r: float) -> np.ndarray:
-    """Three-case spectrum update; preserves the ordering of ``lam``."""
-    n = lam.shape[0]
-    clipped = np.maximum(lam, r)
-    t0 = float(clipped.sum())
-    if c_l <= t0 <= c_u:
-        return clipped
-    target = c_u if t0 > c_u else c_l
-    lam_desc = np.sort(lam, kind="stable")[::-1]
-    csum = np.cumsum(lam_desc)
-    sizes = np.arange(1, n + 1)
-    shift = (target - csum - (n - sizes) * r) / sizes
-    q = 1
-    while q < n and lam_desc[q] + shift[q] > r:
-        q += 1
-    return np.maximum(lam + shift[q - 1], r)
+def _project_spectra(mu: np.ndarray, c_l, c_u, r: float) -> np.ndarray:
+    """Three-case update of each row of ``mu`` (n, k); keeps the order within a row.
+
+    A row whose clipped trace sum max(mu, r) lies in [c_l, c_u] is clipped
+    at r.  Otherwise the row is shifted toward the violated bound by the
+    trace multiplier of the longest admissible prefix of its descending
+    spectrum, then clipped.  ``c_l`` and ``c_u`` are scalars or (n,).
+    """
+    n, k = mu.shape
+    clipped = np.maximum(mu, r)
+    t0 = clipped.sum(axis=1)
+    omega = clipped.copy()
+    for bound, mask in ((c_u, t0 > c_u), (c_l, t0 < c_l)):
+        if not np.any(mask):
+            continue
+        mu_sub = mu[mask]
+        target = np.broadcast_to(bound, (n,))[mask]
+        mu_desc = -np.sort(-mu_sub, axis=1)
+        csum = np.cumsum(mu_desc, axis=1)
+        sizes = np.arange(1, k + 1)[None, :]
+        shift = (target[:, None] - csum - (k - sizes) * r) / sizes
+        member = mu_desc + shift > r
+        # support size = longest prefix of admissible members
+        grow = np.concatenate(
+            [np.ones((mu_sub.shape[0], 1), dtype=bool), member[:, 1:]], axis=1
+        )
+        q = np.cumprod(grow, axis=1).sum(axis=1)
+        phi = shift[np.arange(mu_sub.shape[0]), q - 1]
+        omega[mask] = np.maximum(mu_sub + phi[:, None], r)
+    return omega
 
 
 def proj_sym_l(lam, beta_tau: float, rho_u: float, k: int, r: float):
@@ -514,32 +528,7 @@ def _project_blocks_eigh(s_blocks, beta_tau: float, rho_l, rho_u, r: float):
     Q diag(omega) Q^T elementwise on (k, k, n) storage, returned as an
     (n, k, k) view; the fallback of ``project_blocks``.
     """
-    k = s_blocks.shape[1]
     lam, Q = np.linalg.eigh(s_blocks)
-    mu = r - lam / beta_tau  # eigenvalues of the point being projected
-    clipped = np.maximum(mu, r)
-    t0 = clipped.sum(axis=1)
-
-    omega = clipped.copy()
-    over = t0 > rho_u
-    under = t0 < rho_l
-    for mask, bound in ((over, rho_u), (under, rho_l)):
-        if not np.any(mask):
-            continue
-        mu_sub = mu[mask]
-        target = bound[mask]
-        mu_desc = -np.sort(-mu_sub, axis=1)
-        csum = np.cumsum(mu_desc, axis=1)
-        sizes = np.arange(1, k + 1)[None, :]
-        shift = (target[:, None] - csum - (k - sizes) * r) / sizes
-        member = mu_desc + shift > r
-        # support size = longest prefix of admissible members
-        grow = np.concatenate(
-            [np.ones((mu_sub.shape[0], 1), dtype=bool), member[:, 1:]], axis=1
-        )
-        q = np.cumprod(grow, axis=1).sum(axis=1)
-        phi = shift[np.arange(mu_sub.shape[0]), q - 1]
-        omega[mask] = np.maximum(mu_sub + phi[:, None], r)
-
+    omega = _project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
     Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
     return np.moveaxis(np.einsum("ijq,kjq->ikq", Q * omega.T, Q), -1, 0)

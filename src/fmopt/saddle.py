@@ -19,6 +19,7 @@ import numpy as np
 
 from . import proj
 from .model import (
+    DENSE_THRESHOLD,
     DualState,
     FlopCounter,
     InvalidInstance,
@@ -27,6 +28,7 @@ from .model import (
     ProblemInstance,
     apply_B,
     apply_Bt,
+    check_dense_size,
     element_gram,
     element_products,
     element_quads,
@@ -305,18 +307,24 @@ def averaged_dual(acc: DualAccumulators) -> DualState:
 
 @dataclass
 class SolverConfig:
-    """Knobs of one solve; eta/nu/gamma live on the instance."""
+    """The run configuration; eta/nu/gamma live on the instance.
+
+    ``tau`` or ``sigma0`` set to None asks for the value that realizes the
+    printed gap bound; ``cli.run`` resolves it from the bound data before
+    the solve, and ``run_solver`` needs both numeric.  Above
+    ``dense_threshold`` unknowns, penalty mode and the bound data are
+    refused as input.
+    """
 
     scheme: str = "simple"
     mode: str = "plain"
     iterations: int = 1000
-    tau: float = 0.5
-    sigma0: float = 1.0
+    tau: float | None = 0.5
+    sigma0: float | None = 1.0
     autotune_window: int = 0
     log_stride: int = 1
-    dense_threshold: int = 4000
+    dense_threshold: int = DENSE_THRESHOLD
     deterministic: bool = False
-    gap_at_log: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -337,9 +345,9 @@ class IterationRecord:
     sigma: float
     objective: float
     grad_norm: float
-    gap_kappa: float | None
-    gap_upsilon: float | None
-    gap: float | None
+    gap_kappa: float
+    gap_upsilon: float
+    gap: float
     theoretical_bound: float | None
     feasible: bool
     x_in_ball: bool
@@ -375,9 +383,15 @@ def run_solver(
 
     ``sink`` receives an IterationRecord every ``log_stride`` steps and at
     the final step.  ``constants`` (a diagnostics.BoundConstants) enables
-    the theoretical-bound column.
+    the theoretical-bound column.  Penalty mode above the dense threshold
+    is refused before the first step.
     """
     from . import diagnostics
+
+    if config.tau is None or config.sigma0 is None:
+        raise InvalidInstance("run_solver needs numeric tau and sigma0 (cli.run resolves auto)")
+    if config.mode == "penalty":
+        check_dense_size(instance, "penalty mode", config.dense_threshold)
 
     E = instance.start_material().dense()
     x = instance.start_dual().vectors
@@ -451,9 +465,8 @@ def run_solver(
             now = time.perf_counter_ns()
             wall_ns = 0 if config.deterministic else now - last_wall
             last_wall = now
-            kappa = upsilon = gap = bound = None
-            if config.gap_at_log:
-                kappa, upsilon, gap = diagnostics.gap_estimate(acc, instance)
+            kappa, upsilon, gap = diagnostics.gap_estimate(acc, instance)
+            bound = None
             if constants is not None:
                 bound = diagnostics.theoretical_gap_bound(
                     constants, t - 1, config.scheme, nu=instance.nu
@@ -471,7 +484,7 @@ def run_solver(
                 ("objective", objective), ("gap", gap),
                 ("alpha", info["alpha"]), ("sigma", schedule.sigma),
             ):
-                if value is not None and not math.isfinite(value):
+                if not math.isfinite(value):
                     raise NumericalFailure(f"step {t}: {name} is not finite ({value})")
             feas_ok, _ = _quick_feasible(instance, E)
             record = IterationRecord(

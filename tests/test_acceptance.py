@@ -84,7 +84,7 @@ def cantilever_run():
     inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 4.0 * c0, 20.0)
     cfg = saddle.SolverConfig(
         scheme="simple", iterations=50000, tau=0.5, sigma0=0.5,
-        log_stride=1000, gap_at_log=False,
+        log_stride=1000,
     )
     log = []
 
@@ -285,7 +285,7 @@ def test_criterion_7_beta_hat_envelope():
 
 def _count_flops_per_iter(inst, mode="plain", iters=3):
     cfg = saddle.SolverConfig(
-        mode=mode, iterations=iters, log_stride=iters, gap_at_log=False
+        mode=mode, iterations=iters, log_stride=iters
     )
     res = saddle.run_solver(inst, cfg)
     return res.counter.total / iters
@@ -366,7 +366,7 @@ def test_criterion_10_penalty_comparison():
             assert inst.N >= 800
             cfg = saddle.SolverConfig(
                 mode=mode, iterations=5000, tau=0.5, sigma0=1.0,
-                log_stride=5000, gap_at_log=False,
+                log_stride=5000,
             )
             t0 = time.perf_counter()
             res = saddle.run_solver(inst, cfg)
@@ -385,9 +385,6 @@ def test_criterion_11_determinism(tmp_path):
         spec = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0)
         inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
         for name in ("a", "b"):
-            cfg = cli.RunConfig(
-                iterations=200, stride=10, deterministic=True,
-                out_prefix=str(tmp_path / name),
-            )
-            cli.run(cfg, inst)
+            cfg = saddle.SolverConfig(iterations=200, log_stride=10, deterministic=True)
+            cli.run(cfg, inst, str(tmp_path / name))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -1,13 +1,20 @@
 """Batch front-end: artifacts, schemas, exit codes, determinism."""
 
+import dataclasses
+import importlib.util
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from fmopt import cli, diagnostics, fem2d, penalty
-from fmopt.cli import RunConfig, run
+from fmopt import cli, diagnostics, fem2d, penalty, saddle
+from fmopt.cli import run
 from fmopt.model import NumericalFailure, ProblemInstance
+from fmopt.saddle import SolverConfig
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture
@@ -19,8 +26,8 @@ def instance_file(tmp_path, tiny_mesh_instance):
 
 class TestRun:
     def test_csv_row_count_and_feasibility(self, tmp_path, tiny_mesh_instance):
-        cfg = RunConfig(iterations=10, stride=1, out_prefix=str(tmp_path / "r"))
-        report = run(cfg, tiny_mesh_instance)
+        cfg = SolverConfig(iterations=10, log_stride=1)
+        report = run(cfg, tiny_mesh_instance, str(tmp_path / "r"))
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert len(lines) == 11  # header + one row per iteration
         assert lines[0].startswith("t,objective,")
@@ -32,8 +39,8 @@ class TestRun:
         assert report["m"] == 1
 
     def test_report_mirrors_table_schema(self, tmp_path, tiny_mesh_instance):
-        cfg = RunConfig(iterations=5, stride=5, out_prefix=str(tmp_path / "r"))
-        report = run(cfg, tiny_mesh_instance)
+        cfg = SolverConfig(iterations=5, log_stride=5)
+        report = run(cfg, tiny_mesh_instance, str(tmp_path / "r"))
         for key in ("m", "N", "L", "nig", "obj0", "cpu", "obj", "const"):
             assert key in report
         assert report["obj0"] == pytest.approx(float(np.sum(tiny_mesh_instance.rho_u)))
@@ -41,27 +48,19 @@ class TestRun:
         assert on_disk["m"] == report["m"]
 
     def test_objective_column_matches_state_file(self, tmp_path, tiny_mesh_instance):
-        cfg = RunConfig(iterations=12, stride=4, out_prefix=str(tmp_path / "r"))
-        run(cfg, tiny_mesh_instance)
+        cfg = SolverConfig(iterations=12, log_stride=4)
+        run(cfg, tiny_mesh_instance, str(tmp_path / "r"))
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         last_obj = float(lines[-1].split(",")[1])
         state = fem2d.read_state(tmp_path / "r_state.txt")
         assert last_obj == pytest.approx(state.objective(), abs=1e-12)
 
     def test_deterministic_reruns_byte_identical(self, tmp_path, small_mesh_instance):
-        cfg1 = RunConfig(iterations=30, stride=3, deterministic=True,
-                         out_prefix=str(tmp_path / "a"))
-        cfg2 = RunConfig(iterations=30, stride=3, deterministic=True,
-                         out_prefix=str(tmp_path / "b"))
-        run(cfg1, small_mesh_instance)
-        run(cfg2, small_mesh_instance)
+        cfg1 = SolverConfig(iterations=30, log_stride=3, deterministic=True)
+        cfg2 = SolverConfig(iterations=30, log_stride=3, deterministic=True)
+        run(cfg1, small_mesh_instance, str(tmp_path / "a"))
+        run(cfg2, small_mesh_instance, str(tmp_path / "b"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_eta_override_rebuilds_instance(self, tmp_path, tiny_mesh_instance):
-        cfg = RunConfig(iterations=3, stride=3, eta=2.5, out_prefix=str(tmp_path / "r"))
-        report = run(cfg, tiny_mesh_instance)
-        assert (tmp_path / "r_report.json").exists()
-        assert report["obj0"] == pytest.approx(3.0)
 
 
 class TestMain:
@@ -92,11 +91,58 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["tau"] != 0.5
 
-    @pytest.mark.parametrize("threshold,code", [(11, 2), (12, 0)])
-    def test_dense_threshold_gates_auto_parameters(self, tmp_path, capsys, threshold, code):
-        # a 2x2 mesh has N = 12: auto tau needs the dense B^T B spectrum
+    def test_eta_override_reaches_solver(self, tmp_path, instance_file, monkeypatch):
+        seen = []
+        solve = saddle.run_solver
+
+        def capture(instance, *args):
+            seen.append(instance)
+            return solve(instance, *args)
+
+        monkeypatch.setattr(saddle, "run_solver", capture)
         rc = cli.main([
-            "--mesh", "2x2", "--iters", "2", "--tau", "auto",
+            "--instance", str(instance_file), "--eta", "2.5", "--iters", "3", "--stride", "3",
+            "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 0
+        assert [inst.eta for inst in seen] == [2.5]
+
+    @pytest.mark.parametrize("scheme", ["simple", "weighted"])
+    def test_auto_sigma_for_fixed_tau(self, tmp_path, capsys, monkeypatch, scheme):
+        seen = []
+        solve = saddle.run_solver
+
+        def capture(instance, config, sink, constants):
+            seen.append(constants)
+            return solve(instance, config, sink, constants)
+
+        monkeypatch.setattr(saddle, "run_solver", capture)
+        saved = tmp_path / "inst.fmo"
+        rc = cli.main([
+            "--mesh", "4x2", "--scheme", scheme, "--tau", "0.3", "--sigma0", "auto",
+            "--iters", "4", "--stride", "2", "--save-instance", str(saved),
+            "--out", str(tmp_path / "s"),
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        const = diagnostics.compute_constants(fem2d.read_instance(saved), 0.3)
+        sigma = 1.0 if scheme == "weighted" else const.L_combined
+        assert report["tau"] == 0.3
+        assert report["sigma0"] == pytest.approx(sigma / np.sqrt(2.0 * const.D), rel=1e-12)
+        assert [c.tau for c in seen] == [0.3]
+
+    @pytest.mark.parametrize("params,threshold,code", [
+        (["--tau", "auto"], 11, 2),
+        (["--tau", "auto"], 12, 0),
+        (["--mode", "penalty", "--nu", "1"], 11, 2),
+    ], ids=["11-2", "12-0", "penalty-11-2"])
+    def test_dense_threshold_gates_auto_parameters(
+        self, tmp_path, capsys, params, threshold, code
+    ):
+        # a 2x2 mesh has N = 12: auto tau needs the dense B^T B spectrum, and
+        # penalty mode a dense A(E) per step
+        rc = cli.main([
+            "--mesh", "2x2", "--iters", "2", *params,
             "--dense-threshold", str(threshold), "--out", str(tmp_path / "t"),
         ])
         assert rc == code
@@ -230,7 +276,7 @@ class TestMain:
         assert field in err["error"]
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
-        def broken_run(config, instance):
+        def broken_run(config, instance, out_prefix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(cli, "run", broken_run)
@@ -255,3 +301,33 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "numerical"
         assert "step 2: gap is not finite" in err["error"]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScripts:
+    def test_penalty_comparison(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["penalty_comparison.py", "20", str(tmp_path)])
+        assert _load_script("penalty_comparison").main() == 0
+        for mode in ("penalty", "plain"):
+            report = json.loads((tmp_path / f"tight_{mode}_report.json").read_text())
+            assert report["mode"] == mode and report["iterations"] == 20
+
+    def test_cantilever_convergence(self, tmp_path, monkeypatch, capsys):
+        solve = cli.run
+
+        def capped(config, instance, out_prefix):
+            config = dataclasses.replace(config, iterations=min(config.iterations, 20))
+            return solve(config, instance, out_prefix)
+
+        monkeypatch.setattr(cli, "run", capped)
+        monkeypatch.setattr(sys, "argv", ["cantilever_convergence.py", str(tmp_path)])
+        assert _load_script("cantilever_convergence").main() == 0
+        for scheme in ("simple", "weighted"):
+            report = json.loads((tmp_path / f"cantilever_{scheme}_report.json").read_text())
+            assert report["scheme"] == scheme and report["iterations"] == 20

@@ -285,8 +285,7 @@ class TestCertificate:
         spec = MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0,
                         loads=(LoadSpec("bottom_right", (0.0, -1.0)),))
         inst = build_instance(spec, 0.3, 3.0, 0.05, 0.4, 8.0, nu=3.0)
-        cfg = saddle.SolverConfig(mode="penalty", iterations=150, log_stride=150,
-                                  gap_at_log=False)
+        cfg = saddle.SolverConfig(mode="penalty", iterations=150, log_stride=150)
         res = saddle.run_solver(inst, cfg)
         # x at the ball boundary: bound case with the nu-dependent denominator
         x = res.x_avg.vectors
@@ -307,7 +306,7 @@ class TestCertificate:
 
     def test_violation_bound_on_solver_run(self, small_mesh_instance):
         inst = small_mesh_instance
-        cfg = saddle.SolverConfig(iterations=200, log_stride=200, gap_at_log=False)
+        cfg = saddle.SolverConfig(iterations=200, log_stride=200)
         res = saddle.run_solver(inst, cfg)
         f_star_upper = float(np.sum(inst.rho_u))  # the stiff start is feasible here
         rep = diagnostics.approximation_certificate(
@@ -328,7 +327,7 @@ class TestFlopReport:
         for nx in (4, 8, 16):
             spec = fem2d.MeshSpec(nx=nx, ny=2, lx=float(nx), ly=2.0)
             inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
-            cfg = saddle.SolverConfig(iterations=3, log_stride=3, gap_at_log=False)
+            cfg = saddle.SolverConfig(iterations=3, log_stride=3)
             res = saddle.run_solver(inst, cfg)
             counts.append(res.counter.total / 3)
         assert counts[1] / counts[0] <= 2.2

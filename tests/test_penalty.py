@@ -10,7 +10,7 @@ import pytest
 from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt import fem2d, penalty, saddle
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance
-from fmopt.model import DualState, FmoError, MaterialState
+from fmopt.model import DualState, InvalidInstance, MaterialState
 from fmopt.oracle import compliances_reference, fd_check
 
 
@@ -133,8 +133,7 @@ class TestPenaltyMode:
     def test_solver_mode_runs_and_reports_compliance(self):
         inst = tight_instance(nu=3.0)
         rows = []
-        cfg = saddle.SolverConfig(mode="penalty", iterations=30, log_stride=10,
-                                  gap_at_log=False)
+        cfg = saddle.SolverConfig(mode="penalty", iterations=30, log_stride=10)
         res = saddle.run_solver(inst, cfg, sink=rows.append)
         assert all(r.compliances is not None for r in rows)
         assert all(r.violation_literal is not None for r in rows)
@@ -142,7 +141,7 @@ class TestPenaltyMode:
 
     def test_dense_threshold_refusal(self):
         inst = tight_instance()
-        with pytest.raises(FmoError, match="dense-only"):
+        with pytest.raises(InvalidInstance, match="dense-only"):
             penalty.compliance_solves(inst, inst.start_material().dense(), dense_threshold=4)
 
     def test_runtime_ratio_grows_with_N(self):

@@ -280,7 +280,7 @@ class TestAveragedPrimal:
     def test_weighted_run_average_in_feasible_set(self, small_mesh_instance):
         inst = small_mesh_instance
         cfg = SolverConfig(scheme="weighted", iterations=60, tau=0.5, sigma0=1.0,
-                           log_stride=60, gap_at_log=False)
+                           log_stride=60)
         res = run_solver(inst, cfg)
         from fmopt.model import feasible_E
 
@@ -355,13 +355,13 @@ class TestRunSolver:
 
     def test_sink_cadence_and_final_row(self, small_mesh_instance):
         rows = []
-        cfg = SolverConfig(iterations=25, log_stride=10, gap_at_log=False)
+        cfg = SolverConfig(iterations=25, log_stride=10)
         run_solver(small_mesh_instance, cfg, sink=rows.append)
         assert [r.t for r in rows] == [10, 20, 25]
 
     def test_autotune_changes_sigma(self, small_mesh_instance):
         cfg = SolverConfig(iterations=120, log_stride=120, autotune_window=20,
-                           sigma0=1e-3, gap_at_log=False)
+                           sigma0=1e-3)
         res = run_solver(small_mesh_instance, cfg)
         assert res.controller is not None
         assert res.sigma_final != pytest.approx(1e-3)
