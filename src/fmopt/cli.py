@@ -26,6 +26,7 @@ from .model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    check_dense_size,
     feasible_E,
 )
 
@@ -50,10 +51,14 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     which are computed once and also feed the bound column and the
     certificate.  Returns the report dictionary.  Violation columns are
     filled from the banded compliance solve at logged rows (penalty mode
-    already has them); above the dense threshold they are recorded as NaN,
-    the bound column stays empty, and the final violation and the
-    certificate are left out.
+    already has them).  Above the dense threshold, penalty mode and
+    rank-deficient bound data are refused before any file is opened; the
+    per-row violation columns are recorded as NaN, the final violation and
+    the certificate are left out, and with a fixed tau and sigma0 the
+    bound column stays empty.
     """
+    if config.mode == "penalty":
+        check_dense_size(instance, "penalty mode", config.dense_threshold)
     dense_ok = instance.N <= config.dense_threshold
     tau, sigma0, constants = config.tau, config.sigma0, None
     if tau is None or sigma0 is None:
@@ -205,10 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dense-threshold",
         type=int,
         default=DENSE_THRESHOLD,
-        help="above this N, refuse penalty mode (dense A(E) per step) and --tau/--sigma0 "
-        "auto (bound data from the dense B^T B spectrum), and leave out the theoretical "
-        "bound column, the per-row violation columns, the final violation and the "
-        "certificate",
+        help="above this N, refuse penalty mode (dense A(E) per step) and bound data that "
+        "needs the dense B^T B spectrum (a rank-deficient B, for --tau/--sigma0 auto), and "
+        "leave out the per-row violation columns, the final violation, the certificate and, "
+        "with fixed --tau and --sigma0, the theoretical bound column",
     )
     rung.add_argument("--out", default="fmopt_run", help="output path prefix")
     return p

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import penalty
+from . import penalty, proj
 from .model import (
     DENSE_THRESHOLD,
     FlopCounter,
@@ -34,7 +35,8 @@ class BoundConstants:
     ``B_norm`` is the spectral norm of the stacked strain operator;
     ``lam_min_BtB`` is the smallest nonzero singular value squared (the
     rank-deficient flag records when zero singular values were dropped).
-    Both come from one eigendecomposition of A(I) = B^T B.
+    Both come from the spectrum of A(I) = B^T B
+    (``smallest_nonzero_singular_sq``).
     ``D_E`` is the exact per-element maximum of the material prox term,
     while the printed bounds use the uniform form with ``rho_u_max``.
     """
@@ -101,22 +103,54 @@ def smallest_nonzero_singular_sq(
     """Smallest nonzero singular value of stacked B, squared; rank flag; ||B||_2.
 
     The squared singular values of the (m*nig*k) x N stacked strain operator
-    are the eigenvalues of its N x N Gram matrix A(I) = B^T B, so one
-    symmetric eigendecomposition gives all three results.  Eigenvalues at
-    or below max(rows, N) * eps * lambda_max count as zero.  Instances
-    with N above ``dense_threshold`` are refused as input
-    (``model.check_dense_size``).
+    are the eigenvalues of its N x N Gram matrix A(I) = B^T B.  A(I) is
+    assembled as a band in reverse Cuthill-McKee order and factored
+    (``penalty.band_cholesky``).  When the factorization succeeds, ARPACK
+    Lanczos gives lambda_max on the band as a sparse matrix and
+    lambda_min = 1/mu, with mu the largest eigenvalue of A(I)^{-1} applied
+    by band solves; both start from the ones vector, so repeated calls
+    agree bit for bit.  Eigenvalues at or below
+    max(rows, N) * eps * lambda_max count as zero.  A rank-deficient A(I)
+    (failed factorization, or lambda_min under that rule) takes one dense
+    eigendecomposition instead, which instances with N above
+    ``dense_threshold`` are refused as input (``model.check_dense_size``).
     """
-    check_dense_size(instance, "the bound data (the B^T B spectrum)", dense_threshold)
+    from scipy.sparse import dia_array
+    from scipy.sparse.linalg import LinearOperator
+
     m, k, N = instance.m, instance.k, instance.N
-    gram = penalty.assemble_dense(instance, np.broadcast_to(np.eye(k), (m, k, k)))
-    lam = np.linalg.eigvalsh(gram)
     rows = m * instance.nig * k
+    zero = max(rows, N) * np.finfo(float).eps
+    identity = np.broadcast_to(np.eye(k), (m, k, k))
+    _, band, factor = penalty.band_cholesky(instance, identity)
+    if factor is not None and N > 1:  # ARPACK needs N >= 2
+        lower = dia_array((band, -np.arange(band.shape[0])), shape=(N, N))
+        gram = (lower + lower.T).tocsr()
+        gram.setdiag(band[0])
+        inverse = LinearOperator(
+            (N, N),
+            matvec=lambda v: scipy.linalg.cho_solve_banded((factor, True), v, check_finite=False),
+            dtype=float,
+        )
+        lam_max = _largest_eigenvalue(gram)
+        lam_min = 1.0 / _largest_eigenvalue(inverse)
+        if lam_min > zero * lam_max:
+            return lam_min, False, math.sqrt(lam_max)
+    check_dense_size(instance, "rank-deficient bound data (the B^T B spectrum)", dense_threshold)
+    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, identity))
     if not lam[-1] > 0.0:
         raise NumericalFailure("strain operator is identically zero")
-    nonzero = lam[lam > max(rows, N) * np.finfo(float).eps * lam[-1]]
+    nonzero = lam[lam > zero * lam[-1]]
     deficient = nonzero.size < min(rows, N)
     return float(nonzero[0]), deficient, math.sqrt(lam[-1])
+
+
+def _largest_eigenvalue(operator) -> float:
+    """Largest eigenvalue of a symmetric operator by ARPACK Lanczos from the ones vector."""
+    from scipy.sparse.linalg import eigsh
+
+    v0 = np.ones(operator.shape[0])
+    return float(eigsh(operator, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0])
 
 
 def compute_constants(
@@ -124,8 +158,9 @@ def compute_constants(
 ) -> BoundConstants:
     """Evaluate the printed bound constants for one instance.
 
-    ``dense_threshold`` gates the dense B^T B eigendecomposition behind
-    them (see ``smallest_nonzero_singular_sq``).
+    The spectral data come from ``smallest_nonzero_singular_sq``: banded
+    Lanczos at any N, and for a rank-deficient B a dense B^T B
+    eigendecomposition, which ``dense_threshold`` gates.
     """
     lam_min, deficient, B_norm = smallest_nonzero_singular_sq(instance, dense_threshold)
     m, k, L = instance.m, instance.k, instance.L
@@ -271,14 +306,14 @@ def penalty_gap_increment(constants: BoundConstants, t: int, nu: float) -> float
 def gap_estimate(acc, instance: ProblemInstance):
     """(kappa_t, upsilon_t, kappa_t + upsilon_t) from the running sums.
 
-    kappa's inner minimum over each feasible block has the closed form on
-    the eigenvalues of the accumulated dual blocks; upsilon's maximum over
-    the eta-ball is eta times the accumulated dual norms.
+    kappa's inner minimum over each feasible block has a closed form in the
+    smallest eigenvalue and the trace of the accumulated dual block
+    (``proj.lambda_min``); upsilon's maximum over the eta-ball is eta times
+    the accumulated dual norms.
     """
     if acc.sum_alpha <= 0:
         raise NumericalFailure("gap estimate requested before the first step")
-    lam = np.linalg.eigvalsh(acc.s_E)
-    lam_min = lam[:, 0]
+    lam_min = proj.lambda_min(np.moveaxis(acc.s_E, 0, -1))
     tr_s = np.einsum("qkk->q", acc.s_E)
     k, r = instance.k, instance.r
     lo_mass = np.maximum(instance.rho_l - k * r, 0.0)
@@ -320,8 +355,11 @@ def approximation_certificate(
     estimate of the optimal cost (e.g. the best feasible objective seen),
     so the comparison is reported rather than asserted.  ``lam_min_BtB``
     may carry the value already held in the run's BoundConstants; without
-    it, the dense computation is gated at ``model.DENSE_THRESHOLD``.  The
-    compliances come from the banded solve and need no gate.
+    it, ``smallest_nonzero_singular_sq`` computes it, banded for a
+    full-rank B and gated at ``model.DENSE_THRESHOLD`` only for a
+    rank-deficient one.  The compliances come from the banded solve and
+    need no gate; the CLI still leaves the certificate out above the
+    threshold.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)

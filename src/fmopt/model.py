@@ -277,7 +277,8 @@ def check_dense_size(instance: ProblemInstance, what: str, threshold: int = DENS
     """Refuse, as bad input, work that forms an N x N matrix for N above ``threshold``.
 
     The one size gate of the package: penalty mode (a dense A(E) per step)
-    and the bound data (the dense B^T B spectrum) both go through it.
+    and the bound data of a rank-deficient B (the dense B^T B spectrum)
+    both go through it.
     """
     if instance.N > threshold:
         raise InvalidInstance(
@@ -304,10 +305,12 @@ def feasible_E(instance: ProblemInstance, E: MaterialState, tol: float = FEAS_TO
     Returns ``(ok, report)`` where ``ok`` is True iff every block satisfies
     the trace window and the eigenvalue floor within ``tol``.
     """
+    from .proj import lambda_min
+
     instance.check_material(E)
     dense = E.dense()
     traces = np.einsum("qkk->q", dense)
-    eigmin = np.linalg.eigvalsh(dense)[:, 0]
+    eigmin = lambda_min(np.moveaxis(dense, 0, -1))
     excess = traces - instance.rho_u
     deficit = instance.rho_l - traces
     eig_deficit = instance.r - eigmin

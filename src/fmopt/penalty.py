@@ -4,9 +4,13 @@ The penalty term nu * sum_j ([sqrt(compliance_j) - sqrt(gamma)]_+)^2 pulls
 iterates toward compliance feasibility at the cost of one dense
 factorization of A(E) per iteration, so ``compliance_solves`` refuses N
 above the dense threshold through ``model.check_dense_size`` (bad input,
-CLI exit 2).  Compliances outside penalty mode (report rows, certificate,
-gamma probe) come from ``compliances``, a banded Cholesky in reverse
-Cuthill-McKee order that needs no gate.
+CLI exit 2).  That gate covers penalty mode and, in ``diagnostics``, the
+bound data of a rank-deficient B; the CLI also leaves the per-row
+violation columns and the certificate out above it.  Compliances outside
+penalty mode (report rows, certificate, gamma probe) come from
+``compliances``, a banded Cholesky in reverse Cuthill-McKee order
+(``band_cholesky``, which also factors A(I) for the bound data) that
+needs no gate.
 """
 
 from __future__ import annotations
@@ -131,11 +135,14 @@ def _band_layout(instance: ProblemInstance):
     return perm, lower, band_idx, int(offset[lower].max(initial=0))
 
 
-def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
-    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E).
+def band_cholesky(instance: ProblemInstance, E_dense):
+    """A(E) in reverse Cuthill-McKee order, as a band and its Cholesky factor.
 
-    In reverse Cuthill-McKee order A(E) of a mesh is banded, so LAPACK's
-    band factorization costs about N bw^2 flops instead of N^3 / 3.  The
+    In that order A(E) of a mesh is banded, so LAPACK's band factorization
+    costs about N bw^2 flops instead of N^3 / 3.  Returns
+    ``(perm, band, factor)``: ``band`` is the (bw + 1, N) lower band
+    storage of A(E)[perm][:, perm], and ``factor`` its lower Cholesky
+    factor, or None when A(E) is not numerically positive definite.  The
     order is rebuilt on every call, so nothing is cached on the instance;
     no N x N array is formed, so no size gate applies.
     """
@@ -146,7 +153,15 @@ def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
     ).reshape(bw + 1, N)
     try:
         factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    except scipy.linalg.LinAlgError:
+        factor = None
+    return perm, band, factor
+
+
+def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
+    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E)."""
+    perm, band, factor = band_cholesky(instance, E_dense)
+    if factor is None:
         lam_min = float(
             scipy.linalg.eigvals_banded(
                 band, lower=True, select="i", select_range=(0, 0), check_finite=False
@@ -154,7 +169,7 @@ def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
         )
         raise NumericalFailure(
             f"stiffness singular - check boundary conditions (lambda_min ~ {lam_min:.3e})"
-        ) from exc
+        )
     loads = instance.loads[:, perm]
     sol = scipy.linalg.cho_solve_banded((factor, True), loads.T, check_finite=False)
     return np.einsum("nj,jn->j", sol, loads)

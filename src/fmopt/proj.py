@@ -485,6 +485,50 @@ def trace_spread(blocks):
     return mean, np.sqrt((k - 1) / k * np.einsum("ijq,ijq->q", dev, dev))
 
 
+# blocks with cos(3 phi) above 1 - this go to eigvalsh; on the test spectra
+# the closed form is then within 1e-13 (|tr|/k + spread) of eigvalsh
+DOUBLE_ROOT_MARGIN = 1e-6
+
+
+def lambda_min(blocks):
+    """Smallest eigenvalue of each symmetric (k, k, m) block, shape (m,).
+
+    For k = 3 the trigonometric form of the characteristic cubic: with
+    q = tr/3, p = ||S - qI||_F / sqrt(6) and cos(3 phi) = det((S - qI)/p) / 2,
+    lambda_min = q + 2p cos(phi + 2 pi/3), computed elementwise along the
+    element axis; p = 0 means S = qI.  Near a double smallest eigenvalue
+    cos(3 phi) -> 1 and acos turns a rounding error e in the cosine into
+    sqrt(e) in lambda_min (Kopp, arXiv:physics/0610206), so those blocks,
+    non-finite ones and every block when k != 3 go to ``eigvalsh``.
+    """
+    k = blocks.shape[0]
+    if k != 3:
+        return np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))[:, 0]
+    q = np.trace(blocks) / 3.0
+    d0, d1, d2 = blocks[0, 0] - q, blocks[1, 1] - q, blocks[2, 2] - q
+    # move the rounding left in q into q, so the deviator is trace-free and
+    # t I gives p = 0 whether or not 3t/3 rounds back to t
+    shift = (d0 + d1 + d2) / 3.0
+    q, d0, d1, d2 = q + shift, d0 - shift, d1 - shift, d2 - shift
+    a01, a02, a12 = blocks[0, 1], blocks[0, 2], blocks[1, 2]
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    isotropic = p == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the deviator scaled to unit size, so det neither underflows nor
+        # overflows (blocks far from the loads deviate from qI by 1e-108)
+        d0, d1, d2, a01, a02, a12 = (x / p for x in (d0, d1, d2, a01, a02, a12))
+        cos3 = 0.5 * (
+            d0 * (d1 * d2 - a12 * a12) - a01 * (a01 * d2 - a12 * a02) + a02 * (a01 * a12 - d1 * a02)
+        )
+        out = q + 2.0 * p * np.cos(np.arccos(np.maximum(cos3, -1.0)) / 3.0 + 2.0 * np.pi / 3.0)
+    out[isotropic] = q[isotropic]
+    # the negated test also sends NaN cosines (non-finite blocks) to eigvalsh
+    rest = np.flatnonzero(~(cos3 < 1.0 - DOUBLE_ROOT_MARGIN) & ~isotropic)
+    if rest.size:
+        out[rest] = np.linalg.eigvalsh(np.moveaxis(blocks[:, :, rest], -1, 0))[:, 0]
+    return out
+
+
 def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float):
     """Batched material update: project r*I - s/(beta*tau) blockwise.
 

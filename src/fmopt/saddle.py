@@ -312,8 +312,8 @@ class SolverConfig:
     ``tau`` or ``sigma0`` set to None asks for the value that realizes the
     printed gap bound; ``cli.run`` resolves it from the bound data before
     the solve, and ``run_solver`` needs both numeric.  Above
-    ``dense_threshold`` unknowns, penalty mode and the bound data are
-    refused as input.
+    ``dense_threshold`` unknowns, penalty mode and the bound data of a
+    rank-deficient B are refused as input.
     """
 
     scheme: str = "simple"
@@ -499,9 +499,7 @@ def run_solver(
                 gap=gap,
                 theoretical_bound=bound,
                 feasible=feas_ok,
-                x_in_ball=bool(
-                    np.all(np.linalg.norm(x, axis=1) <= instance.eta + 1e-12)
-                ),
+                x_in_ball=in_eta_ball(x, instance.eta),
                 flops=counter.total,
                 wall_ns=wall_ns,
                 compliances=None if pen_state is None else pen_state.compliances,
@@ -525,6 +523,15 @@ def run_solver(
         fallback_events=fallback_events,
         wall_seconds=wall,
     )
+
+
+def in_eta_ball(x, eta: float) -> bool:
+    """Row flag: every adjoint vector has norm at most eta.
+
+    The shrink puts a vector on the sphere only to within rounding of eta,
+    so the slack is relative: 1e-12 eta, far above the few ulps of the norm.
+    """
+    return bool(np.all(np.linalg.norm(x, axis=1) <= eta * (1.0 + 1e-12)))
 
 
 def _quick_feasible(instance: ProblemInstance, E_dense) -> tuple:

@@ -131,26 +131,56 @@ class TestMain:
         assert report["sigma0"] == pytest.approx(sigma / np.sqrt(2.0 * const.D), rel=1e-12)
         assert [c.tau for c in seen] == [0.3]
 
-    @pytest.mark.parametrize("params,threshold,code", [
-        (["--tau", "auto"], 11, 2),
-        (["--tau", "auto"], 12, 0),
-        (["--mode", "penalty", "--nu", "1"], 11, 2),
-    ], ids=["11-2", "12-0", "penalty-11-2"])
+    @pytest.mark.parametrize("source,params,threshold,code", [
+        ("2x2", ["--tau", "auto"], 11, 0),
+        ("2x2", ["--tau", "auto"], 12, 0),
+        ("2x2", ["--mode", "penalty", "--nu", "1"], 11, 2),
+        ("rank-deficient", ["--tau", "auto"], 7, 2),
+        ("rank-deficient", ["--tau", "auto"], 8, 3),
+    ], ids=["11-0", "12-0", "penalty-11-2", "rank-deficient-7-2", "rank-deficient-8-3"])
     def test_dense_threshold_gates_auto_parameters(
-        self, tmp_path, capsys, params, threshold, code
+        self, tmp_path, capsys, source, params, threshold, code
     ):
-        # a 2x2 mesh has N = 12: auto tau needs the dense B^T B spectrum, and
-        # penalty mode a dense A(E) per step
+        # a 2x2 mesh has N = 12 and a full-rank B: auto tau takes the banded
+        # bound data at any threshold, while penalty mode needs a dense A(E)
+        # per step.  The rank-deficient instance (N = 8, one column no element
+        # touches) needs the dense B^T B spectrum; within the gate it gets
+        # that far and then fails on its singular stiffness.
+        if source == "rank-deficient":
+            rng = np.random.default_rng(7)
+            cols = np.array([np.sort(rng.choice(7, size=5, replace=False)) for _ in range(4)])
+            inst = ProblemInstance(cols, rng.normal(0, 1, (4, 2, 3, 5)),
+                                   rng.normal(0, 1, (1, 8)), 0.4, 2.5, 0.1, 4.0, 6.0)
+            fem2d.write_instance(inst, tmp_path / "rd.fmo")
+            source_args = ["--instance", str(tmp_path / "rd.fmo")]
+        else:
+            source_args = ["--mesh", source]
         rc = cli.main([
-            "--mesh", "2x2", "--iters", "2", *params,
+            *source_args, "--iters", "2", *params,
             "--dense-threshold", str(threshold), "--out", str(tmp_path / "t"),
         ])
         assert rc == code
-        if code:
+        if code == 2:
             err = json.loads(capsys.readouterr().err)
             assert err["kind"] == "input" and "--dense-threshold" in err["error"]
+            assert not (tmp_path / "t.csv").exists()  # refused before any output
+        elif code == 3:
+            assert "stiffness singular" in json.loads(capsys.readouterr().err)["error"]
         else:
             assert json.loads(capsys.readouterr().out)["N"] == 12
+
+    def test_auto_parameters_above_dense_threshold(self, tmp_path, capsys):
+        # N = 4032 over the default threshold 4000: the banded bound data
+        # needs no dense gate, so the bound column is filled
+        rc = cli.main([
+            "--mesh", "63x31", "--iters", "2", "--tau", "auto", "--sigma0", "auto",
+            "--out", str(tmp_path / "a"),
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["N"] == 4032 and report["certificate"] is None
+        rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(float(row.split(",")[3]) > 0 for row in rows)
 
     @pytest.mark.parametrize("params", [
         ["--tau", "auto", "--sigma0", "auto"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import diagnostics, fem2d, saddle
+from fmopt import diagnostics, fem2d, penalty, saddle
 from fmopt.diagnostics import (
     compute_constants,
     gap_bound_prefactor,
@@ -12,8 +12,9 @@ from fmopt.diagnostics import (
     optimal_parameters,
     theoretical_gap_bound,
 )
-from fmopt.model import InvalidInstance, NumericalFailure, ProblemInstance
+from fmopt.model import DENSE_THRESHOLD, InvalidInstance, NumericalFailure, ProblemInstance
 from fmopt.oracle import (
+    dense_stiffness_reference,
     max_prox_over_block_reference,
     min_linear_over_block_reference,
     singular_sq_reference,
@@ -70,11 +71,13 @@ class TestConstants:
 
 
 class TestSingularSq:
-    """The Gram eigendecomposition against the dense SVD of stacked B."""
+    """The banded Lanczos bound data, and its dense fallback, against the SVD of stacked B."""
 
     @staticmethod
-    def assert_matches_svd(inst):
-        lam_min, deficient, top_sv = diagnostics.smallest_nonzero_singular_sq(inst)
+    def assert_matches_svd(inst, dense_threshold=DENSE_THRESHOLD):
+        got = diagnostics.smallest_nonzero_singular_sq(inst, dense_threshold)
+        assert diagnostics.smallest_nonzero_singular_sq(inst, dense_threshold) == got  # bitwise
+        lam_min, deficient, top_sv = got
         ref_lam, ref_deficient, ref_top = singular_sq_reference(inst)
         assert lam_min == pytest.approx(ref_lam, rel=1e-9)
         assert top_sv == pytest.approx(ref_top, rel=1e-12)
@@ -85,24 +88,50 @@ class TestSingularSq:
         spec = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0)
         wide = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
         for inst in (small_mesh_instance, wide):
-            assert not self.assert_matches_svd(inst)
+            # a nonsingular A(I) takes the banded path, which needs no dense gate
+            assert not self.assert_matches_svd(inst, dense_threshold=0)
 
     def test_full_rank_synthetic(self, rng):
         # every column touched; rows above, near and below N
         for m, N, nig in ((5, 14, 2), (2, 6, 1), (2, 10, 1), (6, 9, 3)):
             for _ in range(5):
                 inst = make_synthetic_instance(rng, m=m, N=N, nig=nig, n_loc=N)
-                assert not self.assert_matches_svd(inst)
+                # with fewer rows than N, A(I) is singular and needs the dense path
+                threshold = 0 if m * nig * inst.k >= N else N
+                assert not self.assert_matches_svd(inst, dense_threshold=threshold)
 
-    def test_untouched_column_is_rank_deficient(self, rng):
+    @staticmethod
+    def untouched_column_instance(rng):
         N, k = 8, 3
         cols = np.zeros((4, 5), dtype=np.int64)
         B = np.zeros((4, 2, k, 5))
         for i in range(4):
             cols[i] = np.sort(rng.choice(N - 1, size=5, replace=False))
             B[i] = rng.normal(0, 1, (2, k, 5))
-        inst = ProblemInstance(cols, B, rng.normal(0, 1, (1, N)), 0.4, 2.5, 0.1, 4.0, 6.0)
-        assert self.assert_matches_svd(inst)
+        return ProblemInstance(cols, B, rng.normal(0, 1, (1, N)), 0.4, 2.5, 0.1, 4.0, 6.0)
+
+    def test_untouched_column_is_rank_deficient(self, rng):
+        assert self.assert_matches_svd(self.untouched_column_instance(rng))
+
+    def test_near_singular_factors_but_counts_as_deficient(self, rng):
+        # one element on all 6 columns, squared singular values (1, ..., 0.36, 1e-16):
+        # the band Cholesky succeeds, but 1e-16 is under the zero rule on
+        # eigenvalues of A(I), so the dense spectrum decides
+        U, _ = np.linalg.qr(rng.normal(size=(12, 6)))
+        V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        stacked = (U * np.array([1.0, 0.9, 0.8, 0.7, 0.6, 1e-8])) @ V.T
+        inst = ProblemInstance(np.arange(6)[None], stacked.reshape(1, 4, 3, 6),
+                               rng.normal(size=(1, 6)), 0.4, 2.5, 0.1, 4.0, 6.0)
+        identity = np.eye(3)[None]
+        assert penalty.band_cholesky(inst, identity)[2] is not None
+        got = diagnostics.smallest_nonzero_singular_sq(inst)
+        assert diagnostics.smallest_nonzero_singular_sq(inst) == got
+        gram_eigs = np.linalg.eigvalsh(dense_stiffness_reference(inst, identity))
+        assert got[0] == pytest.approx(gram_eigs[1], rel=1e-12)
+        assert got[1]
+        assert got[2] == pytest.approx(singular_sq_reference(inst)[2], rel=1e-12)
+        with pytest.raises(InvalidInstance, match="--dense-threshold"):
+            diagnostics.smallest_nonzero_singular_sq(inst, dense_threshold=5)
 
     def test_zero_operator_rejected(self):
         inst = ProblemInstance(np.arange(3)[None], np.zeros((1, 1, 3, 3)), np.ones((1, 3)),
@@ -110,10 +139,12 @@ class TestSingularSq:
         with pytest.raises(NumericalFailure):
             diagnostics.smallest_nonzero_singular_sq(inst)
 
-    def test_dense_gate(self, small_mesh_instance):
-        # a size limit is refused as input, not reported as a numerical failure
+    def test_dense_gate(self, rng):
+        # only a rank-deficient A(I) needs the dense spectrum; a size limit on
+        # it is refused as input, not reported as a numerical failure
+        inst = self.untouched_column_instance(rng)
         with pytest.raises(InvalidInstance, match="--dense-threshold"):
-            diagnostics.smallest_nonzero_singular_sq(small_mesh_instance, dense_threshold=4)
+            diagnostics.smallest_nonzero_singular_sq(inst, dense_threshold=inst.N - 1)
 
 
 class TestGapEstimate:

@@ -472,3 +472,92 @@ class TestMaterialSpectrumScans:
                     case = "interior"
                 hits.add((case, on_scan))
             assert hits == {(c, p) for c in ("cap", "floor", "interior") for p in (False, True)}
+
+
+class TestLambdaMin:
+    """The closed-form smallest eigenvalue against eigvalsh, block by block."""
+
+    @staticmethod
+    def blocks_3x3(rng):
+        def rotated(spectrum):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            return (Q * np.asarray(spectrum, dtype=float)) @ Q.T
+
+        out = []
+        for _ in range(200):
+            g = rng.normal(0, 1, (3, 3))
+            out.append(g + g.T)
+        for t in (1.0, -3.0, 1e3):
+            for eps in (0.0, 1e-14, 1e-10, 1e-6, 1e-3):  # near-isotropic
+                g = rng.normal(0, 1, (3, 3))
+                out.append(t * np.eye(3) + eps * (g + g.T))
+            out.append(rotated([t, t, t]))
+        # a double root below (b > a) or above (b < a) the third eigenvalue,
+        # split by delta; the closed form degrades as the smallest two merge
+        for a, b in ((1.0, 2.0), (1.0, 0.0), (-1.0, 5.0), (100.0, 100.1), (1.0, 1.0 - 1e-3)):
+            for delta in np.concatenate([[0.0], np.logspace(-16, -3, 27)]):
+                out.append(rotated([a, a + delta, b]))
+        out.append(np.zeros((3, 3)))
+        return np.array(out)
+
+    @staticmethod
+    def assert_agrees(blocks):
+        got = proj.lambda_min(np.moveaxis(blocks, 0, -1).copy())
+        want = np.linalg.eigvalsh(blocks)[:, 0]
+        mean, spread = proj.trace_spread(np.moveaxis(blocks, 0, -1))
+        np.testing.assert_array_less(
+            np.abs(got - want), 1e-12 * (np.abs(mean) + spread) + 1e-300
+        )
+
+    def test_matches_eigvalsh(self, rng, monkeypatch):
+        sent = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            sent.append(a.shape[0])
+            return eigvalsh(a)
+
+        blocks = self.blocks_3x3(rng)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for scale in (1.0, 1e8, 1e-8):
+            sent.clear()
+            self.assert_agrees(scale * blocks)
+            # the kernel's fallback took some blocks, then the reference took all
+            assert len(sent) == 2 and 0 < sent[0] < blocks.shape[0] // 4
+            assert sent[1] == blocks.shape[0]
+
+    def test_near_isotropic_blocks_need_no_eigvalsh(self, rng, monkeypatch):
+        # far from the loads, accumulated dual blocks are t I to within 1e-108;
+        # p^3 would underflow there, so the kernel scales the deviator first
+        blocks = []
+        for eps in (0.0, 1e-108, 1e-14):
+            for _ in range(20):
+                g = rng.normal(0, 1, (3, 3))
+                blocks.append(rng.uniform(-60, 60) * np.eye(3) + eps * (g + g.T))
+        blocks = np.array(blocks)
+        want = np.linalg.eigvalsh(blocks)[:, 0]
+
+        def refuse(a):
+            raise AssertionError(f"{a.shape[0]} blocks sent to eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = proj.lambda_min(np.moveaxis(blocks, 0, -1))
+        mean, spread = proj.trace_spread(np.moveaxis(blocks, 0, -1))
+        np.testing.assert_array_less(np.abs(got - want), 1e-12 * (np.abs(mean) + spread))
+
+    def test_non_finite_blocks_take_eigvalsh(self):
+        # they fail as eigvalsh fails on them
+        for bad in ((slice(None), slice(None)), ([0, 2], [2, 0])):
+            blocks = np.tile(np.eye(3), (3, 1, 1))
+            blocks[(1,) + bad] = np.nan
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvalsh(blocks)
+            with pytest.raises(np.linalg.LinAlgError):
+                proj.lambda_min(np.moveaxis(blocks, 0, -1))
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_other_sizes_use_eigvalsh(self, rng, k):
+        g = rng.normal(0, 1, (50, k, k))
+        blocks = g + g.transpose(0, 2, 1)
+        got = proj.lambda_min(np.moveaxis(blocks, 0, -1))
+        np.testing.assert_array_equal(got, np.linalg.eigvalsh(blocks)[:, 0])

@@ -372,6 +372,20 @@ class TestRunSolver:
         run_solver(small_mesh_instance, cfg, sink=rows.append)
         assert all(r.gap >= -1e-8 for r in rows)
 
+    def test_ball_flag_slack_is_relative_to_eta(self):
+        # at eta = 1e6 the shrink leaves norms one ulp (~1e-10) off eta, both ways
+        spec = fem2d.MeshSpec(nx=8, ny=4, lx=8.0, ly=4.0)
+        probe = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 1.0, 1e6)
+        gamma = 2.0 * float(np.max(fem2d.reference_compliance(probe, probe.start_material())))
+        inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, gamma, 1e6)
+        rows = []
+        res = run_solver(inst, SolverConfig(iterations=200, log_stride=10, sigma0=1e-6),
+                         rows.append)
+        assert len(rows) == 20 and all(r.x_in_ball for r in rows)
+        x = res.x_last.vectors
+        assert np.linalg.norm(x, axis=1) == pytest.approx(1e6, rel=1e-15)
+        assert not saddle.in_eta_ball(x * (1.0 + 1e-9), 1e6)
+
     def test_nonfinite_gap_raises_naming_step(self, small_mesh_instance, monkeypatch):
         nan = float("nan")
         monkeypatch.setattr(diagnostics, "gap_estimate", lambda acc, inst: (nan, nan, nan))
