@@ -4,6 +4,7 @@ from .diagnostics import (
     BoundConstants,
     approximation_certificate,
     compute_constants,
+    flop_model,
     flop_report,
     gap_estimate,
     optimal_parameters,

@@ -3,7 +3,8 @@
 Everything here is read-only over solver state: the running duality-gap
 estimate (kappa + upsilon), the input-data constants entering the
 theoretical gap bounds, the bounds themselves for both step schemes, the
-approximate-solution certificates, and the flop-count report.
+approximate-solution certificates, and the flop ledger's cost table and
+report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import scipy.linalg
 from . import penalty, proj
 from .model import (
     DENSE_THRESHOLD,
-    FlopCounter,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
@@ -395,12 +395,36 @@ def approximation_certificate(
     )
 
 
-def flop_report(counter: FlopCounter, instance: ProblemInstance, iterations: int) -> dict:
-    """Measured counts against the per-iteration cost models.
+def flop_model(instance: ProblemInstance) -> dict:
+    """Per-call flop charge of each ledger key: the one table of cost formulas.
 
-    The sparse model charges element loops on the touched column support
-    (n_loc columns); the dense model is the same expression at full width
-    N for comparison with the printed accounting.
+    ``saddle.run_solver`` charges its ``FlopCounter`` from this table:
+    ``grads`` per ``subgradients`` call, ``dense_assembly`` and
+    ``dense_solve`` per penalty ``compliance_solves`` call (assembly of the
+    dense A(E), then its Cholesky factor and L solves), and ``x_update``,
+    ``E_update`` and ``averaging`` per ``da_step``.  The keys are in the
+    order a penalty step first charges them.
+    """
+    k, L, nig, m, N = instance.k, instance.L, instance.nig, instance.m, instance.N
+    per_l = 4 * k * instance.n_loc + 3 * k * k + 3 * k
+    return {
+        "grads": L * (m * nig * per_l + m * k * (k + 1)) + 5 * L * N + 4 * L,
+        "dense_assembly": m * nig * (2 * k * k * N + (k + 0.5) * N * (N + 1)),
+        "dense_solve": N**3 / 3.0 + 2 * L * (N**2 + N),
+        "x_update": L * (3 * N + 7),
+        "E_update": m * (10 * k**3 + 3 * k * k + 7 * k + 8),
+        "averaging": 2 * m * k * k + 2 * L * N + m * k,
+    }
+
+
+def flop_report(counts: dict, instance: ProblemInstance, iterations: int) -> dict:
+    """A run's ledger (``FlopCounter.snapshot()``) against per-iteration cost models.
+
+    The ledger is charged by ``saddle.run_solver`` from ``flop_model``,
+    which also gives the subproblem model and the assembly term of the
+    penalty model here.  The sparse model charges element loops on the
+    touched column support (n_loc columns); the dense model is the same
+    expression at full width N for comparison with the printed accounting.
     """
     k, L, nig, m, N = instance.k, instance.L, instance.nig, instance.m, instance.N
     sparse_model = (6 * k * L * nig) * m * instance.n_loc + (
@@ -409,16 +433,15 @@ def flop_report(counter: FlopCounter, instance: ProblemInstance, iterations: int
     dense_model = (6 * k * L * nig) * m * N + (
         (5 * k * k + 3 * k) * L * nig + (k * k + k) * L + k
     ) * m + 5 * L * N + 4 * L
-    subproblem_model = m * (10 * k**3 + 3 * k * k + 7 * k + 8) + L * (3 * N + 7)
-    penalty_model = N**3 / 3.0 + m * nig * (2 * k * k * N + (k + 0.5) * N * (N + 1))
-    measured = counter.total
+    per_call = flop_model(instance)
+    measured = float(sum(counts.values()))
     return {
-        "counts": counter.snapshot(),
+        "counts": dict(counts),
         "total": measured,
         "iterations": iterations,
         "per_iteration": measured / max(iterations, 1),
         "model_sparse_update": sparse_model,
         "model_dense_update": dense_model,
-        "model_subproblems": subproblem_model,
-        "model_penalty_per_iteration": penalty_model,
+        "model_subproblems": per_call["E_update"] + per_call["x_update"],
+        "model_penalty_per_iteration": N**3 / 3.0 + per_call["dense_assembly"],
     }

@@ -51,11 +51,14 @@ class NumericalFailure(FmoError):
 
 @dataclass
 class FlopCounter:
-    """Named floating-point-operation tallies.
+    """Named floating-point-operation tallies: the run's flop ledger.
 
-    Element loops are charged with the standard multiply-add model on the
-    touched column support only (``n_loc`` columns per element, not N);
-    dense-width equivalents are reported separately by the diagnostics.
+    The per-call charge of every key is written once, in
+    ``diagnostics.flop_model``, and only ``saddle.run_solver`` charges it,
+    at the calls it makes; no kernel takes a counter.  Element loops are
+    charged with the standard multiply-add model on the touched column
+    support only (``n_loc`` columns per element, not N); dense-width
+    equivalents are reported separately by ``diagnostics.flop_report``.
     """
 
     counts: dict = field(default_factory=dict)
@@ -393,7 +396,7 @@ def element_gram(W, coef) -> np.ndarray:
     return np.moveaxis(gram, -1, 0)
 
 
-def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter | None = None):
+def apply_A(instance: ProblemInstance, E: MaterialState, v):
     """Apply the stiffness operator A(E) to a vector, element by element.
 
     Never materializes A(E): computes sum_i sum_l B_{i,l}^T (E_i (B_{i,l} v)).
@@ -401,18 +404,12 @@ def apply_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter
     instance.check_material(E)
     v = _check_vector(instance, v)
     EW = element_products(E.dense(), apply_B(instance, v[None]))
-    if counter is not None:
-        k, nloc = instance.k, instance.n_loc
-        counter.add("apply_A", instance.nig * instance.m * (4 * k * nloc + 2 * k * k))
     return apply_Bt(instance, EW)[0]
 
 
-def quad_A(instance: ProblemInstance, E: MaterialState, v, counter: FlopCounter | None = None) -> float:
+def quad_A(instance: ProblemInstance, E: MaterialState, v) -> float:
     """Quadratic form <A(E) v, v> accumulated through the element loops."""
     instance.check_material(E)
     v = _check_vector(instance, v)
     _, quad = element_quads(E.dense(), apply_B(instance, v[None]))
-    if counter is not None:
-        k, nloc = instance.k, instance.n_loc
-        counter.add("quad_A", instance.nig * instance.m * (2 * k * nloc + 2 * k * k + 2 * k))
     return float(quad[0])

@@ -187,12 +187,14 @@ def singular_sq_reference(instance):
     """(lam_min, deficient, top_sv) from the dense SVD of the stacked B.
 
     Stacks every element/integration-point strain operator into one
-    (m*nig*k) x N matrix; singular values at or below
-    max(rows, N) * eps * sigma_max count as zero.
+    (m*nig*k) x N matrix; singular values with sigma^2 at or below
+    max(rows, N) * eps * sigma_max^2 count as zero, the rule the bound
+    data apply to the eigenvalues of B^T B (the finest a Gram-based
+    computation resolves).
     """
     B = np.concatenate([d.reshape(-1, instance.N) for d in dense_strain_matrices(instance)])
     sv = np.linalg.svd(B, compute_uv=False)
-    nonzero = sv[sv > max(B.shape) * np.finfo(float).eps * sv[0]]
+    nonzero = sv[sv**2 > max(B.shape) * np.finfo(float).eps * sv[0] ** 2]
     if nonzero.size == 0:
         raise FmoError("strain operator is identically zero")
     return float(nonzero[-1] ** 2), nonzero.size < min(B.shape), float(sv[0])

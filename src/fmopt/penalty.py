@@ -24,7 +24,6 @@ import scipy.linalg
 from .model import (
     DENSE_THRESHOLD,
     DualState,
-    FlopCounter,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
@@ -37,9 +36,8 @@ from .saddle import lagrangian_value
 
 @dataclass
 class PenaltyState:
-    """Factorization cache for the current material state."""
+    """Compliances and static solutions at the current material state."""
 
-    chol: tuple  # scipy cho_factor output
     compliances: np.ndarray  # (L,)
     solutions: np.ndarray  # (N, L) columns A(E)^{-1} f_j
     violated: np.ndarray  # indices with compliance > gamma
@@ -63,30 +61,22 @@ def element_stiffness(instance: ProblemInstance, E_dense):
     return np.moveaxis(ke, -1, 0)
 
 
-def assemble_dense(instance: ProblemInstance, E_dense, counter: FlopCounter | None = None):
+def assemble_dense(instance: ProblemInstance, E_dense):
     """Dense A(E): per-element congruences scattered into an N x N matrix."""
     ke = element_stiffness(instance, E_dense)
     cols = instance.cols_packed  # flattened (row, col) target of every ke entry
     idx = (cols[:, :, None] * instance.N + cols[:, None, :]).ravel()
-    A = np.bincount(idx, weights=ke.ravel(), minlength=instance.N**2).reshape(
+    return np.bincount(idx, weights=ke.ravel(), minlength=instance.N**2).reshape(
         instance.N, instance.N
     )
-    if counter is not None:
-        k, N = instance.k, instance.N
-        counter.add(
-            "dense_assembly",
-            instance.m * instance.nig * (2 * k * k * N + (k + 0.5) * N * (N + 1)),
-        )
-    return A
 
 
-def compliances_from_dense(instance: ProblemInstance, A, counter: FlopCounter | None = None):
+def compliances_from_dense(instance: ProblemInstance, A):
     """Per-load <A^{-1} f_j, f_j> via one Cholesky factorization."""
-    state = _factor_and_solve(instance, A, counter)
-    return state.compliances
+    return _factor_and_solve(instance, A).compliances
 
 
-def _factor_and_solve(instance: ProblemInstance, A, counter: FlopCounter | None = None):
+def _factor_and_solve(instance: ProblemInstance, A):
     try:
         chol = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
@@ -96,11 +86,7 @@ def _factor_and_solve(instance: ProblemInstance, A, counter: FlopCounter | None 
         ) from exc
     sol = scipy.linalg.cho_solve(chol, instance.loads.T, check_finite=False)
     comp = np.einsum("nj,jn->j", sol, instance.loads)
-    if counter is not None:
-        N, L = instance.N, instance.L
-        counter.add("dense_solve", N**3 / 3.0 + 2 * L * (N**2 + N))
     return PenaltyState(
-        chol=chol,
         compliances=comp,
         solutions=sol,
         violated=np.flatnonzero(comp > instance.gamma),
@@ -178,13 +164,11 @@ def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
 def compliance_solves(
     instance: ProblemInstance,
     E_dense,
-    counter: FlopCounter | None = None,
     dense_threshold: int = DENSE_THRESHOLD,
 ) -> PenaltyState:
     """Assemble, factor, and solve for every load; the per-iteration workhorse."""
     check_dense_size(instance, "penalty mode", dense_threshold)
-    A = assemble_dense(instance, E_dense, counter)
-    return _factor_and_solve(instance, A, counter)
+    return _factor_and_solve(instance, assemble_dense(instance, E_dense))
 
 
 def penalty_value(instance: ProblemInstance, E: MaterialState, x: DualState) -> float:

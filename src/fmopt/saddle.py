@@ -28,7 +28,6 @@ from .model import (
     ProblemInstance,
     apply_B,
     apply_Bt,
-    check_dense_size,
     element_gram,
     element_products,
     element_quads,
@@ -172,7 +171,7 @@ def autotune_step_budget(L_norm: float, D: float, sigma0: float, window: int) ->
 # -- subgradient oracle ----------------------------------------------------
 
 
-def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter=None):
+def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None):
     """Fused evaluation of the Lagrangian subgradients at (E, x).
 
     Returns ``(g_E, g_x, quad, in_R, used_plain_fallback)``.  Loads outside
@@ -200,12 +199,6 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None, counter
             EWy = element_products(E_dense, apply_B(instance, fallback_y[stored]))
             g_x[stored] -= 2.0 * sqrt_gamma * apply_Bt(instance, EWy)
     used_plain = bool(plain.any())
-
-    if counter is not None:
-        k, nloc, nig = instance.k, instance.n_loc, instance.nig
-        per_l = 4 * k * nloc + 3 * k * k + 3 * k
-        counter.add("grads", instance.L * (instance.m * nig * per_l + instance.m * k * (k + 1)))
-        counter.add("grads", 5 * instance.L * instance.N + 4 * instance.L)
     return g_E, g_x, quad, in_R, used_plain
 
 
@@ -228,7 +221,6 @@ def da_step(
     schedule: StepSchedule,
     E_dense,
     x,
-    counter: FlopCounter | None = None,
     fallback_y=None,
     grads=None,
 ):
@@ -238,7 +230,7 @@ def da_step(
     ``subgradients`` tuple (the penalty mode adjusts g_E before stepping).
     """
     if grads is None:
-        grads = subgradients(instance, E_dense, x, fallback_y, counter)
+        grads = subgradients(instance, E_dense, x, fallback_y)
     g_E, g_x, quad, in_R, used_plain = grads
 
     if schedule.scheme == "simple":
@@ -262,12 +254,6 @@ def da_step(
     E_next = proj.project_blocks(
         acc.s_E, beta_next * schedule.tau, instance.rho_l, instance.rho_u, instance.r
     )
-
-    if counter is not None:
-        k, m, L, N = instance.k, instance.m, instance.L, instance.N
-        counter.add("x_update", L * (3 * N + 7))
-        counter.add("E_update", m * (10 * k**3 + 3 * k * k + 7 * k + 8))
-        counter.add("averaging", 2 * m * k * k + 2 * L * N + m * k)
 
     info = {
         "alpha": alpha,
@@ -384,14 +370,14 @@ def run_solver(
     ``sink`` receives an IterationRecord every ``log_stride`` steps and at
     the final step.  ``constants`` (a diagnostics.BoundConstants) enables
     the theoretical-bound column.  Penalty mode above the dense threshold
-    is refused before the first step.
+    is refused by the first step's ``compliance_solves``, before any row
+    reaches the sink.  The flop ledger ``counter`` is charged here, per
+    call, from ``diagnostics.flop_model``.
     """
     from . import diagnostics
 
     if config.tau is None or config.sigma0 is None:
         raise InvalidInstance("run_solver needs numeric tau and sigma0 (cli.run resolves auto)")
-    if config.mode == "penalty":
-        check_dense_size(instance, "penalty mode", config.dense_threshold)
 
     E = instance.start_material().dense()
     x = instance.start_dual().vectors
@@ -403,34 +389,38 @@ def run_solver(
         sigma = controller.sigma
     schedule = StepSchedule(scheme=config.scheme, tau=config.tau, sigma=sigma)
     counter = FlopCounter()
+    flops = diagnostics.flop_model(instance)
     fallback_y = np.zeros((instance.L, instance.N))
     fallback_events = 0
     window_samples: list[float] = []
 
     pen = None
     if config.mode == "penalty":
-        from . import penalty as penalty_mod
+        from . import penalty as pen
 
-        pen = penalty_mod
+    def dense_solves(E):  # penalty compliances of E, charged to the ledger
+        state = pen.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
+        counter.add("dense_assembly", flops["dense_assembly"])
+        counter.add("dense_solve", flops["dense_solve"])
+        return state
 
     t_start = time.perf_counter()
     last_wall = time.perf_counter_ns()
     pen_state = None  # compliances of the current E, carried across log rows
     for step in range(config.iterations):
-        grads = subgradients(instance, E, x, fallback_y, counter)
+        grads = subgradients(instance, E, x, fallback_y)
+        counter.add("grads", flops["grads"])
         if pen is not None:
             if pen_state is None:
-                pen_state = pen.compliance_solves(
-                    instance, E, counter=counter, dense_threshold=config.dense_threshold
-                )
+                pen_state = dense_solves(E)
             g_E = grads[0] + pen.penalty_grad_correction(instance, pen_state)
             grads = (g_E,) + grads[1:]
         pen_state = None
 
         x_prev = x
-        E, x, info = da_step(
-            instance, acc, schedule, E, x, counter=counter, fallback_y=fallback_y, grads=grads
-        )
+        E, x, info = da_step(instance, acc, schedule, E, x, fallback_y=fallback_y, grads=grads)
+        for key in ("x_update", "E_update", "averaging"):
+            counter.add(key, flops[key])
         if info["used_plain_fallback"]:
             fallback_events += 1
             log.info("step %d: plain 2f selection used for a load outside R", step)
@@ -473,9 +463,7 @@ def run_solver(
                 )
             if pen is not None:
                 # post-step compliances for this row; reused next iteration
-                pen_state = pen.compliance_solves(
-                    instance, E, counter=counter, dense_threshold=config.dense_threshold
-                )
+                pen_state = dense_solves(E)
             lit = pos = None
             if pen_state is not None:
                 lit, pos = pen.violation_sums(instance, pen_state.compliances)

@@ -333,14 +333,23 @@ class TestMain:
         assert "step 2: gap is not finite" in err["error"]
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load_script(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 class TestScripts:
+    def test_traced_calls_resolve(self):
+        # the benchmark's span tracer patches each of these attributes by name
+        spans = _load_script("spans", SCRIPTS.parent / "perfbench")
+        assert len(spans.TRACED_CALLS) == 23
+        for module, attr, _ in spans.TRACED_CALLS:
+            assert callable(getattr(importlib.import_module(f"fmopt.{module}"), attr, None)), (
+                f"fmopt.{module}.{attr}"
+            )
+
     def test_penalty_comparison(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["penalty_comparison.py", "20", str(tmp_path)])
         assert _load_script("penalty_comparison").main() == 0

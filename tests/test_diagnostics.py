@@ -114,9 +114,9 @@ class TestSingularSq:
         assert self.assert_matches_svd(self.untouched_column_instance(rng))
 
     def test_near_singular_factors_but_counts_as_deficient(self, rng):
-        # one element on all 6 columns, squared singular values (1, ..., 0.36, 1e-16):
-        # the band Cholesky succeeds, but 1e-16 is under the zero rule on
-        # eigenvalues of A(I), so the dense spectrum decides
+        # one element on all 6 columns, singular values (1, 0.9, 0.8, 0.7, 0.6, 1e-8):
+        # the band Cholesky succeeds, but sigma^2 = 1e-16 is under the zero rule
+        # max(rows, N) eps sigma_max^2, so the dense spectrum decides, as in the oracle
         U, _ = np.linalg.qr(rng.normal(size=(12, 6)))
         V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         stacked = (U * np.array([1.0, 0.9, 0.8, 0.7, 0.6, 1e-8])) @ V.T
@@ -124,12 +124,12 @@ class TestSingularSq:
                                rng.normal(size=(1, 6)), 0.4, 2.5, 0.1, 4.0, 6.0)
         identity = np.eye(3)[None]
         assert penalty.band_cholesky(inst, identity)[2] is not None
+        assert self.assert_matches_svd(inst)
         got = diagnostics.smallest_nonzero_singular_sq(inst)
-        assert diagnostics.smallest_nonzero_singular_sq(inst) == got
         gram_eigs = np.linalg.eigvalsh(dense_stiffness_reference(inst, identity))
         assert got[0] == pytest.approx(gram_eigs[1], rel=1e-12)
-        assert got[1]
-        assert got[2] == pytest.approx(singular_sq_reference(inst)[2], rel=1e-12)
+        for side in (got, singular_sq_reference(inst)):
+            assert side == (pytest.approx(0.36, rel=1e-12), True, pytest.approx(1.0, rel=1e-12))
         with pytest.raises(InvalidInstance, match="--dense-threshold"):
             diagnostics.smallest_nonzero_singular_sq(inst, dense_threshold=5)
 
@@ -350,7 +350,7 @@ class TestFlopReport:
     def test_zero_iterations_zero_counts(self, small_mesh_instance):
         from fmopt.model import FlopCounter
 
-        rep = diagnostics.flop_report(FlopCounter(), small_mesh_instance, 0)
+        rep = diagnostics.flop_report(FlopCounter().snapshot(), small_mesh_instance, 0)
         assert rep["total"] == 0.0
 
     def test_m_doubling_stays_linear(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt.model import (
     DimensionMismatch,
-    FlopCounter,
     InvalidInstance,
     MaterialState,
     ProblemInstance,
@@ -207,15 +206,6 @@ class TestQuadA:
 
         with pytest.raises(NumericalFailure):
             quad_A(inst, bad, v)
-
-    def test_flop_counter_matches_model(self, rng):
-        inst = make_synthetic_instance(rng, m=5, n_loc=4)
-        E = MaterialState.from_dense(random_feasible_blocks(rng, 5, 3, 0.4, 2.5, 0.1))
-        counter = FlopCounter()
-        apply_A(inst, E, rng.normal(0, 1, inst.N), counter)
-        k, nloc = inst.k, inst.n_loc
-        model = inst.nig * inst.m * (4 * k * nloc + 2 * k * k)
-        assert abs(counter.counts["apply_A"] - model) <= 0.1 * model
 
 
 class TestInstanceValidation:

@@ -386,6 +386,41 @@ class TestRunSolver:
         assert np.linalg.norm(x, axis=1) == pytest.approx(1e6, rel=1e-15)
         assert not saddle.in_eta_ball(x * (1.0 + 1e-9), 1e6)
 
+    @pytest.mark.parametrize("nx, ny, mode, nu", [(8, 4, "plain", 0.0), (4, 2, "penalty", 3.0)])
+    def test_ledger_is_flop_table_times_calls(self, nx, ny, mode, nu):
+        spec = fem2d.MeshSpec(nx=nx, ny=ny, lx=float(nx), ly=float(ny))
+        inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 0.4, 8.0, nu)
+        rows = []
+        res = run_solver(inst, SolverConfig(mode=mode, iterations=30, log_stride=7), rows.append)
+        table = diagnostics.flop_model(inst)
+        assert list(table) == [
+            "grads", "dense_assembly", "dense_solve", "x_update", "E_update", "averaging"
+        ]
+        charged = [key for key in table if mode == "penalty" or not key.startswith("dense")]
+
+        def ledger(t):
+            # t charges of each key, one per step; in penalty mode one more
+            # dense assembly and solve, for the compliances of the t-th iterate
+            calls = {key: t + key.startswith("dense") for key in charged}
+            return {key: sum([float(table[key])] * calls[key]) for key in charged}
+
+        snapshot = res.counter.snapshot()
+        assert snapshot == ledger(30) and list(snapshot) == charged
+        if mode == "penalty":
+            assert snapshot["dense_solve"] == sum([table["dense_solve"]] * 31)
+        assert [row.t for row in rows] == [7, 14, 21, 28, 30]
+        assert [row.flops for row in rows] == [sum(ledger(row.t).values()) for row in rows]
+
+    def test_penalty_mode_above_dense_threshold_refused_before_any_row(
+        self, small_mesh_instance
+    ):
+        rows = []
+        cfg = SolverConfig(mode="penalty", iterations=5, log_stride=1,
+                           dense_threshold=small_mesh_instance.N - 1)
+        with pytest.raises(InvalidInstance, match="dense-only"):
+            run_solver(small_mesh_instance, cfg, sink=rows.append)
+        assert rows == []
+
     def test_nonfinite_gap_raises_naming_step(self, small_mesh_instance, monkeypatch):
         nan = float("nan")
         monkeypatch.setattr(diagnostics, "gap_estimate", lambda acc, inst: (nan, nan, nan))
