@@ -51,7 +51,9 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     which are computed once and also feed the bound column and the
     certificate.  Returns the report dictionary.  Violation columns are
     filled from the banded compliance solve at logged rows (penalty mode
-    already has them).  Above the dense threshold, penalty mode and
+    already has them).  The band layout (``penalty.band_layout``) is built
+    once and shared by every banded solve: the bound data, the rows, the
+    final violation and the certificate.  Above the dense threshold, penalty mode and
     rank-deficient bound data are refused before any file is opened; the
     per-row violation columns are recorded as NaN, the final violation and
     the certificate are left out, and with a fixed tau and sigma0 the
@@ -61,13 +63,16 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
         check_dense_size(instance, "penalty mode", config.dense_threshold)
     dense_ok = instance.N <= config.dense_threshold
     tau, sigma0, constants = config.tau, config.sigma0, None
-    if tau is None or sigma0 is None:
+    auto = tau is None or sigma0 is None
+    # the one band layout of every banded solve below
+    layout = penalty.band_layout(instance) if auto or dense_ok else None
+    if auto:
         tau, auto_sigma, constants = diagnostics.optimal_parameters(
-            instance, config.scheme, tau, config.dense_threshold
+            instance, config.scheme, tau, config.dense_threshold, layout
         )
         sigma0 = auto_sigma if sigma0 is None else sigma0
     elif dense_ok:
-        constants = diagnostics.compute_constants(instance, tau, config.dense_threshold)
+        constants = diagnostics.compute_constants(instance, tau, config.dense_threshold, layout)
     config = dataclasses.replace(config, tau=tau, sigma0=sigma0)
 
     csv_path = f"{out_prefix}.csv"
@@ -80,7 +85,9 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
             nonlocal best_feasible_obj
             lit, pos = rec.violation_literal, rec.violation_positive
             if lit is None and dense_ok and config.mode == "plain":
-                comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
+                comp = fem2d.reference_compliance(
+                    instance, MaterialState.from_dense(rec.E_ref), layout
+                )
                 lit, pos = penalty.violation_sums(instance, comp)
             if pos is not None and rec.feasible and pos <= 0.0:
                 obj = rec.objective
@@ -113,7 +120,7 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     feasible_flag = None
     certificate = None
     if dense_ok:
-        comp = fem2d.reference_compliance(instance, result.E_last)
+        comp = fem2d.reference_compliance(instance, result.E_last, layout)
         final_literal, final_positive = penalty.violation_sums(instance, comp)
         in_Q, _ = feasible_E(instance, result.E_last)
         feasible_flag = bool(in_Q and final_positive <= 1e-9 * max(1.0, instance.gamma))
@@ -122,7 +129,7 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
             f_star_upper = float(np.sum(instance.rho_u))  # always an upper bound
         cert = diagnostics.approximation_certificate(
             instance, result.E_avg, result.x_avg.vectors, f_star_upper,
-            lam_min_BtB=constants.lam_min_BtB,
+            lam_min_BtB=constants.lam_min_BtB, layout=layout,
         )
         certificate = {
             "f_star_upper_estimate": f_star_upper,

@@ -189,11 +189,14 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
     return ProblemInstance(cols.T, np.moveaxis(B, -1, 0), loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
-def reference_compliance(instance: ProblemInstance, E: MaterialState):
-    """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size)."""
+def reference_compliance(instance: ProblemInstance, E: MaterialState, layout=None):
+    """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size).
+
+    ``layout`` is ``penalty.band_layout(instance)``, built when None.
+    """
     from . import penalty
 
-    return penalty.compliances(instance, E.dense())
+    return penalty.compliances(instance, E.dense(), layout)
 
 
 # -- file formats ---------------------------------------------------------
@@ -204,6 +207,10 @@ STATE_MAGIC = "fmo-state/1"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _fmt_row(values: list) -> str:
+    return " ".join(map(repr, values))
 
 
 def write_instance(instance: ProblemInstance, path) -> None:
@@ -237,8 +244,8 @@ def write_instance(instance: ProblemInstance, path) -> None:
     )
     for name in ("r", "gamma", "eta", "nu"):
         lines.append(f"param {name} {_fmt(getattr(instance, name))}")
-    lines.append("rho_l " + " ".join(_fmt(v) for v in instance.rho_l))
-    lines.append("rho_u " + " ".join(_fmt(v) for v in instance.rho_u))
+    lines.append("rho_l " + _fmt_row(instance.rho_l.tolist()))
+    lines.append("rho_u " + _fmt_row(instance.rho_u.tolist()))
     # nonzeros in (element, point, row, local column) order, padding skipped
     elem, point, rows, local = np.nonzero(instance.B_packed)
     entries = zip(
@@ -251,10 +258,10 @@ def write_instance(instance: ProblemInstance, path) -> None:
         i, ig = divmod(block, instance.nig)
         lines.append(f"B {i} {ig} {count}")
         for row, col, val in itertools.islice(entries, count):
-            lines.append(f"{row} {col} {_fmt(val)}")
-    for j in range(instance.L):
+            lines.append(f"{row} {col} {val!r}")
+    for j, load in enumerate(instance.loads.tolist()):
         lines.append(f"load {j}")
-        lines.append(" ".join(_fmt(v) for v in instance.loads[j]))
+        lines.append(_fmt_row(load))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -440,12 +447,10 @@ def write_state(state: MaterialState, path) -> None:
         block <i>
         <k rows of k floats>     # dense symmetric block, repr round-trip
     """
-    dense = state.dense()
     lines = [STATE_MAGIC, f"dims m={state.m} k={state.k}"]
-    for i in range(state.m):
+    for i, block in enumerate(state.dense().tolist()):
         lines.append(f"block {i}")
-        for row in dense[i]:
-            lines.append(" ".join(_fmt(v) for v in row))
+        lines.extend(_fmt_row(row) for row in block)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -10,7 +10,8 @@ violation columns and the certificate out above it.  Compliances outside
 penalty mode (report rows, certificate, gamma probe) come from
 ``compliances``, a banded Cholesky in reverse Cuthill-McKee order
 (``band_cholesky``, which also factors A(I) for the bound data) that
-needs no gate.
+needs no gate; its order and scatter index (``band_layout``) are built
+once per run and passed down.
 """
 
 from __future__ import annotations
@@ -93,13 +94,16 @@ def _factor_and_solve(instance: ProblemInstance, A):
     )
 
 
-def _band_layout(instance: ProblemInstance):
+def band_layout(instance: ProblemInstance):
     """Reverse Cuthill-McKee order of the DOFs and the lower-band scatter index.
 
     Returns ``(perm, lower, band_idx, bw)``: ``perm`` lists the DOFs in RCM
     order, ``lower`` masks the (m, n_loc, n_loc) element-stiffness entries
     on or below the diagonal in that order, and ``band_idx`` is the flat
-    position of each of them in (bw + 1, N) LAPACK lower band storage.
+    position of each of them in (bw + 1, N) LAPACK lower band storage.  It
+    depends only on the instance's sparsity, so a run builds it once and
+    passes it to every banded solve (the ``layout`` argument here and in
+    ``fem2d`` and ``diagnostics``); nothing is cached on the instance.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -121,19 +125,19 @@ def _band_layout(instance: ProblemInstance):
     return perm, lower, band_idx, int(offset[lower].max(initial=0))
 
 
-def band_cholesky(instance: ProblemInstance, E_dense):
+def band_cholesky(instance: ProblemInstance, E_dense, layout=None):
     """A(E) in reverse Cuthill-McKee order, as a band and its Cholesky factor.
 
     In that order A(E) of a mesh is banded, so LAPACK's band factorization
     costs about N bw^2 flops instead of N^3 / 3.  Returns
     ``(perm, band, factor)``: ``band`` is the (bw + 1, N) lower band
     storage of A(E)[perm][:, perm], and ``factor`` its lower Cholesky
-    factor, or None when A(E) is not numerically positive definite.  The
-    order is rebuilt on every call, so nothing is cached on the instance;
-    no N x N array is formed, so no size gate applies.
+    factor, or None when A(E) is not numerically positive definite.
+    ``layout`` is ``band_layout(instance)``, built here when None; no N x N
+    array is formed, so no size gate applies.
     """
     N = instance.N
-    perm, lower, band_idx, bw = _band_layout(instance)
+    perm, lower, band_idx, bw = band_layout(instance) if layout is None else layout
     band = np.bincount(
         band_idx, weights=element_stiffness(instance, E_dense)[lower], minlength=(bw + 1) * N
     ).reshape(bw + 1, N)
@@ -144,9 +148,12 @@ def band_cholesky(instance: ProblemInstance, E_dense):
     return perm, band, factor
 
 
-def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
-    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E)."""
-    perm, band, factor = band_cholesky(instance, E_dense)
+def compliances(instance: ProblemInstance, E_dense, layout=None) -> np.ndarray:
+    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E).
+
+    ``layout`` is ``band_layout(instance)``, built when None.
+    """
+    perm, band, factor = band_cholesky(instance, E_dense, layout)
     if factor is None:
         lam_min = float(
             scipy.linalg.eigvals_banded(

@@ -9,9 +9,12 @@ Two related problems are solved here in closed form:
   and an eigenvalue floor (``project_spectral``), which reduces to the
   vector problem on the eigenvalues.
 
-``proj_sym_l`` / ``proj_sym_g`` are the specialized eigenvalue scans used
-by the per-block material update; ``project_blocks`` is their batched
-form used in the solver hot loop.
+``proj_sym_l`` / ``proj_sym_g`` are the per-block eigenvalue scans of the
+material update, kept as the reference ``project_blocks`` is checked
+against.  ``project_blocks`` is the batched update of the solver hot loop:
+a certified trace shift for most blocks, and for the rest a closed form
+when k = 3 (``_trig_eigenvalues``, shared with ``lambda_min``) or one
+batched eigendecomposition otherwise.
 """
 
 from __future__ import annotations
@@ -485,25 +488,27 @@ def trace_spread(blocks):
     return mean, np.sqrt((k - 1) / k * np.einsum("ijq,ijq->q", dev, dev))
 
 
-# blocks with cos(3 phi) above 1 - this go to eigvalsh; on the test spectra
-# the closed form is then within 1e-13 (|tr|/k + spread) of eigvalsh
+# blocks with cos(3 phi) within this of 1 (a double smallest eigenvalue) or
+# of -1 (a double largest one) go to eigvalsh/eigh when the caller needs that
+# end's eigenvalue; on the test spectra the closed forms stay at rounding
+# level outside it (see test_proj)
 DOUBLE_ROOT_MARGIN = 1e-6
 
 
-def lambda_min(blocks):
-    """Smallest eigenvalue of each symmetric (k, k, m) block, shape (m,).
+def _trig_eigenvalues(blocks, with_max: bool):
+    """End eigenvalues of symmetric (3, 3, m) blocks by the trigonometric form.
 
-    For k = 3 the trigonometric form of the characteristic cubic: with
-    q = tr/3, p = ||S - qI||_F / sqrt(6) and cos(3 phi) = det((S - qI)/p) / 2,
-    lambda_min = q + 2p cos(phi + 2 pi/3), computed elementwise along the
-    element axis; p = 0 means S = qI.  Near a double smallest eigenvalue
-    cos(3 phi) -> 1 and acos turns a rounding error e in the cosine into
-    sqrt(e) in lambda_min (Kopp, arXiv:physics/0610206), so those blocks,
-    non-finite ones and every block when k != 3 go to ``eigvalsh``.
+    With q = tr/3, p = ||S - qI||_F / sqrt(6) and cos(3 phi) = det((S - qI)/p) / 2,
+    the eigenvalues are q + 2p cos(phi + 2 pi j/3): j = 1 gives the smallest,
+    j = 0 the largest, computed elementwise along the element axis; p = 0
+    means S = qI.  Returns ``(roots, q, unresolved)``: ``roots`` holds the
+    smallest eigenvalue and, with ``with_max``, the largest; ``unresolved``
+    masks the blocks the closed form cannot give to rounding accuracy.  Near
+    a double root at an end, cos(3 phi) -> 1 (smallest) or -1 (largest) and
+    acos turns a rounding error e in the cosine into sqrt(e) in that end's
+    eigenvalue (Kopp, arXiv:physics/0610206), so blocks within
+    ``DOUBLE_ROOT_MARGIN`` of it are unresolved, as are non-finite blocks.
     """
-    k = blocks.shape[0]
-    if k != 3:
-        return np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))[:, 0]
     q = np.trace(blocks) / 3.0
     d0, d1, d2 = blocks[0, 0] - q, blocks[1, 1] - q, blocks[2, 2] - q
     # move the rounding left in q into q, so the deviator is trace-free and
@@ -520,10 +525,31 @@ def lambda_min(blocks):
         cos3 = 0.5 * (
             d0 * (d1 * d2 - a12 * a12) - a01 * (a01 * d2 - a12 * a02) + a02 * (a01 * a12 - d1 * a02)
         )
-        out = q + 2.0 * p * np.cos(np.arccos(np.maximum(cos3, -1.0)) / 3.0 + 2.0 * np.pi / 3.0)
-    out[isotropic] = q[isotropic]
-    # the negated test also sends NaN cosines (non-finite blocks) to eigvalsh
-    rest = np.flatnonzero(~(cos3 < 1.0 - DOUBLE_ROOT_MARGIN) & ~isotropic)
+        angle = np.arccos(np.maximum(cos3, -1.0)) / 3.0
+        roots = [q + 2.0 * p * np.cos(angle + 2.0 * np.pi / 3.0)]
+        if with_max:
+            roots.append(q + 2.0 * p * np.cos(angle))
+    for root in roots:
+        root[isotropic] = q[isotropic]
+    # the negated tests also catch NaN cosines (non-finite blocks)
+    unresolved = ~(cos3 < 1.0 - DOUBLE_ROOT_MARGIN)
+    if with_max:
+        unresolved |= ~(cos3 > DOUBLE_ROOT_MARGIN - 1.0)
+    return roots, q, unresolved & ~isotropic
+
+
+def lambda_min(blocks):
+    """Smallest eigenvalue of each symmetric (k, k, m) block, shape (m,).
+
+    For k = 3 the trigonometric form of the characteristic cubic
+    (``_trig_eigenvalues``); blocks near a double smallest eigenvalue,
+    non-finite ones and every block when k != 3 go to ``eigvalsh``.
+    """
+    k = blocks.shape[0]
+    if k != 3:
+        return np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))[:, 0]
+    (out,), _, unresolved = _trig_eigenvalues(blocks, with_max=False)
+    rest = np.flatnonzero(unresolved)
     if rest.size:
         out[rest] = np.linalg.eigvalsh(np.moveaxis(blocks[:, :, rest], -1, 0))[:, 0]
     return out
@@ -538,11 +564,12 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     Z = Y + ((T - tr Y)/k) I is the projection whenever lambda_min(Z) >= r
     (the trace multiplier alone satisfies the KKT conditions).  That is
     certified by the trace/Frobenius bound on lambda_max(s)
-    (Wolkowicz-Styan), computed elementwise on (k, k, m) slices; only the
-    blocks it cannot certify are gathered into (n, k, k) for the batched
-    eigendecomposition and the vectorized trace scans.  ``s_blocks`` is
-    (m, k, k) in any layout; the result is an (m, k, k) view of (k, k, m)
-    storage.
+    (Wolkowicz-Styan), computed elementwise on (k, k, m) slices.  The
+    blocks it cannot certify are gathered into (k, k, n) and solved in
+    closed form when k = 3 (``_project_blocks_3x3``), through one batched
+    eigendecomposition otherwise (``_project_blocks_eigh``).  ``s_blocks``
+    is (m, k, k) in any layout; the result is an (m, k, k) view of
+    (k, k, m) storage.
     """
     s = np.moveaxis(np.asarray(s_blocks, dtype=float), 0, -1)
     k, _, m = s.shape
@@ -555,24 +582,88 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     out = np.divide(s, -beta_tau, out=np.empty((k, k, m)))
     out[diag, diag] += r + shift
     # lambda_max(s) <= mean + spread, so lambda_min(Z) >= r where this holds;
-    # the negated test also sends non-finite blocks to the scans
+    # the negated test also sends non-finite blocks to the solves
     scan = np.flatnonzero(~(mean + spread <= shift * beta_tau))
     if scan.size:
-        sub = _project_blocks_eigh(
-            np.moveaxis(s[:, :, scan], -1, 0), beta_tau, rho_l[scan], rho_u[scan], r
-        )
-        out[:, :, scan] = np.moveaxis(sub, 0, -1)
+        solve = _project_blocks_3x3 if k == 3 else _project_blocks_eigh
+        out[:, :, scan] = solve(s[:, :, scan], beta_tau, rho_l[scan], rho_u[scan], r)
     return np.moveaxis(0.5 * (out + out.transpose(1, 0, 2)), -1, 0)
 
 
-def _project_blocks_eigh(s_blocks, beta_tau: float, rho_l, rho_u, r: float):
-    """The material update through one batched eigendecomposition.
+# per prefix {1..j} of a descending 3-spectrum: the count 3 - j of the
+# entries left at the floor, and j
+_PREFIX_FLOOR = np.array([[2.0], [1.0], [0.0]])
+_PREFIX_SIZE = np.array([[1.0], [2.0], [3.0]])
+# flat (row-major) positions of the four factors in the cofactor of (i, j) of
+# a 3x3 matrix, a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1] (indices
+# mod 3); for a symmetric matrix row i of the cofactors is the cross product
+# of the other two rows
+_COFACTOR = np.array([
+    [[3 * ((i + di) % 3) + (j + dj) % 3 for j in range(3)] for i in range(3)]
+    for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))
+])
+
+
+def _project_blocks_3x3(s, beta_tau: float, rho_l, rho_u, r: float):
+    """The material update of (3, 3, n) blocks in closed form, elementwise.
+
+    With eigenvalues lam1 <= lam2 <= lam3 of s (``_trig_eigenvalues``),
+    mu = r - lam/bt is the descending spectrum of Y = r*I - s/bt, and the
+    trace shift phi of ``_project_spectra`` is the prefix shift of the
+    longest admissible prefix of mu.  With c = #{mu_i + phi <= r} clipped
+    eigenvalues the projection needs at most one eigenvector:
+    c = 0: Y + phi I; c = 1: Y + phi I + (r - mu3 - phi) v3 v3^T;
+    c = 2: r I + (mu1 + phi - r) v1 v1^T; c = 3: r I.  v is the largest
+    cross product of two rows of s - lam I (Kopp, arXiv:physics/0610206).
+    It is ill-conditioned only near a double eigenvalue, where its
+    coefficient is smaller than that eigen-gap over bt, so the error stays
+    at rounding level.  Blocks ``_trig_eigenvalues`` leaves unresolved go
+    to ``_project_blocks_eigh``.  Returns (3, 3, n).
+    """
+    s = np.ascontiguousarray(s)  # the diagonal is updated through flat views
+    (lam1, lam3), q, unresolved = _trig_eigenvalues(s, with_max=True)
+    n = q.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # unresolved blocks are redone below
+        mu = r - np.array([lam1, 3.0 * q - lam1 - lam3, lam3]) / beta_tau
+        t0 = np.maximum(mu, r).sum(axis=0)
+        bound = np.clip(t0, rho_l, rho_u)
+        # shifts of the prefixes {1}, {1, 2}, {1, 2, 3} onto the bound, and the
+        # longest admissible prefix; no shift where the clipped trace is inside
+        shifts = (bound - np.cumsum(mu, axis=0) - _PREFIX_FLOOR * r) / _PREFIX_SIZE
+        admit = mu[1:] + shifts[1:] > r
+        phi = np.where(admit[0], np.where(admit[1], shifts[2], shifts[1]), shifts[0])
+        phi[t0 == bound] = 0.0
+        low = mu[1] + phi <= r  # c >= 2: r I plus the lam1 part
+        coef = np.maximum(np.where(low, mu[0] + phi - r, r - mu[2] - phi), 0.0)
+        # (s - lam I) / (lam3 - lam1) has O(1) entries, so the cross products
+        # of its rows (the rows of its adjugate) neither underflow nor overflow;
+        # zero where no eigenvector is needed
+        scale = np.divide(1.0, lam3 - lam1, out=np.zeros(n), where=coef > 0.0)
+        a = s * scale
+        a.reshape(9, n)[::4] -= np.where(low, lam1, lam3) * scale  # the diagonal
+        g = a.reshape(9, n)[_COFACTOR]
+        cross = g[0] * g[1] - g[2] * g[3]
+        norm2 = np.einsum("ijn,ijn->in", cross, cross)
+        v = np.where(norm2[0] >= np.maximum(norm2[1], norm2[2]), cross[0],
+                     np.where(norm2[1] >= norm2[2], cross[1], cross[2]))
+        weight = np.divide(coef, norm2.max(axis=0), out=np.zeros(n), where=coef > 0.0)
+        out = s * np.where(low, 0.0, -1.0 / beta_tau)
+        out += weight * v[:, None] * v[None, :]
+    out.reshape(9, n)[::4] += r + np.where(low, 0.0, phi)
+    rest = np.flatnonzero(unresolved)
+    if rest.size:
+        out[:, :, rest] = _project_blocks_eigh(s[:, :, rest], beta_tau, rho_l[rest], rho_u[rest], r)
+    return out
+
+
+def _project_blocks_eigh(s, beta_tau: float, rho_l, rho_u, r: float):
+    """The material update of (k, k, n) blocks through one batched eigendecomposition.
 
     Runs the vectorized trace scans on mu = r - lam/(beta*tau) and rebuilds
-    Q diag(omega) Q^T elementwise on (k, k, n) storage, returned as an
-    (n, k, k) view; the fallback of ``project_blocks``.
+    Q diag(omega) Q^T elementwise on (k, k, n) storage; the solve of
+    ``project_blocks`` for k != 3 and the fallback of ``_project_blocks_3x3``.
     """
-    lam, Q = np.linalg.eigh(s_blocks)
+    lam, Q = np.linalg.eigh(np.moveaxis(s, -1, 0))
     omega = _project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
     Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
-    return np.moveaxis(np.einsum("ijq,kjq->ikq", Q * omega.T, Q), -1, 0)
+    return np.einsum("ijq,kjq->ikq", Q * omega.T, Q)

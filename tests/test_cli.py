@@ -203,6 +203,30 @@ class TestMain:
         assert report["certificate"] is not None
         assert calls == {"smallest_nonzero_singular_sq": 1, "power_iteration_norm": 0}
 
+    def test_band_layout_built_once_per_run(self, tmp_path, capsys, monkeypatch):
+        # the cli-logged size: 32x16, L = 3, bound data, logged rows, the final
+        # violation and the certificate all solve on the one layout
+        built = []
+        band_layout = penalty.band_layout
+
+        def counted(instance):
+            built.append(instance.N)
+            return band_layout(instance)
+
+        monkeypatch.setattr(penalty, "band_layout", counted)
+        rc = cli.main([
+            "--mesh", "32x16", "--load", "right_edge:0,-1", "--load", "top_right:0.5,-1",
+            "--load", "bottom_right:-0.5,-1", "--gamma", "400", "--scheme", "weighted",
+            "--iters", "30", "--tau", "auto", "--sigma0", "auto", "--autotune-window", "10",
+            "--stride", "10", "--out", str(tmp_path / "c"),
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["N"] == 1088 and report["certificate"] is not None
+        rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.split(",")[5] != "nan" for row in rows)
+        assert built == [1088]
+
     def test_bad_input_exit_two(self, tmp_path, capsys):
         rc = cli.main(["--instance", str(tmp_path / "missing.fmo")])
         assert rc == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fmopt import fem2d, penalty
+from fmopt import diagnostics, fem2d, penalty
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance, element_matrices
 from fmopt.model import InvalidInstance, MaterialState, ProblemInstance
 from fmopt.oracle import compliances_reference, dense_stiffness_reference
@@ -207,6 +207,26 @@ class TestReferenceCompliance:
             got = fem2d.reference_compliance(inst, MaterialState.from_dense(blocks))
             np.testing.assert_allclose(got, ref, rtol=1e-10)
 
+    def test_passed_layout_matches_a_fresh_build_bitwise(self, rng):
+        # the band layout is a value: built once and passed down, it gives the
+        # compliances and the bound data of a build inside each call
+        spec = MeshSpec(nx=6, ny=3, lx=6.0, ly=3.0, loads=(
+            LoadSpec("right_edge", (0.0, -1.0)),
+            LoadSpec("top_right", (0.5, 0.5)),
+        ))
+        mesh = build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
+        inst = renumbered(mesh, rng.permutation(mesh.N))
+        layout = penalty.band_layout(inst)
+        for _ in range(3):
+            blocks = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
+            fresh = penalty.compliances(inst, blocks)
+            np.testing.assert_array_equal(penalty.compliances(inst, blocks, layout), fresh)
+            got = fem2d.reference_compliance(inst, MaterialState.from_dense(blocks), layout)
+            np.testing.assert_array_equal(got, fresh)
+        assert diagnostics.smallest_nonzero_singular_sq(inst, layout=layout) == (
+            diagnostics.smallest_nonzero_singular_sq(inst)
+        )
+
     def test_scaling_inverse_in_material(self, rng, small_mesh_instance):
         inst = small_mesh_instance
         blocks = random_feasible_blocks(rng, inst.m, 3, 0.3, 3.0, 0.05)
@@ -273,6 +293,45 @@ class TestFileFormats:
         fem2d.write_state(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
         np.testing.assert_array_equal(state.dense(), again.dense())
+
+    def test_rows_format_as_repr_of_each_element(self, tmp_path, rng):
+        # rows are formatted from tolist() in bulk; the files are those of
+        # repr(float(x)) applied to each numpy element, as written before
+        special = [0.0, -0.0, 1.0 / 3.0, 5e-324, 2.2250738585072014e-308, 1e22, -1e-7, 0.1,
+                   123456789.125, 1e300]
+        values = rng.normal(0, 1, 60) * 10.0 ** rng.integers(-150, 150, 60)
+        values[:len(special)] = special
+
+        def old_row(row):
+            return " ".join(repr(float(v)) for v in row)
+
+        state = MaterialState.from_dense(values[:54].reshape(6, 3, 3))
+        path = tmp_path / "s.fmo"
+        fem2d.write_state(state, path)
+        old = [fem2d.STATE_MAGIC, "dims m=6 k=3"]
+        for i, block in enumerate(state.dense()):
+            old += [f"block {i}"] + [old_row(row) for row in block]
+        assert path.read_text() == "\n".join(old) + "\n"
+
+        base = make_synthetic_instance(rng, m=4, N=11, L=2)
+        loads = np.concatenate([values[:12], values[-10:]]).reshape(2, 11)
+        rho_l = 0.3 + 0.1 * rng.random(4)
+        rho_l[0] = 0.1 + 0.2  # 0.30000000000000004
+        inst = ProblemInstance(base.cols_packed, base.B_packed, loads, rho_l, 2.0 + rng.random(4),
+                               0.1, 4.0, 6.0)
+        path = tmp_path / "i.fmo"
+        fem2d.write_instance(inst, path)
+        lines = path.read_text().splitlines()
+        assert lines[6] == "rho_l " + old_row(inst.rho_l)
+        assert lines[7] == "rho_u " + old_row(inst.rho_u)
+        for j in range(inst.L):
+            at = lines.index(f"load {j}")
+            assert lines[at + 1] == old_row(inst.loads[j])
+        triplets = [line.split() for line in lines[8:lines.index("load 0")] if line[0] != "B"]
+        elem, point, rows, local = np.nonzero(inst.B_packed)
+        assert [t[2] for t in triplets] == [
+            repr(float(v)) for v in inst.B_packed[elem, point, rows, local]
+        ]
 
     @pytest.mark.parametrize("case,line", [
         ("truncated", 10),

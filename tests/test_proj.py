@@ -1,5 +1,7 @@
 """Projection operators against the enumeration oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,15 +411,22 @@ class TestMaterialSpectrumScans:
         # random blocks; near-isotropic blocks t*I + eps*G; and blocks with
         # spectrum (a, b, ..., b), where the trace/Frobenius bound on the top
         # eigenvalue is exact, placed 1e-9 inside (certified trace shift) and
-        # outside (eigendecomposition) the certificate boundary
-        scanned = set()
-        eigh_path = proj._project_blocks_eigh
+        # outside (closed form for k = 3, eigendecomposition otherwise) the
+        # certificate boundary
+        scanned = {}  # block bytes -> the solve that first took the block
 
-        def counted(s_sub, *args):
-            scanned.update(blk.tobytes() for blk in s_sub)
-            return eigh_path(s_sub, *args)
+        def spy(name):
+            solve = getattr(proj, name)
 
-        monkeypatch.setattr(proj, "_project_blocks_eigh", counted)
+            def counted(s_sub, *args):
+                for blk in np.moveaxis(s_sub, -1, 0):
+                    scanned.setdefault(blk.tobytes(), name)
+                return solve(s_sub, *args)
+
+            return counted
+
+        for name in ("_project_blocks_3x3", "_project_blocks_eigh"):
+            monkeypatch.setattr(proj, name, spy(name))
         r, beta_tau = 0.15, 0.8
         for k in (2, 3, 6):
             lo, hi = k * r + 0.5, k * r + 2.0  # trace window of the structured blocks
@@ -463,6 +472,9 @@ class TestMaterialSpectrumScans:
                 on_scan = s[i].tobytes() in scanned
                 if expect_scan[i] is not None:
                     assert on_scan == expect_scan[i], (k, i)
+                if on_scan:
+                    path = "_project_blocks_3x3" if k == 3 else "_project_blocks_eigh"
+                    assert scanned[s[i].tobytes()] == path, (k, i)
                 neg_sum = lam[lam < 0].sum()
                 if neg_sum < beta_tau * (k * r - rho_u[i]):
                     case = "cap"
@@ -561,3 +573,159 @@ class TestLambdaMin:
         blocks = g + g.transpose(0, 2, 1)
         got = proj.lambda_min(np.moveaxis(blocks, 0, -1))
         np.testing.assert_array_equal(got, np.linalg.eigvalsh(blocks)[:, 0])
+
+    def test_closed_form_is_the_trigonometric_formula_bitwise(self, rng):
+        # the shared helper keeps lambda_min's arithmetic: the formula written
+        # out, on blocks it resolves (the rest are eigvalsh's, pinned above)
+        g = rng.normal(0, 1, (3, 3, 300))
+        blocks = (g + g.transpose(1, 0, 2)) * 10.0 ** rng.integers(-6, 7, 300)
+        blocks[:, :, :20] = 7.0 * np.eye(3)[:, :, None] + 1e-108 * blocks[:, :, :20]
+        q = np.trace(blocks) / 3.0
+        d = [blocks[i, i] - q for i in range(3)]
+        shift = (d[0] + d[1] + d[2]) / 3.0
+        q, d = q + shift, [x - shift for x in d]
+        a01, a02, a12 = blocks[0, 1], blocks[0, 2], blocks[1, 2]
+        p = np.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+        d0, d1, d2, a01, a02, a12 = (x / p for x in (*d, a01, a02, a12))
+        cos3 = 0.5 * (
+            d0 * (d1 * d2 - a12 * a12) - a01 * (a01 * d2 - a12 * a02) + a02 * (a01 * a12 - d1 * a02)
+        )
+        want = q + 2.0 * p * np.cos(np.arccos(np.maximum(cos3, -1.0)) / 3.0 + 2.0 * np.pi / 3.0)
+        assert np.all(cos3 < 1.0 - proj.DOUBLE_ROOT_MARGIN)
+        np.testing.assert_array_equal(proj.lambda_min(blocks), want)
+
+
+class TestClosedForm3x3:
+    """The k = 3 material update without eigh, against eigh and the oracle."""
+
+    @staticmethod
+    def adversarial_blocks(rng):
+        def rotated(spectrum):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            return (Q * np.asarray(spectrum, dtype=float)) @ Q.T
+
+        out = []
+        for _ in range(150):
+            g = rng.normal(0, 1, (3, 3))
+            out.append(g + g.T)
+        for t in (1.0, -3.0, 0.3):
+            for eps in (0.0, 1e-16, 1e-14, 1e-10, 1e-6, 1e-3):  # near-isotropic
+                g = rng.normal(0, 1, (3, 3))
+                out.append(t * np.eye(3) + eps * (g + g.T))
+        # axis-aligned eigenvectors: the cross products of all but one pair of
+        # rows vanish
+        for order in itertools.permutations([-1.0, 0.5, 2.0]):
+            out.append(np.diag(order))
+        # the smallest two (b > a) or the largest two (b < a) eigenvalues split
+        # by delta: exactly double, near-double and well apart
+        for a, b in ((1.0, 2.0), (1.0, 0.0), (-1.0, 5.0), (0.1, 0.3), (-0.2, -0.1)):
+            for delta in np.concatenate([[0.0], np.logspace(-16, -1, 16)]):
+                out.append(rotated([a, a + delta, b]))
+        return np.moveaxis(np.array(out), 0, -1)
+
+    # (beta*tau, trace window): cap, floor and interior cases, up to all three
+    # eigenvalues clipped, and an equality window
+    CASES = ((0.1, (0.2, 0.5)), (1.0, (0.5, 3.0)), (10.0, (0.16, 0.2)), (1.0, (1.0, 1.0)),
+             (0.5, (0.15, 100.0)), (3.0, (0.2, 0.4)))
+
+    def test_adversarial_spectra_match_eigh_and_oracle(self, rng, monkeypatch):
+        sent = []
+        eigh_path = proj._project_blocks_eigh
+
+        def counted(s_sub, *args):
+            sent.append(s_sub.shape[-1])
+            return eigh_path(s_sub, *args)
+
+        base = self.adversarial_blocks(rng)
+        n, r = base.shape[-1], 0.05
+        clipped = set()
+        for scale in (1.0, 1e6, 1e-6):
+            for bt, (lo, hi) in self.CASES:
+                for beta_tau in (bt, bt * scale):
+                    s = scale * base
+                    rho_l, rho_u = np.full(n, lo), np.full(n, hi)
+                    monkeypatch.setattr(proj, "_project_blocks_eigh", counted)
+                    got = proj._project_blocks_3x3(s, beta_tau, rho_l, rho_u, r)
+                    monkeypatch.undo()
+                    want = proj._project_blocks_eigh(s, beta_tau, rho_l, rho_u, r)
+                    size = np.abs(s).max(axis=(0, 1)) / beta_tau + hi
+                    np.testing.assert_array_less(
+                        np.abs(got - want).max(axis=(0, 1)), 1e-13 * size
+                    )
+                    lam = np.linalg.eigvalsh(np.moveaxis(s, -1, 0))
+                    omega = proj._project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
+                    clipped.update(np.sum(omega <= r, axis=1).tolist())
+                    if scale == 1.0 and beta_tau == bt:
+                        for i in range(0, n, 9):
+                            U = r * np.eye(3) - s[:, :, i] / beta_tau
+                            ref = spectral_kkt_reference(U, lo, hi, r)
+                            assert np.abs(got[:, :, i] - ref).max() <= 1e-13 * size[i]
+        assert clipped == {0, 1, 2, 3}
+        # near-double roots go to eigh, everything else is closed form
+        assert sent and max(sent) < n // 3
+
+    def test_project_blocks_k3_needs_no_eigh_off_double_roots(self, rng, monkeypatch):
+        g = rng.normal(0, 1, (200, 3, 3))
+        s = g + g.transpose(0, 2, 1)
+        rho_l = 0.3 + rng.random(200)
+        rho_u = rho_l + 2.0 * rng.random(200)
+
+        def refuse(a):
+            raise AssertionError(f"{a.shape[0]} blocks sent to eigh")
+
+        want = np.array([
+            spectral_kkt_reference(0.1 * np.eye(3) - s[i] / 0.7, rho_l[i], rho_u[i], 0.1)
+            for i in range(200)
+        ])
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        got = project_blocks(s, 0.7, rho_l, rho_u, 0.1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * (np.abs(s).max() / 0.7 + 3.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+    def test_non_finite_blocks_fail_as_eigh_does(self, value, where):
+        # eigh raises on some non-finite blocks and returns NaN on others;
+        # the closed form sends them all to it
+        blocks = np.tile(np.eye(3), (4, 1, 1))
+        blocks[(2,) + where] = value
+        blocks[(2,) + where[::-1]] = value
+        try:
+            np.linalg.eigh(blocks)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                project_blocks(blocks, 0.7, 0.5, 2.0, 0.1)
+        else:
+            with np.errstate(invalid="ignore"):
+                got = project_blocks(blocks, 0.7, 0.5, 2.0, 0.1)
+            assert np.all(np.isnan(got[2])) and np.all(np.isfinite(got[[0, 1, 3]]))
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_other_sizes_keep_the_eigh_path_bitwise(self, rng, monkeypatch, k):
+        # the certified trace shift, then eigh and the trace scans on the
+        # rest, written out
+        g = rng.normal(0, 1, (300, k, k))
+        blocks = g + g.transpose(0, 2, 1)
+        blocks[:100] = np.eye(k) * rng.normal(0, 3, (100, 1, 1)) + 1e-3 * blocks[:100]
+        rho_l = k * 0.1 + rng.random(300)
+        rho_u = rho_l + 2.0 * rng.random(300)
+        bt, r = 0.7, 0.1
+        s = np.moveaxis(blocks, 0, -1)
+        mean, spread = proj.trace_spread(s)
+        tr_y = k * (r - mean / bt)
+        shift = (np.clip(tr_y, rho_l, rho_u) - tr_y) / k
+        out = np.divide(s, -bt, out=np.empty(s.shape))
+        out[np.arange(k), np.arange(k)] += r + shift
+        scan = np.flatnonzero(~(mean + spread <= shift * bt))
+        lam, Q = np.linalg.eigh(blocks[scan])
+        omega = proj._project_spectra(r - lam / bt, rho_l[scan], rho_u[scan], r)
+        Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
+        out[:, :, scan] = np.einsum("ijq,kjq->ikq", Q * omega.T, Q)
+        want = np.moveaxis(0.5 * (out + out.transpose(1, 0, 2)), -1, 0)
+        assert 0 < scan.size < 300
+
+        def refuse(*args):
+            raise AssertionError("k != 3 took the closed form")
+
+        monkeypatch.setattr(proj, "_project_blocks_3x3", refuse)
+        np.testing.assert_array_equal(project_blocks(blocks, bt, rho_l, rho_u, r), want)
