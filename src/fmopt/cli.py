@@ -44,7 +44,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str) -> dict:
+def run(
+    config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str, layout=None
+) -> dict:
     """Solve one instance and write CSV/report/state artifacts under ``out_prefix``.
 
     Resolves an auto (None) ``tau`` or ``sigma0`` from the bound constants,
@@ -52,8 +54,9 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     certificate.  Returns the report dictionary.  Violation columns are
     filled from the banded compliance solve at logged rows (penalty mode
     already has them).  The band layout (``penalty.band_layout``) is built
-    once and shared by every banded solve: the bound data, the rows, the
-    final violation and the certificate.  Above the dense threshold, penalty mode and
+    once, here unless the caller passes it as ``layout``, and shared by
+    every banded solve: the bound data, the rows, the final violation and
+    the certificate.  Above the dense threshold, penalty mode and
     rank-deficient bound data are refused before any file is opened; the
     per-row violation columns are recorded as NaN, the final violation and
     the certificate are left out, and with a fixed tau and sigma0 the
@@ -65,7 +68,8 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     tau, sigma0, constants = config.tau, config.sigma0, None
     auto = tau is None or sigma0 is None
     # the one band layout of every banded solve below
-    layout = penalty.band_layout(instance) if auto or dense_ok else None
+    if layout is None and (auto or dense_ok):
+        layout = penalty.band_layout(instance)
     if auto:
         tau, auto_sigma, constants = diagnostics.optimal_parameters(
             instance, config.scheme, tau, config.dense_threshold, layout
@@ -235,11 +239,12 @@ def _parse_loads(tokens):
     return tuple(loads)
 
 
-def _instance_from_args(args) -> ProblemInstance:
+def _instance_from_args(args):
+    """The run's instance and, when the default-gamma probe built one, its band layout."""
     if args.instance:
         inst = fem2d.read_instance(args.instance)
         if args.eta is None and args.nu is None:
-            return inst
+            return inst, None
         return ProblemInstance(
             inst.cols_packed,
             inst.B_packed,
@@ -250,7 +255,7 @@ def _instance_from_args(args) -> ProblemInstance:
             inst.gamma,
             inst.eta if args.eta is None else args.eta,
             inst.nu if args.nu is None else args.nu,
-        )
+        ), None
     if not args.mesh:
         raise InvalidInstance("provide --instance or --mesh")
     nx, _, ny = args.mesh.partition("x")
@@ -264,17 +269,18 @@ def _instance_from_args(args) -> ProblemInstance:
         fixed_edge=args.fixed_edge,
         loads=loads,
     )
-    gamma = args.gamma
+    gamma, layout = args.gamma, None
     eta = args.eta if args.eta is not None else 10.0
     nu = args.nu if args.nu is not None else 0.0
     if gamma is None:
         probe = fem2d.build_instance(spec, args.rho_l, args.rho_u, args.r, 1.0, eta, nu)
-        comp = fem2d.reference_compliance(probe, probe.start_material())
+        layout = penalty.band_layout(probe)  # gamma leaves the sparsity as it is
+        comp = fem2d.reference_compliance(probe, probe.start_material(), layout)
         gamma = 2.0 * float(np.max(comp))
     inst = fem2d.build_instance(spec, args.rho_l, args.rho_u, args.r, gamma, eta, nu)
     if args.save_instance:
         fem2d.write_instance(inst, args.save_instance)
-    return inst
+    return inst, layout
 
 
 def _fail(exc: Exception, kind: str, code: int) -> int:
@@ -286,7 +292,7 @@ def _fail(exc: Exception, kind: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        instance = _instance_from_args(args)
+        instance, layout = _instance_from_args(args)
         config = saddle.SolverConfig(
             scheme=args.scheme,
             mode=args.mode,
@@ -298,7 +304,7 @@ def main(argv=None) -> int:
             dense_threshold=args.dense_threshold,
             deterministic=args.deterministic,
         )
-        report = run(config, instance, args.out)
+        report = run(config, instance, args.out, layout)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
         return _fail(exc, "numerical", 3)
     except (InvalidInstance, FileNotFoundError, ValueError) as exc:

@@ -104,9 +104,10 @@ def smallest_nonzero_singular_sq(
 
     The squared singular values of the (m*nig*k) x N stacked strain operator
     are the eigenvalues of its N x N Gram matrix A(I) = B^T B.  A(I) is
-    assembled as a band in reverse Cuthill-McKee order and factored
-    (``penalty.band_cholesky``).  When the factorization succeeds, ARPACK
-    Lanczos gives lambda_max on the band as a sparse matrix and
+    assembled as a band in reverse Cuthill-McKee order
+    (``penalty.assemble_band``), copied once into a sparse matrix, and
+    factored in place (``penalty.band_cholesky``).  When the factorization
+    succeeds, ARPACK Lanczos gives lambda_max on the sparse copy and
     lambda_min = 1/mu, with mu the largest eigenvalue of A(I)^{-1} applied
     by band solves; both start from the ones vector, so repeated calls
     agree bit for bit.  Eigenvalues at or below
@@ -123,11 +124,13 @@ def smallest_nonzero_singular_sq(
     rows = m * instance.nig * k
     zero = max(rows, N) * np.finfo(float).eps
     identity = np.broadcast_to(np.eye(k), (m, k, k))
-    _, band, factor = penalty.band_cholesky(instance, identity, layout)
+    band = penalty.assemble_band(instance, identity, layout)[1]
+    # the sparse A(I) is the one copy of the band: the factorization overwrites it
+    lower = dia_array((band, -np.arange(band.shape[0])), shape=(N, N))
+    gram = (lower + lower.T).tocsr()
+    gram.setdiag(band[0])
+    factor = penalty.band_cholesky(band)
     if factor is not None and N > 1:  # ARPACK needs N >= 2
-        lower = dia_array((band, -np.arange(band.shape[0])), shape=(N, N))
-        gram = (lower + lower.T).tocsr()
-        gram.setdiag(band[0])
         inverse = LinearOperator(
             (N, N),
             matvec=lambda v: scipy.linalg.cho_solve_banded((factor, True), v, check_finite=False),

@@ -9,9 +9,15 @@ bound data of a rank-deficient B; the CLI also leaves the per-row
 violation columns and the certificate out above it.  Compliances outside
 penalty mode (report rows, certificate, gamma probe) come from
 ``compliances``, a banded Cholesky in reverse Cuthill-McKee order
-(``band_cholesky``, which also factors A(I) for the bound data) that
-needs no gate; its order and scatter index (``band_layout``) are built
-once per run and passed down.
+(``assemble_band`` and ``band_cholesky``, which also factor A(I) for the
+bound data) that needs no gate; its order and scatter index
+(``band_layout``) are built once per run and passed down.
+
+Storage rule: A(E) is scattered straight into the Fortran-ordered storage
+LAPACK factors (the N x N matrix for ``dpotrf``, the (bw + 1, N) lower
+band for ``dpbtrf``) and factored in place, so no factorization copies
+it.  A factorization destroys the matrix it is handed; a failed one
+rebuilds A(E) from E to report lambda_min.
 """
 
 from __future__ import annotations
@@ -63,29 +69,31 @@ def element_stiffness(instance: ProblemInstance, E_dense):
 
 
 def assemble_dense(instance: ProblemInstance, E_dense):
-    """Dense A(E): per-element congruences scattered into an N x N matrix."""
+    """Dense A(E), Fortran-ordered: per-element congruences scattered column-major."""
     ke = element_stiffness(instance, E_dense)
-    cols = instance.cols_packed  # flattened (row, col) target of every ke entry
-    idx = (cols[:, :, None] * instance.N + cols[:, None, :]).ravel()
-    return np.bincount(idx, weights=ke.ravel(), minlength=instance.N**2).reshape(
-        instance.N, instance.N
+    N, cols = instance.N, instance.cols_packed
+    # ke[q, a, b] adds to A[cols[q, a], cols[q, b]]: flat position row + col * N in Fortran order
+    idx = (cols[:, :, None] + cols[:, None, :] * N).ravel()
+    return np.bincount(idx, weights=ke.ravel(), minlength=N**2).reshape(N, N, order="F")
+
+
+def _singular(lam_min) -> NumericalFailure:
+    return NumericalFailure(
+        f"stiffness singular - check boundary conditions (lambda_min ~ {float(lam_min):.3e})"
     )
 
 
-def compliances_from_dense(instance: ProblemInstance, A):
-    """Per-load <A^{-1} f_j, f_j> via one Cholesky factorization."""
-    return _factor_and_solve(instance, A).compliances
-
-
 def _factor_and_solve(instance: ProblemInstance, A):
-    try:
-        chol = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        lam_min = float(np.linalg.eigvalsh(A)[0])
-        raise NumericalFailure(
-            f"stiffness singular - check boundary conditions (lambda_min ~ {lam_min:.3e})"
-        ) from exc
-    sol = scipy.linalg.cho_solve(chol, instance.loads.T, check_finite=False)
+    """Cholesky-factor ``A`` in place and solve for every load.
+
+    ``A`` is the Fortran-ordered A(E) of ``assemble_dense``, so ``dpotrf``
+    overwrites it with the factor and copies nothing.  Returns None when A
+    is not numerically positive definite; A is destroyed either way.
+    """
+    factor, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        return None
+    sol, _ = scipy.linalg.lapack.dpotrs(factor, instance.loads.T, lower=1)
     comp = np.einsum("nj,jn->j", sol, instance.loads)
     return PenaltyState(
         compliances=comp,
@@ -100,10 +108,11 @@ def band_layout(instance: ProblemInstance):
     Returns ``(perm, lower, band_idx, bw)``: ``perm`` lists the DOFs in RCM
     order, ``lower`` masks the (m, n_loc, n_loc) element-stiffness entries
     on or below the diagonal in that order, and ``band_idx`` is the flat
-    position of each of them in (bw + 1, N) LAPACK lower band storage.  It
-    depends only on the instance's sparsity, so a run builds it once and
-    passes it to every banded solve (the ``layout`` argument here and in
-    ``fem2d`` and ``diagnostics``); nothing is cached on the instance.
+    position of each of them in (bw + 1, N) LAPACK lower band storage,
+    column-major (Fortran order).  It depends only on the instance's
+    sparsity, so a run builds it once and passes it to every banded solve
+    (the ``layout`` argument here and in ``fem2d``, ``diagnostics`` and
+    ``cli``); nothing is cached on the instance.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -121,31 +130,40 @@ def band_layout(instance: ProblemInstance):
     P = pos[cols]
     offset = P[:, :, None] - P[:, None, :]  # row minus column in RCM order
     lower = pair & (offset >= 0)
-    band_idx = offset[lower] * N + np.broadcast_to(P[:, None, :], pair.shape)[lower]
-    return perm, lower, band_idx, int(offset[lower].max(initial=0))
+    diag = offset[lower]
+    bw = int(diag.max(initial=0))
+    band_idx = diag + np.broadcast_to(P[:, None, :], pair.shape)[lower] * (bw + 1)
+    return perm, lower, band_idx, bw
 
 
-def band_cholesky(instance: ProblemInstance, E_dense, layout=None):
-    """A(E) in reverse Cuthill-McKee order, as a band and its Cholesky factor.
+def assemble_band(instance: ProblemInstance, E_dense, layout=None):
+    """A(E) in reverse Cuthill-McKee order as a lower band, in the storage ``dpbtrf`` factors.
 
-    In that order A(E) of a mesh is banded, so LAPACK's band factorization
-    costs about N bw^2 flops instead of N^3 / 3.  Returns
-    ``(perm, band, factor)``: ``band`` is the (bw + 1, N) lower band
-    storage of A(E)[perm][:, perm], and ``factor`` its lower Cholesky
-    factor, or None when A(E) is not numerically positive definite.
-    ``layout`` is ``band_layout(instance)``, built here when None; no N x N
-    array is formed, so no size gate applies.
+    Returns ``(perm, band)``: ``band`` is the (bw + 1, N) lower band
+    storage of A(E)[perm][:, perm], Fortran-ordered.  ``layout`` is
+    ``band_layout(instance)``, built here when None; no N x N array is
+    formed, so no size gate applies.
     """
     N = instance.N
     perm, lower, band_idx, bw = band_layout(instance) if layout is None else layout
     band = np.bincount(
         band_idx, weights=element_stiffness(instance, E_dense)[lower], minlength=(bw + 1) * N
-    ).reshape(bw + 1, N)
-    try:
-        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        factor = None
-    return perm, band, factor
+    )
+    return perm, band.reshape(bw + 1, N, order="F")
+
+
+def band_cholesky(band):
+    """Lower Cholesky factor of an ``assemble_band`` band, computed in place.
+
+    In RCM order A(E) of a mesh is banded, so LAPACK's band factorization
+    costs about N bw^2 flops instead of N^3 / 3.  ``band`` is
+    Fortran-ordered, so ``dpbtrf`` overwrites it with the factor and copies
+    nothing.  Returns the factor (the same memory), or None when A(E) is
+    not numerically positive definite; the band is destroyed either way,
+    so a caller that still needs A(E) copies it first.
+    """
+    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    return None if info > 0 else factor
 
 
 def compliances(instance: ProblemInstance, E_dense, layout=None) -> np.ndarray:
@@ -153,18 +171,17 @@ def compliances(instance: ProblemInstance, E_dense, layout=None) -> np.ndarray:
 
     ``layout`` is ``band_layout(instance)``, built when None.
     """
-    perm, band, factor = band_cholesky(instance, E_dense, layout)
-    if factor is None:
-        lam_min = float(
+    perm, band = assemble_band(instance, E_dense, layout)
+    factor = band_cholesky(band)
+    if factor is None:  # the factorization overwrote the band: rebuild it for lambda_min
+        band = assemble_band(instance, E_dense, layout)[1]
+        raise _singular(
             scipy.linalg.eigvals_banded(
                 band, lower=True, select="i", select_range=(0, 0), check_finite=False
             )[0]
         )
-        raise NumericalFailure(
-            f"stiffness singular - check boundary conditions (lambda_min ~ {lam_min:.3e})"
-        )
     loads = instance.loads[:, perm]
-    sol = scipy.linalg.cho_solve_banded((factor, True), loads.T, check_finite=False)
+    sol, _ = scipy.linalg.lapack.dpbtrs(factor, loads.T, lower=1)
     return np.einsum("nj,jn->j", sol, loads)
 
 
@@ -173,9 +190,16 @@ def compliance_solves(
     E_dense,
     dense_threshold: int = DENSE_THRESHOLD,
 ) -> PenaltyState:
-    """Assemble, factor, and solve for every load; the per-iteration workhorse."""
+    """Assemble, factor, and solve for every load; the per-iteration workhorse.
+
+    A(E) is scattered into Fortran order and factored in place, so the one
+    N x N array of a step is the one the scatter fills.
+    """
     check_dense_size(instance, "penalty mode", dense_threshold)
-    return _factor_and_solve(instance, assemble_dense(instance, E_dense))
+    state = _factor_and_solve(instance, assemble_dense(instance, E_dense))
+    if state is None:  # the factorization overwrote A(E): rebuild it for lambda_min
+        raise _singular(np.linalg.eigvalsh(assemble_dense(instance, E_dense))[0])
+    return state
 
 
 def penalty_value(instance: ProblemInstance, E: MaterialState, x: DualState) -> float:

@@ -17,6 +17,14 @@ from fmopt.saddle import SolverConfig
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
+def assert_reports_lambda_min(message, instance):
+    """The lambda_min in a "stiffness singular" message is that of A(E), rebuilt after the
+    in-place factorization; A(E) of these instances is singular at every E."""
+    reported = float(message.rsplit("lambda_min ~ ", 1)[1].rstrip(")"))
+    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, instance.start_material().dense()))
+    assert reported == pytest.approx(lam[0], abs=1e-12 * max(lam[-1], 1.0))
+
+
 @pytest.fixture
 def instance_file(tmp_path, tiny_mesh_instance):
     path = tmp_path / "tiny.fmo"
@@ -205,7 +213,8 @@ class TestMain:
 
     def test_band_layout_built_once_per_run(self, tmp_path, capsys, monkeypatch):
         # the cli-logged size: 32x16, L = 3, bound data, logged rows, the final
-        # violation and the certificate all solve on the one layout
+        # violation and the certificate all solve on the one layout; without
+        # --gamma the default-gamma probe builds it and the run reuses it
         built = []
         band_layout = penalty.band_layout
 
@@ -214,18 +223,20 @@ class TestMain:
             return band_layout(instance)
 
         monkeypatch.setattr(penalty, "band_layout", counted)
-        rc = cli.main([
-            "--mesh", "32x16", "--load", "right_edge:0,-1", "--load", "top_right:0.5,-1",
-            "--load", "bottom_right:-0.5,-1", "--gamma", "400", "--scheme", "weighted",
-            "--iters", "30", "--tau", "auto", "--sigma0", "auto", "--autotune-window", "10",
-            "--stride", "10", "--out", str(tmp_path / "c"),
-        ])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["N"] == 1088 and report["certificate"] is not None
-        rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
-        assert len(rows) == 3 and all(row.split(",")[5] != "nan" for row in rows)
-        assert built == [1088]
+        for gamma in (["--gamma", "400"], []):
+            built.clear()
+            rc = cli.main([
+                "--mesh", "32x16", "--load", "right_edge:0,-1", "--load", "top_right:0.5,-1",
+                "--load", "bottom_right:-0.5,-1", *gamma, "--scheme", "weighted",
+                "--iters", "30", "--tau", "auto", "--sigma0", "auto", "--autotune-window", "10",
+                "--stride", "10", "--out", str(tmp_path / "c"),
+            ])
+            assert rc == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["N"] == 1088 and report["certificate"] is not None
+            rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+            assert len(rows) == 3 and all(row.split(",")[5] != "nan" for row in rows)
+            assert built == [1088], gamma
 
     def test_bad_input_exit_two(self, tmp_path, capsys):
         rc = cli.main(["--instance", str(tmp_path / "missing.fmo")])
@@ -237,7 +248,7 @@ class TestMain:
         rc = cli.main(["--iters", "3"])
         assert rc == 2
 
-    def test_numerical_failure_exit_three(self, tmp_path, capsys):
+    def test_numerical_failure_exit_three(self, tmp_path, capsys, tiny_mesh_instance):
         import numpy as np
 
         from fmopt.model import ProblemInstance
@@ -253,6 +264,22 @@ class TestMain:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "numerical"
+        # a free DOF no element touches: the bound data pass (rank-deficient B),
+        # and the first penalty step's dense factorization fails in place
+        base = tiny_mesh_instance
+        loads = np.hstack([base.loads, np.zeros((base.L, 1))])
+        untouched = ProblemInstance(base.cols_packed, base.B_packed, loads,
+                                    0.3, 3.0, 0.05, 5.0, 8.0, 1.0)
+        fem2d.write_instance(untouched, path)
+        rc = cli.main([
+            "--instance", str(path), "--mode", "penalty",
+            "--iters", "2", "--out", str(tmp_path / "s"),
+        ])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert "stiffness singular" in err["error"]
+        assert_reports_lambda_min(err["error"], untouched)
 
     def test_untouched_dof_singular_exit_three(self, tmp_path, capsys, tiny_mesh_instance):
         # a free DOF that no element touches makes A(E) singular; the banded
@@ -264,8 +291,11 @@ class TestMain:
             np.arange(2)[None], np.zeros((1, 4, 3, 2)), np.ones((1, 4)), 0.3, 3.0, 0.05, 1.0, 1.0,
         )
         for singular in (inst, zero_B):
-            with pytest.raises(NumericalFailure, match="stiffness singular"):
-                penalty.compliances(singular, singular.start_material().dense())
+            E = singular.start_material().dense()
+            for solve in (penalty.compliances, penalty.compliance_solves):  # banded, dense
+                with pytest.raises(NumericalFailure, match="stiffness singular") as failure:
+                    solve(singular, E)
+                assert_reports_lambda_min(str(failure.value), singular)
         path = tmp_path / "untouched.fmo"
         fem2d.write_instance(inst, path)
         rc = cli.main([
@@ -276,6 +306,7 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "numerical"
         assert "stiffness singular" in err["error"]
+        assert_reports_lambda_min(err["error"], inst)
         assert len((tmp_path / "u.csv").read_text().splitlines()) == 1  # header only
 
     def test_default_gamma_probe_above_dense_gate(self, tmp_path, capsys):
@@ -330,7 +361,7 @@ class TestMain:
         assert field in err["error"]
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
-        def broken_run(config, instance, out_prefix):
+        def broken_run(config, instance, out_prefix, layout=None):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(cli, "run", broken_run)

@@ -123,7 +123,7 @@ class TestSingularSq:
         inst = ProblemInstance(np.arange(6)[None], stacked.reshape(1, 4, 3, 6),
                                rng.normal(size=(1, 6)), 0.4, 2.5, 0.1, 4.0, 6.0)
         identity = np.eye(3)[None]
-        assert penalty.band_cholesky(inst, identity)[2] is not None
+        assert penalty.band_cholesky(penalty.assemble_band(inst, identity)[1]) is not None
         assert self.assert_matches_svd(inst)
         got = diagnostics.smallest_nonzero_singular_sq(inst)
         gram_eigs = np.linalg.eigvalsh(dense_stiffness_reference(inst, identity))

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt import fem2d, penalty, saddle
@@ -164,6 +165,17 @@ class TestPenaltyMode:
         assert ratios[-1] > ratios[0]
 
 
+def peak_bytes(fn, *args):
+    """tracemalloc high-water mark of one call, after a warm-up call."""
+    fn(*args)  # the first call imports scipy's LAPACK and sparse modules
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestElementStiffness:
     def test_matches_einsum_form(self, rng, small_mesh_instance):
         ragged = make_synthetic_instance(rng, m=5, N=9, n_loc=[2, 4, 6, 8, 9])
@@ -176,14 +188,75 @@ class TestElementStiffness:
     def test_banded_compliance_forms_no_dense_matrix(self):
         inst = tight_instance(nx=32, ny=16)
         E = inst.start_material().dense()
-        penalty.compliances(inst, E)  # the first call also imports scipy.sparse
-        tracemalloc.start()
-        try:
-            penalty.compliances(inst, E)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < inst.N**2 * 8 / 4
+        assert peak_bytes(penalty.compliances, inst, E) < inst.N**2 * 8 / 4
+
+
+class TestInPlaceFactorization:
+    """A(E) is scattered into the Fortran-ordered storage LAPACK factors and
+    factored there: no transposing copy, the same numbers as a factorization
+    of a C-ordered copy."""
+
+    @staticmethod
+    def copied_dense(inst, E):
+        # row-major scatter, cho_factor on a copy (LAPACK then transposes it)
+        cols, N = inst.cols_packed, inst.N
+        idx = (cols[:, :, None] * N + cols[:, None, :]).ravel()
+        ke = penalty.element_stiffness(inst, E)
+        A = np.bincount(idx, weights=ke.ravel(), minlength=N**2).reshape(N, N)
+        chol = scipy.linalg.cho_factor(A.copy(), lower=True, check_finite=False)
+        sol = scipy.linalg.cho_solve(chol, inst.loads.T, check_finite=False)
+        return A, np.einsum("nj,jn->j", sol, inst.loads), sol
+
+    @staticmethod
+    def copied_band(inst, E, layout):
+        # row-major (bw + 1, N) band, cholesky_banded with its copy
+        perm, lower, band_idx, bw = layout
+        col, diag = np.divmod(band_idx, bw + 1)
+        ke = penalty.element_stiffness(inst, E)
+        band = np.bincount(diag * inst.N + col, weights=ke[lower], minlength=(bw + 1) * inst.N)
+        band = band.reshape(bw + 1, inst.N)
+        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+        loads = inst.loads[:, perm]
+        sol = scipy.linalg.cho_solve_banded((factor, True), loads.T, check_finite=False)
+        return band, np.einsum("nj,jn->j", sol, loads)
+
+    def test_bit_identical_to_factoring_a_copy(self, rng, small_mesh_instance):
+        for inst in (small_mesh_instance, tight_instance(nx=6, ny=3)):
+            layout = penalty.band_layout(inst)
+            materials = [inst.start_material().dense()] + [
+                random_feasible_blocks(rng, inst.m, 3, 0.4, 2.8, 0.05) for _ in range(3)
+            ]
+            for E in materials:
+                A, comp, sol = self.copied_dense(inst, E)
+                dense = penalty.assemble_dense(inst, E)
+                assert dense.flags.f_contiguous and np.array_equal(dense, A)
+                state = penalty.compliance_solves(inst, E)
+                assert np.array_equal(state.compliances, comp)
+                assert np.array_equal(state.solutions, sol)
+                band, comp = self.copied_band(inst, E, layout)
+                perm, got = penalty.assemble_band(inst, E, layout)
+                assert got.flags.f_contiguous and np.array_equal(got, band)
+                permuted = A[np.ix_(perm, perm)]
+                for d in range(band.shape[0]):
+                    assert np.array_equal(band[d, :inst.N - d], np.diagonal(permuted, -d))
+                assert np.array_equal(penalty.compliances(inst, E, layout), comp)
+
+    def test_dense_step_makes_no_copy_of_A(self):
+        # penalty-tight size: the scatter's N x N array is the only one
+        inst = tight_instance(nx=20, ny=19)
+        assert inst.N == 800
+        E = inst.start_material().dense()
+        assert peak_bytes(penalty.compliance_solves, inst, E) < 1.5 * inst.N**2 * 8
+
+    def test_band_factorization_makes_no_copy_of_the_band(self):
+        # plain-large size: band plus element stiffnesses, not two bands
+        inst = tight_instance(nx=128, ny=64)
+        layout = penalty.band_layout(inst)
+        E = inst.start_material().dense()
+        band = (layout[3] + 1) * inst.N * 8
+        ke = inst.cols_packed.size * inst.cols_packed.shape[1] * 8
+        assert ke + band / 10 < band  # a second band could not hide in the slack
+        assert peak_bytes(penalty.compliances, inst, E, layout) < band + ke + band / 10
 
 
 class TestViolationSums:
