@@ -157,6 +157,14 @@ def _largest_eigenvalue(operator) -> float:
     return float(eigsh(operator, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)[0])
 
 
+def _square(v: float) -> float:
+    """``v**2``, or inf where the float power raises OverflowError."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def compute_constants(
     instance: ProblemInstance, tau: float, dense_threshold: int = DENSE_THRESHOLD, layout=None
 ) -> BoundConstants:
@@ -171,11 +179,14 @@ def compute_constants(
     m, k, L = instance.m, instance.k, instance.L
     r, gamma, eta = instance.r, instance.gamma, instance.eta
     rho_u_max = float(instance.rho_u.max())
-    L_E2 = m * k + L**2 * (gamma / r) * B_norm**2 * eta**2
+    L_E2 = m * k + L**2 * (gamma / r) * _square(B_norm) * _square(eta)
     f_norm = float(np.linalg.norm(instance.loads))
     L_x = 2.0 * f_norm + 2.0 * math.sqrt(gamma * L * (rho_u_max - k * r + r)) * B_norm
     D_E = 0.5 * float(np.sum((instance.rho_u - k * r) ** 2))
-    D_x = 0.5 * L * eta**2
+    D_x = 0.5 * L * _square(eta)
+    for name, value in (("L_E2", L_E2), ("L_x", L_x), ("D_E", D_E), ("D_x", D_x)):
+        if not math.isfinite(value):
+            raise NumericalFailure(f"bound constant {name} = {value} is not finite")
     return BoundConstants(
         m=m,
         k=k,

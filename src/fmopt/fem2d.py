@@ -62,8 +62,10 @@ class MeshSpec:
             raise InvalidInstance("need nx, ny >= 1")
         if self.fixed_edge not in EDGES:
             raise InvalidInstance(f"fixed_edge must be one of {EDGES}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise InvalidInstance("need positive physical dimensions")
+        for name in ("lx", "ly"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidInstance(f"need a finite positive {name}, got {value}")
         if not self.loads:
             raise InvalidInstance("need at least one load case")
 

@@ -11,7 +11,12 @@ Per-element arrays are stored with the element axis last and contiguous:
 the operators as (nig, k, n_loc, m), material blocks and the dual sums as
 (k, k, m), strains as (L, nig, k, m).  The m independent k-by-k problems
 of an iteration are then a few multiply-adds (einsum and elementwise
-kernels) over length-m vectors, with no batched matmul.  Every function
+kernels) over length-m vectors.  A mesh repeats one element operator over
+most of its elements (fem2d builds two: interior and fixed-edge), so the
+instance finds the most common one, by exact comparison, once at
+construction; when at least ``SHARED_SHARE`` of the elements use it,
+``apply_B`` and ``apply_Bt`` apply it to every element as one matmul per
+load and redo only the elements that differ through the einsum.  Every function
 still takes and returns the element axis first -- (m, k, k), (L, m, nig, k)
 -- as zero-copy transposed views of that storage, e.g.
 ``np.moveaxis(blocks, -1, 0)`` for (k, k, m) blocks; inputs in C order are
@@ -31,6 +36,10 @@ import numpy as np
 FEAS_TOL = 1e-9  # eigenvalue/trace slack after a double-precision projection
 QUAD_CLAMP = 1e-9  # quad form more negative than this signals corrupted state
 DENSE_THRESHOLD = 4000  # largest N for which an N x N matrix (A(E), B^T B) is formed
+# least share of elements on one operator for the element kernels to share it:
+# the split beat the all-element einsum with 25% of the operators differing
+# and lost with 50%
+SHARED_SHARE = 0.75
 
 
 class FmoError(Exception):
@@ -148,6 +157,50 @@ class DualState:
         return np.linalg.norm(self.vectors, axis=1)
 
 
+@dataclass(frozen=True)
+class SharedOperator:
+    """The element operator most elements of an instance share, and the rest.
+
+    ``B`` is the shared operator as (nig*k, n_loc); ``others`` lists, in
+    increasing order, the elements whose operator differs from it in any
+    entry, and ``B_others`` holds their operators in element-last storage,
+    (nig, k, n_loc, len(others)).  All three are read-only.
+    """
+
+    B: np.ndarray
+    others: np.ndarray
+    B_others: np.ndarray
+
+
+def find_shared_operator(B: np.ndarray) -> SharedOperator | None:
+    """The most common operator of element-last ``B``, if it covers ``SHARED_SHARE``.
+
+    A fixed-weight hash of each operator proposes the candidate: an
+    operator on more than half of the elements holds the median hash.
+    Membership is then decided by exact comparison of every entry, so a
+    hash collision or a rounding difference in the hash can only cost
+    sharing, never a wrong result.  Returns None when fewer than
+    ``SHARED_SHARE`` of the elements match the candidate.
+    """
+    nig, k, n_loc, m = B.shape
+    flat = B.reshape(-1, m)
+    keys = np.cos(np.arange(flat.shape[0])) @ flat
+    median = np.partition(keys, m // 2)[m // 2]
+    candidate = flat[:, np.argmax(keys == median)]
+    same = (flat == candidate[:, None]).all(axis=0)
+    if same.sum() < SHARED_SHARE * m:
+        return None
+    others = np.flatnonzero(~same)
+    shared = SharedOperator(
+        B=candidate.reshape(nig * k, n_loc).copy(),
+        others=others,
+        B_others=np.ascontiguousarray(B[..., others]),
+    )
+    for array in (shared.B, shared.others, shared.B_others):
+        array.flags.writeable = False
+    return shared
+
+
 class ProblemInstance:
     """Immutable description of one material design problem.
 
@@ -160,6 +213,10 @@ class ProblemInstance:
     The storage is element-last and C-contiguous: ``B`` is
     (nig, k, n_loc, m) and ``cols`` is (n_loc, m).  ``B_packed`` and
     ``cols_packed`` are transposed views of it with the element axis first.
+    ``shared`` is the ``SharedOperator`` found in ``B`` at construction, or
+    None when no operator covers ``SHARED_SHARE`` of the elements.  ``B``,
+    ``cols``, the storage they view and ``shared`` are read-only, so the
+    split cannot go stale.
 
     Parameters
     ----------
@@ -168,8 +225,9 @@ class ProblemInstance:
     B : ndarray (m, nig, k, n_loc)
         Per-element strain operators B_{i,l} on their column supports.
         Views of element-last storage (such as the ``cols_packed`` and
-        ``B_packed`` of another instance) are kept as given; arrays in
-        element-major order are copied once into it.
+        ``B_packed`` of another instance) are kept as given, and the
+        storage they view is made read-only; arrays in element-major order
+        are copied once into it.
     loads : ndarray (L, N)
         Load vectors on the free DOFs.
     rho_l, rho_u : ndarray (m,)
@@ -213,6 +271,11 @@ class ProblemInstance:
         self.eta = float(eta)
         self.nu = float(nu)
         self._validate()
+        for array in (self.B, self.cols):  # and any storage they view
+            while isinstance(array, np.ndarray):
+                array.flags.writeable = False
+                array = array.base
+        self.shared = find_shared_operator(self.B)
 
     @property
     def B_packed(self) -> np.ndarray:
@@ -341,23 +404,45 @@ def _check_vector(instance: ProblemInstance, v: np.ndarray) -> np.ndarray:
 def apply_B(instance: ProblemInstance, X) -> np.ndarray:
     """Element strains B_{i,l} x_j for every row x_j of X: shape (L, m, nig, k).
 
-    One gather of the column supports and one einsum over the local
-    columns, elementwise along the elements; the result is a view of
-    (L, nig, k, m) storage.  Padded columns carry zero values and
-    contribute nothing.
+    One gather of the column supports, then either one einsum over the
+    local columns, elementwise along the elements, or -- when the instance
+    has a ``shared`` operator -- one matmul of it with the gathered columns
+    per load and the einsum on the differing elements alone.  The result
+    is a view of (L, nig, k, m) storage.  Padded columns carry zero values
+    and contribute nothing.
     """
-    W = np.einsum("lkdq,jdq->jlkq", instance.B, np.take(X, instance.cols, axis=1))
+    gathered = np.take(X, instance.cols, axis=1)  # (L, n_loc, m)
+    shared = instance.shared
+    if shared is None:
+        W = np.einsum("lkdq,jdq->jlkq", instance.B, gathered)
+    else:
+        W = np.matmul(shared.B, gathered).reshape(
+            len(gathered), instance.nig, instance.k, instance.m
+        )
+        W[..., shared.others] = np.einsum(
+            "lkdq,jdq->jlkq", shared.B_others, gathered[..., shared.others]
+        )
     return np.moveaxis(W, -1, 1)
 
 
 def apply_Bt(instance: ProblemInstance, Y) -> np.ndarray:
     """Adjoint of ``apply_B``: sum_i sum_l B_{i,l}^T y_{j,i,l}, shape (L, N).
 
-    The per-element rows are summed into the global DOFs by one bincount
-    over all loads, in fixed (load, local column, element) order.
+    The per-element rows come from the same split as ``apply_B`` (the
+    transposed shared operator in one matmul per load, the einsum on the
+    differing elements) and are summed into the global DOFs by one
+    bincount over all loads, in fixed (load, local column, element) order.
     """
     n_rows, N = Y.shape[0], instance.N
-    local = np.einsum("lkdq,jlkq->jdq", instance.B, np.moveaxis(Y, 1, -1))
+    Y = np.moveaxis(Y, 1, -1)  # (L, nig, k, m)
+    shared = instance.shared
+    if shared is None:
+        local = np.einsum("lkdq,jlkq->jdq", instance.B, Y)
+    else:
+        local = np.matmul(shared.B.T, Y.reshape(n_rows, -1, instance.m))
+        local[..., shared.others] = np.einsum(
+            "lkdq,jlkq->jdq", shared.B_others, Y[..., shared.others]
+        )
     idx = (np.arange(n_rows)[:, None, None] * N + instance.cols).ravel()
     return np.bincount(idx, weights=local.ravel(), minlength=n_rows * N).reshape(n_rows, N)
 

@@ -349,6 +349,9 @@ class TestMain:
     @pytest.mark.parametrize("flag,value,field", [
         ("--rho-l", "nan", "rho_l"),
         ("--eta", "inf", "eta"),
+        ("--lx", "nan", "lx"),
+        ("--ly", "inf", "ly"),
+        ("--dense-threshold", "-5", "dense_threshold"),
     ])
     def test_nonfinite_input_exit_two(self, tmp_path, capsys, flag, value, field):
         rc = cli.main([
@@ -359,6 +362,14 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "input"
         assert field in err["error"]
+
+    def test_overflowing_bound_constant_exit_three(self, tmp_path, capsys):
+        rc = cli.main(["--mesh", "4x2", "--iters", "5", "--eta", "1e200",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert "bound constant L_E2" in err["error"]
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_run(config, instance, out_prefix, layout=None):

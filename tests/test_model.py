@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_synthetic_instance, random_feasible_blocks
+from fmopt import fem2d
 from fmopt.model import (
     DimensionMismatch,
     InvalidInstance,
@@ -17,7 +18,8 @@ from fmopt.model import (
     feasible_E,
     quad_A,
 )
-from fmopt.oracle import dense_stiffness_reference, dense_strain_matrices
+from fmopt.oracle import da_step_reference, dense_stiffness_reference, dense_strain_matrices
+from fmopt.saddle import DualAccumulators, StepSchedule, beta_hat_sequence, da_step
 
 
 def identity_instance(k=2):
@@ -146,31 +148,119 @@ class TestApplyA:
         np.testing.assert_allclose(apply_A(inst, E, v), A @ v, atol=1e-12)
 
 
-class TestElementKernel:
-    @pytest.fixture
-    def ragged(self, rng):
-        return make_synthetic_instance(rng, m=4, N=11, L=3, n_loc=(2, 5, 3, 4))
+MESH = fem2d.MeshSpec(nx=8, ny=4, lx=8.0, ly=4.0, loads=(
+    fem2d.LoadSpec("right_edge", (0.0, -1.0)), fem2d.LoadSpec("top_right", (1.0, 0.0)),
+))
 
-    def test_apply_Bt_is_adjoint_of_apply_B(self, rng, ragged):
-        X = rng.normal(size=(ragged.L, ragged.N))
-        Y = rng.normal(size=(ragged.L, ragged.m, ragged.nig, ragged.k))
-        BX, BtY = apply_B(ragged, X), apply_Bt(ragged, Y)
+
+def mesh_instance():
+    """8x4 cantilever: interior elements share one operator, the 4 on the fixed edge differ."""
+    return fem2d.build_instance(MESH, 0.3, 3.0, 0.05, 5.0, 8.0)
+
+
+def with_operators(inst, B):
+    return ProblemInstance(inst.cols_packed, B, inst.loads, inst.rho_l, inst.rho_u,
+                           inst.r, inst.gamma, inst.eta, inst.nu)
+
+
+def element_kernel_case(rng, case):
+    """(instance, elements expected off the shared operator, or None for no split)."""
+    if case == "ragged":  # random operators: nothing shared
+        return make_synthetic_instance(rng, m=4, N=11, L=3, n_loc=(2, 5, 3, 4)), None
+    if case == "mesh":
+        return mesh_instance(), np.arange(MESH.ny) * MESH.nx
+    if case == "mesh_one_ulp":  # one interior operator entry moved by one ulp
+        inst = mesh_instance()
+        B = inst.B_packed.copy()
+        B[13, 2, 0, 2] = np.nextafter(B[13, 2, 0, 2], np.inf)
+        return with_operators(inst, B), np.sort(np.append(np.arange(MESH.ny) * MESH.nx, 13))
+    # "share_<n>": n of 100 random-support elements on one operator
+    n_same = int(case.split("_")[1])
+    inst = make_synthetic_instance(rng, m=100, N=40, L=2, n_loc=6)
+    B = inst.B_packed.copy()
+    same = rng.permutation(100)[:n_same]
+    B[same] = B[same[0]]
+    expected = np.setdiff1d(np.arange(100), same) if n_same >= 75 else None
+    return with_operators(inst, B), expected
+
+
+class TestElementKernel:
+    CASES = ["ragged", "mesh", "mesh_one_ulp", "share_74", "share_75", "share_76"]
+
+    @pytest.fixture(params=CASES)
+    def case(self, rng, request):
+        return element_kernel_case(rng, request.param)
+
+    def test_shared_operator_split(self, case):
+        inst, expected = case
+        if expected is None:
+            assert inst.shared is None
+            return
+        shared = inst.shared
+        np.testing.assert_array_equal(shared.others, expected)
+        on_shared = np.setdiff1d(np.arange(inst.m), expected)
+        B_shared = shared.B.reshape(inst.nig, inst.k, inst.n_loc)
+        assert (inst.B_packed[on_shared] == B_shared).all()
+        assert not (inst.B_packed[expected] == B_shared).all(axis=(1, 2, 3)).any()
+        np.testing.assert_array_equal(np.moveaxis(shared.B_others, -1, 0), inst.B_packed[expected])
+
+    def test_apply_Bt_is_adjoint_of_apply_B(self, rng, case):
+        inst, _ = case
+        X = rng.normal(size=(inst.L, inst.N))
+        Y = rng.normal(size=(inst.L, inst.m, inst.nig, inst.k))
+        BX, BtY = apply_B(inst, X), apply_Bt(inst, Y)
         assert BX.shape == Y.shape and BtY.shape == X.shape
         np.testing.assert_allclose(
             np.einsum("jqlk,jqlk->j", BX, Y), np.einsum("jn,jn->j", X, BtY),
             rtol=1e-12, atol=1e-12,
         )
 
-    def test_matches_dense_strain_oracle(self, rng, ragged):
-        dense = np.stack(dense_strain_matrices(ragged))  # (m, nig, k, N)
-        X = rng.normal(size=(ragged.L, ragged.N))
-        Y = rng.normal(size=(ragged.L, ragged.m, ragged.nig, ragged.k))
+    def test_matches_dense_strain_oracle(self, rng, case):
+        inst, _ = case
+        dense = np.stack(dense_strain_matrices(inst))  # (m, nig, k, N)
+        X = rng.normal(size=(inst.L, inst.N))
+        Y = rng.normal(size=(inst.L, inst.m, inst.nig, inst.k))
         np.testing.assert_allclose(
-            apply_B(ragged, X), np.einsum("qlkn,jn->jqlk", dense, X), rtol=1e-12, atol=1e-12
+            apply_B(inst, X), np.einsum("qlkn,jn->jqlk", dense, X), rtol=1e-12, atol=1e-12
         )
         np.testing.assert_allclose(
-            apply_Bt(ragged, Y), np.einsum("qlkn,jqlk->jn", dense, Y), rtol=1e-12, atol=1e-12
+            apply_Bt(inst, Y), np.einsum("qlkn,jqlk->jn", dense, Y), rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("scheme", ["simple", "weighted"])
+    def test_da_step_on_shared_operator_matches_oracle(self, rng, scheme):
+        inst = mesh_instance()
+        assert inst.shared is not None
+        E = random_feasible_blocks(rng, inst.m, inst.k, 0.3, 3.0, inst.r)
+        x = rng.normal(0.0, 0.1, (inst.L, inst.N))
+        acc = DualAccumulators.zeros(inst)
+        sched = StepSchedule(scheme, 0.4, 2.0)
+        E, x, _ = da_step(inst, acc, sched, E, x)
+        bh = beta_hat_sequence(sched.t + 1)[sched.t + 1]
+        E_ref, x_ref, s_E_ref, s_x_ref, alpha_ref = da_step_reference(
+            inst, np.array(E), x, np.array(acc.s_E), acc.s_x.copy(), scheme, 0.4, 2.0, bh
+        )
+        E_next, x_next, info = da_step(inst, acc, sched, E, x)
+        assert info["alpha"] == pytest.approx(alpha_ref, rel=1e-12)
+        for got, ref in ((E_next, E_ref), (x_next, x_ref), (acc.s_E, s_E_ref), (acc.s_x, s_x_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-11)
+
+    def test_operator_storage_is_read_only(self):
+        inst = mesh_instance()
+        shared = inst.shared
+        for array in (inst.B, inst.cols, inst.B_packed, inst.cols_packed,
+                      shared.B, shared.others, shared.B_others):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+
+    def test_caller_storage_kept_as_given_becomes_read_only(self):
+        inst = mesh_instance()
+        B, cols = inst.B.copy(), inst.cols.copy()  # writable element-last storage
+        kept = ProblemInstance(cols.T, np.moveaxis(B, -1, 0), inst.loads, 0.3, 3.0, 0.05, 5.0, 8.0)
+        assert np.shares_memory(kept.B, B) and np.shares_memory(kept.cols, cols)
+        for array in (B, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
 
 
 class TestQuadA:
