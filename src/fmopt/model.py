@@ -214,9 +214,11 @@ class ProblemInstance:
     (nig, k, n_loc, m) and ``cols`` is (n_loc, m).  ``B_packed`` and
     ``cols_packed`` are transposed views of it with the element axis first.
     ``shared`` is the ``SharedOperator`` found in ``B`` at construction, or
-    None when no operator covers ``SHARED_SHARE`` of the elements.  ``B``,
-    ``cols``, the storage they view and ``shared`` are read-only, so the
-    split cannot go stale.
+    None when no operator covers ``SHARED_SHARE`` of the elements.
+    ``scatter_index`` is the flat ``bincount`` index of ``apply_Bt`` for L
+    rows (``scatter_index(L, N, cols)``), built once.  ``B``, ``cols``, the
+    storage they view, ``shared`` and ``scatter_index`` are read-only, so
+    none of them can go stale.
 
     Parameters
     ----------
@@ -276,6 +278,8 @@ class ProblemInstance:
                 array.flags.writeable = False
                 array = array.base
         self.shared = find_shared_operator(self.B)
+        self.scatter_index = scatter_index(self.L, self.N, self.cols)
+        self.scatter_index.flags.writeable = False
 
     @property
     def B_packed(self) -> np.ndarray:
@@ -401,6 +405,15 @@ def _check_vector(instance: ProblemInstance, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def scatter_index(n_rows: int, N: int, cols) -> np.ndarray:
+    """Flat index of every (row, local column, element) into n_rows stacked N-vectors.
+
+    Row-major over (row, local column, element), the order of ``apply_Bt``'s
+    per-element rows; the first n rows of it are the index for n rows.
+    """
+    return (np.arange(n_rows)[:, None, None] * N + cols).ravel()
+
+
 def apply_B(instance: ProblemInstance, X) -> np.ndarray:
     """Element strains B_{i,l} x_j for every row x_j of X: shape (L, m, nig, k).
 
@@ -432,6 +445,8 @@ def apply_Bt(instance: ProblemInstance, Y) -> np.ndarray:
     transposed shared operator in one matmul per load, the einsum on the
     differing elements) and are summed into the global DOFs by one
     bincount over all loads, in fixed (load, local column, element) order.
+    Up to L rows use a prefix of the instance's ``scatter_index``; more
+    rows build their own.
     """
     n_rows, N = Y.shape[0], instance.N
     Y = np.moveaxis(Y, 1, -1)  # (L, nig, k, m)
@@ -443,7 +458,10 @@ def apply_Bt(instance: ProblemInstance, Y) -> np.ndarray:
         local[..., shared.others] = np.einsum(
             "lkdq,jlkq->jdq", shared.B_others, Y[..., shared.others]
         )
-    idx = (np.arange(n_rows)[:, None, None] * N + instance.cols).ravel()
+    if n_rows <= instance.L:
+        idx = instance.scatter_index[: n_rows * instance.cols.size]
+    else:
+        idx = scatter_index(n_rows, N, instance.cols)
     return np.bincount(idx, weights=local.ravel(), minlength=n_rows * N).reshape(n_rows, N)
 
 

@@ -569,7 +569,11 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     closed form when k = 3 (``_project_blocks_3x3``), through one batched
     eigendecomposition otherwise (``_project_blocks_eigh``).  ``s_blocks``
     is (m, k, k) in any layout; the result is an (m, k, k) view of
-    (k, k, m) storage.
+    (k, k, m) storage, exactly symmetric.  It is built in one pass over the
+    blocks, (s + s^T) * (-1/(2 bt)) added into a fresh array and scaled in
+    place, then the diagonal shift, so the certified blocks are symmetric
+    by construction; only the gathered solves are symmetrized, on the
+    gathered (k, k, n) result.
     """
     s = np.moveaxis(np.asarray(s_blocks, dtype=float), 0, -1)
     k, _, m = s.shape
@@ -579,15 +583,17 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     mean, spread = trace_spread(s)
     tr_y = k * (r - mean / beta_tau)
     shift = (np.clip(tr_y, rho_l, rho_u) - tr_y) / k
-    out = np.divide(s, -beta_tau, out=np.empty((k, k, m)))
+    out = np.add(s, s.transpose(1, 0, 2), out=np.empty((k, k, m)))
+    out *= -0.5 / beta_tau
     out[diag, diag] += r + shift
     # lambda_max(s) <= mean + spread, so lambda_min(Z) >= r where this holds;
     # the negated test also sends non-finite blocks to the solves
     scan = np.flatnonzero(~(mean + spread <= shift * beta_tau))
     if scan.size:
         solve = _project_blocks_3x3 if k == 3 else _project_blocks_eigh
-        out[:, :, scan] = solve(s[:, :, scan], beta_tau, rho_l[scan], rho_u[scan], r)
-    return np.moveaxis(0.5 * (out + out.transpose(1, 0, 2)), -1, 0)
+        solved = solve(s[:, :, scan], beta_tau, rho_l[scan], rho_u[scan], r)
+        out[:, :, scan] = 0.5 * (solved + solved.transpose(1, 0, 2))
+    return np.moveaxis(out, -1, 0)
 
 
 # per prefix {1..j} of a descending 3-spectrum: the count 3 - j of the

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from . import proj
 from .model import (
@@ -80,12 +81,30 @@ def beta_hat_sequence(t_max: int) -> np.ndarray:
     return out
 
 
+def _blocks_flat(blocks) -> np.ndarray:
+    """(m, k, k) blocks as a flat vector in element-last order.
+
+    A view of element-last contiguous storage, a copy for any other layout.
+    """
+    return np.ascontiguousarray(np.moveaxis(blocks, 0, -1), dtype=float).reshape(-1)
+
+
+def _rows_flat(rows) -> np.ndarray:
+    """(L, N) rows as a flat vector in C order; a view of C-contiguous storage."""
+    return np.ascontiguousarray(rows, dtype=float).reshape(-1)
+
+
 @dataclass
 class DualAccumulators:
     """Running dual sums and the averaging/gap bookkeeping.
 
-    ``s_E`` and ``E_avg`` are (m, k, k) views of (k, k, m) storage, updated
-    in place.
+    The four arrays are taken into contiguous storage once, at
+    construction: ``s_E`` and ``E_avg`` as (m, k, k) views of element-last
+    (k, k, m) storage, ``s_x`` and ``x_avg`` in C order.  Arrays already
+    stored that way are kept as given; others, such as C-order (m, k, k)
+    blocks, are copied once.  ``da_step`` updates that storage in place,
+    through flat views of it kept here, so the four arrays must not be
+    rebound after construction (in-place updates such as ``+=`` are fine).
     """
 
     s_E: np.ndarray  # (m, k, k)
@@ -93,8 +112,28 @@ class DualAccumulators:
     sum_alpha: float = 0.0
     sum_gE_dot_E: float = 0.0
     sum_gx_dot_x: float = 0.0
-    E_avg: np.ndarray | None = None  # sum of alpha_l * E^(l)
+    E_avg: np.ndarray | None = None  # sum of alpha_l * E^(l); zeros when None
     x_avg: np.ndarray | None = None
+    flat: tuple = field(init=False, repr=False, compare=False)  # s_E, s_x, E_avg, x_avg
+
+    def __post_init__(self):
+        blocks, rows = np.shape(self.s_E), np.shape(self.s_x)
+        if self.E_avg is None:
+            self.E_avg = np.zeros(blocks)
+        if self.x_avg is None:
+            self.x_avg = np.zeros(rows)
+        self.flat = tuple(
+            np.require(flat, requirements="W")  # daxpy writes even to read-only arrays
+            for flat in (
+                _blocks_flat(self.s_E), _rows_flat(self.s_x),
+                _blocks_flat(self.E_avg), _rows_flat(self.x_avg),
+            )
+        )
+        s_E, s_x, E_avg, x_avg = self.flat
+        element_last = blocks[1:] + blocks[:1]  # (k, k, m)
+        self.s_E = np.moveaxis(s_E.reshape(element_last), -1, 0)
+        self.E_avg = np.moveaxis(E_avg.reshape(element_last), -1, 0)
+        self.s_x, self.x_avg = s_x.reshape(rows), x_avg.reshape(rows)
 
     @classmethod
     def zeros(cls, instance: ProblemInstance) -> "DualAccumulators":
@@ -140,11 +179,14 @@ class SigmaController:
         return self.windows_used * self.window
 
     def observe_window(self, gap_samples) -> float:
-        """Consume one window of gap-bound samples; return the new sigma."""
+        """Consume one window of gap-bound samples; return the new sigma.
+
+        Only the first and last sample are read (the rate is the relative
+        decrease between them), so a caller may pass just those two.
+        """
         if self.frozen:
             return self.sigma
-        gap_samples = np.asarray(gap_samples, dtype=float)
-        first, last = gap_samples[0], gap_samples[-1]
+        first, last = float(gap_samples[0]), float(gap_samples[-1])
         rate = (first - last) / max(abs(first), 1e-300)
         self.windows_used += 1
         if self.phase == "baseline":
@@ -211,8 +253,13 @@ def lagrangian_value(instance: ProblemInstance, E_dense, x) -> float:
 
 
 def grad_norm_star(g_E, g_x, tau: float) -> float:
-    """Combined dual norm sqrt(|g_E|^2/tau + |g_x|^2/(1-tau))."""
-    return math.sqrt(float(np.sum(g_E**2)) / tau + float(np.sum(g_x**2)) / (1.0 - tau))
+    """Combined dual norm sqrt(|g_E|^2/tau + |g_x|^2/(1-tau)), from flat dot products.
+
+    Takes the subgradients as (m, k, k) and (L, N) arrays or as their flat
+    vectors.
+    """
+    g_E, g_x = _blocks_flat(g_E), _rows_flat(g_x)
+    return math.sqrt(float(g_E @ g_E) / tau + float(g_x @ g_x) / (1.0 - tau))
 
 
 def da_step(
@@ -228,26 +275,36 @@ def da_step(
 
     Returns ``(E_next, x_next, info)``.  ``grads`` may carry a precomputed
     ``subgradients`` tuple (the penalty mode adjusts g_E before stepping).
+    The four running sums are updated in place by ``daxpy`` on the flat
+    views ``acc.flat``, and the two gap sums take flat dot products, so
+    the step allocates no (k, k, m) temporary; E, x and the subgradients
+    are read as flat views when they are in element-last (blocks) or C
+    (rows) order, and copied once otherwise.  ``info["grad_norm"]`` is the
+    dual norm the weighted scheme divides by; the simple scheme does not
+    need it and leaves it None (``grad_norm_star`` gives it on demand).
     """
     if grads is None:
         grads = subgradients(instance, E_dense, x, fallback_y)
     g_E, g_x, quad, in_R, used_plain = grads
+    g_E, g_x = _blocks_flat(g_E), _rows_flat(g_x)
+    E_flat, x_flat = _blocks_flat(E_dense), _rows_flat(x)
 
+    gnorm = None
     if schedule.scheme == "simple":
         alpha = 1.0
-        gnorm = grad_norm_star(g_E, g_x, schedule.tau)
     else:
         gnorm = grad_norm_star(g_E, g_x, schedule.tau)
         alpha = 1.0 / gnorm
 
+    s_E, s_x, E_avg, x_avg = acc.flat
     # averaging happens before the state moves: the mean covers E^(0..t)
-    acc.E_avg += alpha * E_dense
-    acc.x_avg += alpha * x
+    daxpy(E_flat, E_avg, a=alpha)
+    daxpy(x_flat, x_avg, a=alpha)
     acc.sum_alpha += alpha
-    acc.sum_gE_dot_E += alpha * float(np.sum(g_E * E_dense))
-    acc.sum_gx_dot_x += alpha * float(np.sum(g_x * x))
-    acc.s_E += alpha * g_E
-    acc.s_x -= alpha * g_x
+    acc.sum_gE_dot_E += alpha * float(g_E @ E_flat)
+    acc.sum_gx_dot_x += alpha * float(g_x @ x_flat)
+    daxpy(g_E, s_E, a=alpha)
+    daxpy(g_x, s_x, a=-alpha)
 
     beta_next = schedule.advance()
     x_next = _solve_x(acc.s_x, beta_next, schedule.tau, instance.eta)
@@ -321,6 +378,15 @@ class SolverConfig:
             raise InvalidInstance(f"unknown mode {self.mode!r}")
         if self.dense_threshold < 0:
             raise InvalidInstance(f"need dense_threshold >= 0, got {self.dense_threshold}")
+        # checked here, so that cli.run refuses them before it opens any file
+        if self.tau is not None and not 0.0 < self.tau < 1.0:
+            raise InvalidInstance(f"need tau in (0, 1), got {self.tau}")
+        if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise InvalidInstance(f"need a finite sigma0 > 0, got {self.sigma0}")
+        if self.autotune_window != 0 and self.autotune_window < 10:
+            raise InvalidInstance(
+                f"need autotune_window 0 (off) or at least 10 steps, got {self.autotune_window}"
+            )
 
 
 @dataclass
@@ -375,6 +441,15 @@ def run_solver(
     is refused by the first step's ``compliance_solves``, before any row
     reaches the sink.  The flop ledger ``counter`` is charged here, per
     call, from ``diagnostics.flop_model``.
+
+    Per-step diagnostics are computed only where they are read.  With a
+    controller tuning sigma, ``diagnostics.gap_estimate`` runs at the first
+    and the last step of each window (the two samples
+    ``SigmaController.observe_window`` reads) and at logged rows, at most
+    once per step, a row sharing the estimate of its step; the pending
+    window is just its first gap and its step count.  In the simple scheme
+    the row's ``grad_norm`` is computed at the row, from the subgradients
+    of that step.
     """
     from . import diagnostics
 
@@ -394,7 +469,7 @@ def run_solver(
     flops = diagnostics.flop_model(instance)
     fallback_y = np.zeros((instance.L, instance.N))
     fallback_events = 0
-    window_samples: list[float] = []
+    window_first, window_steps = 0.0, 0  # the pending window: first gap, steps so far
 
     pen = None
     if config.mode == "penalty":
@@ -432,12 +507,16 @@ def run_solver(
             # the pre-step iterate scaled by its own quadratic form
             fallback_y[in_R] = x_prev[in_R] / np.sqrt(quad[in_R])[:, None]
 
+        gap_parts = None  # this step's (kappa, upsilon, gap), once computed
         if controller is not None and not controller.frozen:
-            kappa, upsilon, gap = diagnostics.gap_estimate(acc, instance)
-            window_samples.append(gap)
-            if len(window_samples) == controller.window:
-                schedule.sigma = controller.observe_window(window_samples)
-                window_samples = []
+            window_steps += 1
+            if window_steps == 1:
+                gap_parts = diagnostics.gap_estimate(acc, instance)
+                window_first = gap_parts[2]
+            elif window_steps == controller.window:
+                gap_parts = diagnostics.gap_estimate(acc, instance)
+                schedule.sigma = controller.observe_window((window_first, gap_parts[2]))
+                window_steps = 0
                 if controller.frozen and constants is not None:
                     # theorem budget applies when sigma0 starts below the optimum
                     sigma_opt = constants.L_combined / math.sqrt(2.0 * constants.D)
@@ -457,7 +536,12 @@ def run_solver(
             now = time.perf_counter_ns()
             wall_ns = 0 if config.deterministic else now - last_wall
             last_wall = now
-            kappa, upsilon, gap = diagnostics.gap_estimate(acc, instance)
+            if gap_parts is None:
+                gap_parts = diagnostics.gap_estimate(acc, instance)
+            kappa, upsilon, gap = gap_parts
+            grad_norm = info["grad_norm"]
+            if grad_norm is None:  # the simple scheme leaves it to the rows
+                grad_norm = grad_norm_star(grads[0], grads[1], config.tau)
             bound = None
             if constants is not None:
                 bound = diagnostics.theoretical_gap_bound(
@@ -483,7 +567,7 @@ def run_solver(
                 beta=info["beta"],
                 sigma=schedule.sigma,
                 objective=objective,
-                grad_norm=info["grad_norm"],
+                grad_norm=grad_norm,
                 gap_kappa=kappa,
                 gap_upsilon=upsilon,
                 gap=gap,

@@ -352,6 +352,7 @@ class TestMain:
         ("--lx", "nan", "lx"),
         ("--ly", "inf", "ly"),
         ("--dense-threshold", "-5", "dense_threshold"),
+        ("--sigma0", "inf", "sigma0"),
     ])
     def test_nonfinite_input_exit_two(self, tmp_path, capsys, flag, value, field):
         rc = cli.main([
@@ -362,6 +363,19 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "input"
         assert field in err["error"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tau", "1.5"),
+        ("--sigma0", "-1"),
+        ("--sigma0", "nan"),
+        ("--autotune-window", "5"),
+    ])
+    def test_refused_run_leaves_no_file(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["--mesh", "4x2", "--iters", "3", flag, value, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "input"
+        assert not (tmp_path / "x.csv").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_overflowing_bound_constant_exit_three(self, tmp_path, capsys):
         rc = cli.main(["--mesh", "4x2", "--iters", "5", "--eta", "1e200",

@@ -128,6 +128,44 @@ class TestLayoutIndependence:
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-11)
 
 
+    @pytest.mark.parametrize("scheme", ["simple", "weighted"])
+    @pytest.mark.parametrize("layout", ["c", "last"])
+    def test_multi_step_run_matches_oracle(self, ragged, scheme, layout):
+        inst, E, x, _ = ragged
+        shape, rows = (inst.m, inst.k, inst.k), (inst.L, inst.N)
+        if layout == "c":
+            acc = DualAccumulators(s_E=np.zeros(shape), s_x=np.zeros(rows),
+                                   E_avg=np.zeros(shape), x_avg=np.zeros(rows))
+        else:
+            acc = DualAccumulators.zeros(inst)
+        sched = StepSchedule(scheme, 0.4, 2.0)
+        bh = beta_hat_sequence(6)
+        E_ref, x_ref, s_E_ref, s_x_ref = E, x, np.zeros(shape), np.zeros(rows)
+        for t in range(5):
+            E, x, info = da_step(inst, acc, sched, E, x)
+            E_ref, x_ref, s_E_ref, s_x_ref, alpha_ref = da_step_reference(
+                inst, E_ref, x_ref, s_E_ref, s_x_ref, scheme, 0.4, 2.0, bh[t + 1]
+            )
+            assert info["alpha"] == pytest.approx(alpha_ref, rel=1e-12)
+            for got, ref in ((E, E_ref), (x, x_ref), (acc.s_E, s_E_ref), (acc.s_x, s_x_ref)):
+                np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-11)
+
+    def test_accumulators_keep_their_storage(self, ragged):
+        inst, E, x, fallback_y = ragged
+        shape, rows = (inst.m, inst.k, inst.k), (inst.L, inst.N)
+        given_c, given_last = np.zeros(shape), element_last(np.zeros(shape))
+        acc = DualAccumulators(s_E=given_c, s_x=np.zeros(rows), E_avg=given_last)
+        # C-order blocks are copied once into element-last storage, element-last ones kept
+        assert is_element_last(acc.s_E) and not np.shares_memory(acc.s_E, given_c)
+        assert np.shares_memory(acc.E_avg, given_last)
+        created = acc.flat
+        sched = StepSchedule("weighted", 0.4, 2.0)
+        for _ in range(4):
+            E, x, _ = da_step(inst, acc, sched, E, x, fallback_y=fallback_y)
+        for array, storage in zip((acc.s_E, acc.s_x, acc.E_avg, acc.x_avg), created):
+            assert np.shares_memory(array, storage) and np.any(array != 0.0)
+
+
 class TestCertifiedRowCheck:
     R = 0.1
 

@@ -17,6 +17,7 @@ from fmopt.model import (
     apply_Bt,
     feasible_E,
     quad_A,
+    scatter_index,
 )
 from fmopt.oracle import da_step_reference, dense_stiffness_reference, dense_strain_matrices
 from fmopt.saddle import DualAccumulators, StepSchedule, beta_hat_sequence, da_step
@@ -226,6 +227,24 @@ class TestElementKernel:
         np.testing.assert_allclose(
             apply_Bt(inst, Y), np.einsum("qlkn,jqlk->jn", dense, Y), rtol=1e-12, atol=1e-12
         )
+
+    def test_apply_Bt_scatter_index_built_once(self, rng, case, monkeypatch):
+        # up to L rows take a prefix of the instance's read-only index, more
+        # rows build their own; the sums are bitwise those of an index built
+        # on every call
+        inst, _ = case
+        with pytest.raises(ValueError, match="read-only"):
+            inst.scatter_index[0] = 1
+        counts = (1, inst.L, inst.L + 1)
+        for n in counts[:2]:
+            np.testing.assert_array_equal(
+                inst.scatter_index[: n * inst.cols.size], scatter_index(n, inst.N, inst.cols)
+            )
+        Ys = [rng.normal(size=(n, inst.m, inst.nig, inst.k)) for n in counts]
+        got = [apply_Bt(inst, Y) for Y in Ys]
+        monkeypatch.setattr(inst, "L", 0)  # every call now builds its own index
+        for Y, sums in zip(Ys, got):
+            np.testing.assert_array_equal(sums, apply_Bt(inst, Y))
 
     @pytest.mark.parametrize("scheme", ["simple", "weighted"])
     def test_da_step_on_shared_operator_matches_oracle(self, rng, scheme):

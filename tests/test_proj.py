@@ -702,8 +702,8 @@ class TestClosedForm3x3:
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_other_sizes_keep_the_eigh_path_bitwise(self, rng, monkeypatch, k):
-        # the certified trace shift, then eigh and the trace scans on the
-        # rest, written out
+        # the certified trace shift on the symmetric part, then eigh and the
+        # trace scans on the rest with their result symmetrized, written out
         g = rng.normal(0, 1, (300, k, k))
         blocks = g + g.transpose(0, 2, 1)
         blocks[:100] = np.eye(k) * rng.normal(0, 3, (100, 1, 1)) + 1e-3 * blocks[:100]
@@ -714,14 +714,15 @@ class TestClosedForm3x3:
         mean, spread = proj.trace_spread(s)
         tr_y = k * (r - mean / bt)
         shift = (np.clip(tr_y, rho_l, rho_u) - tr_y) / k
-        out = np.divide(s, -bt, out=np.empty(s.shape))
+        out = (s + s.transpose(1, 0, 2)) * (-0.5 / bt)
         out[np.arange(k), np.arange(k)] += r + shift
         scan = np.flatnonzero(~(mean + spread <= shift * bt))
         lam, Q = np.linalg.eigh(blocks[scan])
         omega = proj._project_spectra(r - lam / bt, rho_l[scan], rho_u[scan], r)
         Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
-        out[:, :, scan] = np.einsum("ijq,kjq->ikq", Q * omega.T, Q)
-        want = np.moveaxis(0.5 * (out + out.transpose(1, 0, 2)), -1, 0)
+        solved = np.einsum("ijq,kjq->ikq", Q * omega.T, Q)
+        out[:, :, scan] = 0.5 * (solved + solved.transpose(1, 0, 2))
+        want = np.moveaxis(out, -1, 0)
         assert 0 < scan.size < 300
 
         def refuse(*args):

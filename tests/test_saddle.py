@@ -329,6 +329,15 @@ class TestSigmaController:
             ctl.observe_window(np.linspace(1.0, 1.0 - r, 10))
         assert sigma_star / 2 <= ctl.sigma <= 2 * sigma_star
 
+    def test_only_first_and_last_sample_read(self, rng):
+        ends = [(1.0, 1.0 - rate) for rate in (0.1, 0.2, 0.3, 0.25)]
+        plain, noisy = SigmaController(sigma0=1.0, window=10), SigmaController(sigma0=1.0, window=10)
+        for first, last in ends:
+            plain.observe_window((first, last))
+            noisy.observe_window(np.concatenate([[first], rng.uniform(-5.0, 5.0, 8), [last]]))
+            assert (noisy.sigma, noisy.phase, noisy.v) == (plain.sigma, plain.phase, plain.v)
+        assert plain.frozen and plain.windows_used == noisy.windows_used == 4
+
     def test_window_minimum_enforced(self):
         with pytest.raises(InvalidInstance):
             SigmaController(sigma0=1.0, window=5)
@@ -358,6 +367,49 @@ class TestRunSolver:
         cfg = SolverConfig(iterations=25, log_stride=10)
         run_solver(small_mesh_instance, cfg, sink=rows.append)
         assert [r.t for r in rows] == [10, 20, 25]
+
+    def test_gap_estimate_only_at_rows_and_window_ends(self, small_mesh_instance, monkeypatch):
+        steps = []
+        gap_estimate = diagnostics.gap_estimate
+
+        def spy(acc, instance):
+            steps.append(round(acc.sum_alpha))  # the step: alpha is 1 in the simple scheme
+            return gap_estimate(acc, instance)
+
+        monkeypatch.setattr(diagnostics, "gap_estimate", spy)
+        window, iters = 10, 75
+        cfg = SolverConfig(iterations=iters, log_stride=7, sigma0=0.05, autotune_window=window)
+        rows = []
+        ctl = run_solver(small_mesh_instance, cfg, rows.append).controller
+        # windows opened while unfrozen give their first and, once reached, last step
+        opened = ctl.windows_used + (not ctl.frozen and ctl.windows_used * window < iters)
+        ends = {w * window + 1 for w in range(opened)} | {
+            (w + 1) * window for w in range(ctl.windows_used)
+        }
+        assert steps == sorted({row.t for row in rows} | ends)  # each step at most once
+        assert ctl.windows_used >= 2 and len(steps) < iters
+
+    def test_simple_row_grad_norm_from_that_steps_subgradients(
+        self, small_mesh_instance, monkeypatch
+    ):
+        inst = small_mesh_instance
+        grads, subgradients_ = [], saddle.subgradients
+
+        def spy(*args):
+            grads.append(subgradients_(*args))
+            return grads[-1]
+
+        monkeypatch.setattr(saddle, "subgradients", spy)
+        rows = []
+        run_solver(inst, SolverConfig(iterations=12, log_stride=5, tau=0.4), rows.append)
+        assert [row.t for row in rows] == [5, 10, 12]
+        for row in rows:
+            g_E, g_x = grads[row.t - 1][:2]
+            assert row.grad_norm == grad_norm_star(g_E, g_x, 0.4)
+        acc = DualAccumulators.zeros(inst)
+        E, x = inst.start_material().dense(), inst.start_dual().vectors
+        _, _, info = da_step(inst, acc, StepSchedule("simple", 0.4, 1.0), E, x)
+        assert info["grad_norm"] is None  # left to the rows that read it
 
     def test_autotune_changes_sigma(self, small_mesh_instance):
         cfg = SolverConfig(iterations=120, log_stride=120, autotune_window=20,
