@@ -25,7 +25,7 @@ def main() -> int:
     )
     probe = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 1.0, 20.0)
     c0 = float(np.max(fem2d.reference_compliance(probe, probe.start_material())))
-    instance = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 4.0 * c0, 20.0)
+    instance = probe.with_params(gamma=4.0 * c0)
     fem2d.write_instance(instance, outdir / "cantilever.fmo")
 
     for scheme in ("simple", "weighted"):

@@ -30,7 +30,7 @@ def main() -> int:
     gamma = 0.5 * c0  # tight on purpose: infeasible from the stiffest start
 
     for mode, nu in (("penalty", 10.0), ("plain", 0.0)):
-        instance = fem2d.build_instance(spec, 0.3, 3.0, 0.05, gamma, 20.0, nu)
+        instance = probe.with_params(gamma=gamma, nu=nu)
         config = saddle.SolverConfig(
             mode=mode, iterations=iters, sigma0=1.0, log_stride=max(iters // 100, 1)
         )

@@ -44,19 +44,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def run(
-    config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str, layout=None
-) -> dict:
+def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str) -> dict:
     """Solve one instance and write CSV/report/state artifacts under ``out_prefix``.
 
     Resolves an auto (None) ``tau`` or ``sigma0`` from the bound constants,
     which are computed once and also feed the bound column and the
     certificate.  Returns the report dictionary.  Violation columns are
     filled from the banded compliance solve at logged rows (penalty mode
-    already has them).  The band layout (``penalty.band_layout``) is built
-    once, here unless the caller passes it as ``layout``, and shared by
-    every banded solve: the bound data, the rows, the final violation and
-    the certificate.  Above the dense threshold, penalty mode and
+    already has them).  Above the dense threshold, penalty mode and
     rank-deficient bound data are refused before any file is opened; the
     per-row violation columns are recorded as NaN, the final violation and
     the certificate are left out, and with a fixed tau and sigma0 the
@@ -66,17 +61,13 @@ def run(
         check_dense_size(instance, "penalty mode", config.dense_threshold)
     dense_ok = instance.N <= config.dense_threshold
     tau, sigma0, constants = config.tau, config.sigma0, None
-    auto = tau is None or sigma0 is None
-    # the one band layout of every banded solve below
-    if layout is None and (auto or dense_ok):
-        layout = penalty.band_layout(instance)
-    if auto:
+    if tau is None or sigma0 is None:
         tau, auto_sigma, constants = diagnostics.optimal_parameters(
-            instance, config.scheme, tau, config.dense_threshold, layout
+            instance, config.scheme, tau, config.dense_threshold
         )
         sigma0 = auto_sigma if sigma0 is None else sigma0
     elif dense_ok:
-        constants = diagnostics.compute_constants(instance, tau, config.dense_threshold, layout)
+        constants = diagnostics.compute_constants(instance, tau, config.dense_threshold)
     config = dataclasses.replace(config, tau=tau, sigma0=sigma0)
 
     csv_path = f"{out_prefix}.csv"
@@ -89,9 +80,7 @@ def run(
             nonlocal best_feasible_obj
             lit, pos = rec.violation_literal, rec.violation_positive
             if lit is None and dense_ok and config.mode == "plain":
-                comp = fem2d.reference_compliance(
-                    instance, MaterialState.from_dense(rec.E_ref), layout
-                )
+                comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
                 lit, pos = penalty.violation_sums(instance, comp)
             if pos is not None and rec.feasible and pos <= 0.0:
                 obj = rec.objective
@@ -124,7 +113,7 @@ def run(
     feasible_flag = None
     certificate = None
     if dense_ok:
-        comp = fem2d.reference_compliance(instance, result.E_last, layout)
+        comp = fem2d.reference_compliance(instance, result.E_last)
         final_literal, final_positive = penalty.violation_sums(instance, comp)
         in_Q, _ = feasible_E(instance, result.E_last)
         feasible_flag = bool(in_Q and final_positive <= 1e-9 * max(1.0, instance.gamma))
@@ -133,7 +122,7 @@ def run(
             f_star_upper = float(np.sum(instance.rho_u))  # always an upper bound
         cert = diagnostics.approximation_certificate(
             instance, result.E_avg, result.x_avg.vectors, f_star_upper,
-            lam_min_BtB=constants.lam_min_BtB, layout=layout,
+            lam_min_BtB=constants.lam_min_BtB,
         )
         certificate = {
             "f_star_upper_estimate": f_star_upper,
@@ -239,23 +228,9 @@ def _parse_loads(tokens):
     return tuple(loads)
 
 
-def _instance_from_args(args):
-    """The run's instance and, when the default-gamma probe built one, its band layout."""
+def _instance_from_args(args) -> ProblemInstance:
     if args.instance:
-        inst = fem2d.read_instance(args.instance)
-        if args.eta is None and args.nu is None:
-            return inst, None
-        return ProblemInstance(
-            inst.cols_packed,
-            inst.B_packed,
-            inst.loads,
-            inst.rho_l,
-            inst.rho_u,
-            inst.r,
-            inst.gamma,
-            inst.eta if args.eta is None else args.eta,
-            inst.nu if args.nu is None else args.nu,
-        ), None
+        return fem2d.read_instance(args.instance).with_params(eta=args.eta, nu=args.nu)
     if not args.mesh:
         raise InvalidInstance("provide --instance or --mesh")
     nx, _, ny = args.mesh.partition("x")
@@ -269,18 +244,16 @@ def _instance_from_args(args):
         fixed_edge=args.fixed_edge,
         loads=loads,
     )
-    gamma, layout = args.gamma, None
     eta = args.eta if args.eta is not None else 10.0
     nu = args.nu if args.nu is not None else 0.0
-    if gamma is None:
-        probe = fem2d.build_instance(spec, args.rho_l, args.rho_u, args.r, 1.0, eta, nu)
-        layout = penalty.band_layout(probe)  # gamma leaves the sparsity as it is
-        comp = fem2d.reference_compliance(probe, probe.start_material(), layout)
-        gamma = 2.0 * float(np.max(comp))
+    gamma = 1.0 if args.gamma is None else args.gamma
     inst = fem2d.build_instance(spec, args.rho_l, args.rho_u, args.r, gamma, eta, nu)
+    if args.gamma is None:  # probe at gamma = 1; the variant shares what B determines
+        comp = fem2d.reference_compliance(inst, inst.start_material())
+        inst = inst.with_params(gamma=2.0 * float(np.max(comp)))
     if args.save_instance:
         fem2d.write_instance(inst, args.save_instance)
-    return inst, layout
+    return inst
 
 
 def _fail(exc: Exception, kind: str, code: int) -> int:
@@ -292,7 +265,7 @@ def _fail(exc: Exception, kind: str, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        instance, layout = _instance_from_args(args)
+        instance = _instance_from_args(args)
         config = saddle.SolverConfig(
             scheme=args.scheme,
             mode=args.mode,
@@ -304,7 +277,7 @@ def main(argv=None) -> int:
             dense_threshold=args.dense_threshold,
             deterministic=args.deterministic,
         )
-        report = run(config, instance, args.out, layout)
+        report = run(config, instance, args.out)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
         return _fail(exc, "numerical", 3)
     except (InvalidInstance, FileNotFoundError, ValueError) as exc:

@@ -97,9 +97,7 @@ def power_iteration_norm(instance: ProblemInstance, tol: float = 1e-8, max_iter:
     )
 
 
-def smallest_nonzero_singular_sq(
-    instance: ProblemInstance, dense_threshold: int = DENSE_THRESHOLD, layout=None
-):
+def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int = DENSE_THRESHOLD):
     """Smallest nonzero singular value of stacked B, squared; rank flag; ||B||_2.
 
     The squared singular values of the (m*nig*k) x N stacked strain operator
@@ -115,7 +113,6 @@ def smallest_nonzero_singular_sq(
     (failed factorization, or lambda_min under that rule) takes one dense
     eigendecomposition instead, which instances with N above
     ``dense_threshold`` are refused as input (``model.check_dense_size``).
-    ``layout`` is ``penalty.band_layout(instance)``, built when None.
     """
     from scipy.sparse import dia_array
     from scipy.sparse.linalg import LinearOperator
@@ -124,7 +121,7 @@ def smallest_nonzero_singular_sq(
     rows = m * instance.nig * k
     zero = max(rows, N) * np.finfo(float).eps
     identity = np.broadcast_to(np.eye(k), (m, k, k))
-    band = penalty.assemble_band(instance, identity, layout)[1]
+    band = penalty.assemble_band(instance, identity)[1]
     # the sparse A(I) is the one copy of the band: the factorization overwrites it
     lower = dia_array((band, -np.arange(band.shape[0])), shape=(N, N))
     gram = (lower + lower.T).tocsr()
@@ -166,16 +163,15 @@ def _square(v: float) -> float:
 
 
 def compute_constants(
-    instance: ProblemInstance, tau: float, dense_threshold: int = DENSE_THRESHOLD, layout=None
+    instance: ProblemInstance, tau: float, dense_threshold: int = DENSE_THRESHOLD
 ) -> BoundConstants:
     """Evaluate the printed bound constants for one instance.
 
     The spectral data come from ``smallest_nonzero_singular_sq``: banded
-    Lanczos at any N (on ``layout``, built when None), and for a
-    rank-deficient B a dense B^T B eigendecomposition, which
-    ``dense_threshold`` gates.
+    Lanczos at any N, and for a rank-deficient B a dense B^T B
+    eigendecomposition, which ``dense_threshold`` gates.
     """
-    lam_min, deficient, B_norm = smallest_nonzero_singular_sq(instance, dense_threshold, layout)
+    lam_min, deficient, B_norm = smallest_nonzero_singular_sq(instance, dense_threshold)
     m, k, L = instance.m, instance.k, instance.L
     r, gamma, eta = instance.r, instance.gamma, instance.eta
     rho_u_max = float(instance.rho_u.max())
@@ -213,7 +209,6 @@ def optimal_parameters(
     scheme: str,
     tau: float | None = None,
     dense_threshold: int = DENSE_THRESHOLD,
-    layout=None,
 ):
     """(tau, sigma, constants) that realize the printed gap bounds.
 
@@ -222,10 +217,9 @@ def optimal_parameters(
     combined-norm factor for the simple one (the printed simple-scheme
     sigma omits that factor and does not reproduce its own final bound).
     Only ``tau`` and ``D`` depend on tau, so the constants are computed
-    once, under ``dense_threshold`` and on the band ``layout``, and returned
-    at the tau used.
+    once, under ``dense_threshold``, and returned at the tau used.
     """
-    constants = compute_constants(instance, 0.5 if tau is None else tau, dense_threshold, layout)
+    constants = compute_constants(instance, 0.5 if tau is None else tau, dense_threshold)
     L_E, L_x = constants.L_E, constants.L_x
     if tau is None:
         tau = 1.0 / (1.0 + (L_x / L_E) * math.sqrt(constants.D_E / constants.D_x))
@@ -364,7 +358,6 @@ def approximation_certificate(
     x,
     f_star_upper: float,
     lam_min_BtB: float | None = None,
-    layout=None,
 ) -> CertificateReport:
     """Evaluate both sides of the constraint-violation bound at (E, x).
 
@@ -378,19 +371,18 @@ def approximation_certificate(
     full-rank B and gated at ``model.DENSE_THRESHOLD`` only for a
     rank-deficient one.  The compliances come from the banded solve and
     need no gate; the CLI still leaves the certificate out above the
-    threshold.  Both banded solves use ``layout``
-    (``penalty.band_layout(instance)``), built when None.
+    threshold.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)
-    comp = penalty.compliances(instance, E.dense(), layout)
+    comp = penalty.compliances(instance, E.dense())
     violated = np.flatnonzero(comp > instance.gamma)
     lhs = float(
         np.sum(np.sqrt(comp[violated]) - math.sqrt(instance.gamma))
     ) if violated.size else 0.0
     lam_min = lam_min_BtB
     if lam_min is None:
-        lam_min, _, _ = smallest_nonzero_singular_sq(instance, layout=layout)
+        lam_min, _, _ = smallest_nonzero_singular_sq(instance)
     m_rho_l = float(np.sum(instance.rho_l))
     denom = 2.0 * instance.r * lam_min * instance.eta
     rhs = (f_star_upper - m_rho_l) / denom

@@ -191,14 +191,11 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
     return ProblemInstance(cols.T, np.moveaxis(B, -1, 0), loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
-def reference_compliance(instance: ProblemInstance, E: MaterialState, layout=None):
-    """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size).
-
-    ``layout`` is ``penalty.band_layout(instance)``, built when None.
-    """
+def reference_compliance(instance: ProblemInstance, E: MaterialState):
+    """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size)."""
     from . import penalty
 
-    return penalty.compliances(instance, E.dense(), layout)
+    return penalty.compliances(instance, E.dense())
 
 
 # -- file formats ---------------------------------------------------------

@@ -29,6 +29,8 @@ so repeated runs on the same build are bit-reproducible.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,9 +218,12 @@ class ProblemInstance:
     ``shared`` is the ``SharedOperator`` found in ``B`` at construction, or
     None when no operator covers ``SHARED_SHARE`` of the elements.
     ``scatter_index`` is the flat ``bincount`` index of ``apply_Bt`` for L
-    rows (``scatter_index(L, N, cols)``), built once.  ``B``, ``cols``, the
-    storage they view, ``shared`` and ``scatter_index`` are read-only, so
-    none of them can go stale.
+    rows (``scatter_index(L, N, cols)``), built once.  ``band_layout`` is
+    the RCM order and band scatter index of the banded compliance solves
+    (``penalty.band_layout``), built on first use.  ``B``, ``cols``, the
+    storage they view, ``shared``, ``scatter_index`` and ``band_layout``
+    are read-only, so none of them can go stale.  ``with_params`` derives
+    an instance with other gamma, eta or nu that shares all of them.
 
     Parameters
     ----------
@@ -311,7 +316,7 @@ class ProblemInstance:
             raise InvalidInstance(f"element {bad.argmax()}: a DOF backs two columns")
         if not np.all(np.isfinite(self.loads)):
             raise InvalidInstance("loads contain non-finite entries")
-        for name in ("rho_l", "rho_u", "r", "gamma", "eta", "nu"):
+        for name in ("rho_l", "rho_u", "r"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInstance(f"{name} must be finite")
         if not (self.r > 0):
@@ -320,8 +325,35 @@ class ProblemInstance:
             raise InvalidInstance("need k*r <= rho_l for every element")
         if np.any(self.rho_l > self.rho_u):
             raise InvalidInstance("need rho_l <= rho_u for every element")
+        self._validate_params()
+
+    def _validate_params(self) -> None:
+        for name in ("gamma", "eta", "nu"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInstance(f"{name} must be finite")
         if not (self.gamma > 0 and self.eta > 0 and self.nu >= 0):
             raise InvalidInstance("need gamma > 0, eta > 0, nu >= 0")
+
+    def with_params(self, *, gamma=None, eta=None, nu=None) -> "ProblemInstance":
+        """This instance with the given gamma, eta or nu, validated as the constructor does.
+
+        None keeps a value.  Everything else is shared, not rebuilt: the
+        operators, loads and bounds, ``shared``, ``scatter_index`` and, once
+        built, ``band_layout`` depend on none of the three scalars.
+        """
+        variant = copy.copy(self)
+        for name, value in (("gamma", gamma), ("eta", eta), ("nu", nu)):
+            if value is not None:
+                setattr(variant, name, float(value))
+        variant._validate_params()
+        return variant
+
+    @functools.cached_property
+    def band_layout(self) -> tuple:
+        """``penalty.band_layout(self)``, built on first use and kept."""
+        from . import penalty
+
+        return penalty.band_layout(self)
 
     # -- starting point ----------------------------------------------------
 

@@ -11,7 +11,8 @@ penalty mode (report rows, certificate, gamma probe) come from
 ``compliances``, a banded Cholesky in reverse Cuthill-McKee order
 (``assemble_band`` and ``band_cholesky``, which also factor A(I) for the
 bound data) that needs no gate; its order and scatter index
-(``band_layout``) are built once per run and passed down.
+(``band_layout``) depend only on the sparsity of B, so each instance
+builds them on first use and keeps them (``ProblemInstance.band_layout``).
 
 Storage rule: A(E) is scattered straight into the Fortran-ordered storage
 LAPACK factors (the N x N matrix for ``dpotrf``, the (bw + 1, N) lower
@@ -110,9 +111,8 @@ def band_layout(instance: ProblemInstance):
     on or below the diagonal in that order, and ``band_idx`` is the flat
     position of each of them in (bw + 1, N) LAPACK lower band storage,
     column-major (Fortran order).  It depends only on the instance's
-    sparsity, so a run builds it once and passes it to every banded solve
-    (the ``layout`` argument here and in ``fem2d``, ``diagnostics`` and
-    ``cli``); nothing is cached on the instance.
+    sparsity, so the banded solves read it from ``instance.band_layout``,
+    which calls this once per instance; the arrays are read-only.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -133,19 +133,21 @@ def band_layout(instance: ProblemInstance):
     diag = offset[lower]
     bw = int(diag.max(initial=0))
     band_idx = diag + np.broadcast_to(P[:, None, :], pair.shape)[lower] * (bw + 1)
+    for array in (perm, lower, band_idx):
+        array.flags.writeable = False
     return perm, lower, band_idx, bw
 
 
-def assemble_band(instance: ProblemInstance, E_dense, layout=None):
+def assemble_band(instance: ProblemInstance, E_dense):
     """A(E) in reverse Cuthill-McKee order as a lower band, in the storage ``dpbtrf`` factors.
 
     Returns ``(perm, band)``: ``band`` is the (bw + 1, N) lower band
-    storage of A(E)[perm][:, perm], Fortran-ordered.  ``layout`` is
-    ``band_layout(instance)``, built here when None; no N x N array is
-    formed, so no size gate applies.
+    storage of A(E)[perm][:, perm], Fortran-ordered, laid out by
+    ``instance.band_layout``; no N x N array is formed, so no size gate
+    applies.
     """
     N = instance.N
-    perm, lower, band_idx, bw = band_layout(instance) if layout is None else layout
+    perm, lower, band_idx, bw = instance.band_layout
     band = np.bincount(
         band_idx, weights=element_stiffness(instance, E_dense)[lower], minlength=(bw + 1) * N
     )
@@ -166,15 +168,12 @@ def band_cholesky(band):
     return None if info > 0 else factor
 
 
-def compliances(instance: ProblemInstance, E_dense, layout=None) -> np.ndarray:
-    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E).
-
-    ``layout`` is ``band_layout(instance)``, built when None.
-    """
-    perm, band = assemble_band(instance, E_dense, layout)
+def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
+    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E)."""
+    perm, band = assemble_band(instance, E_dense)
     factor = band_cholesky(band)
     if factor is None:  # the factorization overwrote the band: rebuild it for lambda_min
-        band = assemble_band(instance, E_dense, layout)[1]
+        band = assemble_band(instance, E_dense)[1]
         raise _singular(
             scipy.linalg.eigvals_banded(
                 band, lower=True, select="i", select_range=(0, 0), check_finite=False
@@ -217,11 +216,13 @@ def penalty_grad_correction(instance: ProblemInstance, state: PenaltyState):
     """Blocks added to g_E by the penalty term (already sign-folded).
 
     For each violated load: -nu [1 - sqrt(gamma/compliance)]_+ times the
-    per-element Gram blocks of B applied to the static solution.
+    per-element Gram blocks of B applied to the static solution.  The
+    blocks are an (m, k, k) view of (k, k, m) storage, as g_E is, so the
+    sum keeps element-last storage.
     """
     m, k = instance.m, instance.k
     if state.violated.size == 0 or instance.nu == 0.0:
-        return np.zeros((m, k, k))
+        return np.moveaxis(np.zeros((k, k, m)), -1, 0)
     coef = instance.nu * np.maximum(
         1.0 - math.sqrt(instance.gamma) / np.sqrt(state.compliances[state.violated]), 0.0
     )

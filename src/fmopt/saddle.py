@@ -376,6 +376,8 @@ class SolverConfig:
             raise InvalidInstance("need log_stride >= 1")
         if self.mode not in ("plain", "penalty"):
             raise InvalidInstance(f"unknown mode {self.mode!r}")
+        if self.scheme not in ("simple", "weighted"):
+            raise InvalidInstance(f"unknown scheme {self.scheme!r}")
         if self.dense_threshold < 0:
             raise InvalidInstance(f"need dense_threshold >= 0, got {self.dense_threshold}")
         # checked here, so that cli.run refuses them before it opens any file

@@ -243,6 +243,7 @@ def test_criterion_4_subgradient_validity():
             assert slack >= -1e-8
 
 
+@pytest.mark.slow
 def test_criterion_5_gap_bound_dominance(gap_runs):
     inst, runs = gap_runs
     with criterion(5, "gap estimate stays in [0, theoretical bound] for 10^5 steps"):
@@ -255,6 +256,7 @@ def test_criterion_5_gap_bound_dominance(gap_runs):
             assert run["wall"] < 120.0, f"{scheme} took {run['wall']:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_6_sqrt_t_decay(gap_runs):
     inst, runs = gap_runs
     with criterion(6, "bound and measured gap decay like 1/sqrt(t)"):
@@ -318,6 +320,7 @@ def test_criterion_8_cost_linearity():
         assert pen[1] / pen[0] >= 4.0
 
 
+@pytest.mark.slow
 def test_criterion_9_figure_one_shape(cantilever_run):
     inst, res, log = cantilever_run
     with criterion(9, "objective falls while violation spikes then recovers"):
@@ -345,6 +348,7 @@ def test_criterion_9_figure_one_shape(cantilever_run):
         assert flag_prod == flag_oracle
 
 
+@pytest.mark.slow
 def test_criterion_10_penalty_comparison():
     with criterion(10, "penalty mode ends less violated; plain iterations are cheaper"):
         spec = fem2d.MeshSpec(

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from fmopt import cli, diagnostics, fem2d, penalty, saddle
+from fmopt import cli, diagnostics, fem2d, model, penalty, saddle
 from fmopt.cli import run
-from fmopt.model import NumericalFailure, ProblemInstance
+from fmopt.model import InvalidInstance, NumericalFailure, ProblemInstance
 from fmopt.saddle import SolverConfig
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -69,6 +69,11 @@ class TestRun:
         run(cfg1, small_mesh_instance, str(tmp_path / "a"))
         run(cfg2, small_mesh_instance, str(tmp_path / "b"))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_unknown_scheme_refused_before_any_file(self, tmp_path, tiny_mesh_instance):
+        with pytest.raises(InvalidInstance, match="unknown scheme 'bogus'"):
+            run(SolverConfig(scheme="bogus"), tiny_mesh_instance, str(tmp_path / "s"))
+        assert not list(tmp_path.iterdir())
 
 
 class TestMain:
@@ -214,29 +219,39 @@ class TestMain:
     def test_band_layout_built_once_per_run(self, tmp_path, capsys, monkeypatch):
         # the cli-logged size: 32x16, L = 3, bound data, logged rows, the final
         # violation and the certificate all solve on the one layout; without
-        # --gamma the default-gamma probe builds it and the run reuses it
-        built = []
-        band_layout = penalty.band_layout
+        # --gamma the default-gamma probe builds it, and the run's instance is
+        # a variant of the probe that keeps it and the shared operator
+        built = {"band_layout": [], "find_shared_operator": []}
+        for module, name in ((penalty, "band_layout"), (model, "find_shared_operator")):
+            def counted(arg, _name=name, _fn=getattr(module, name)):
+                built[_name].append(arg.N if _name == "band_layout" else arg.shape[-1])
+                return _fn(arg)
 
-        def counted(instance):
-            built.append(instance.N)
-            return band_layout(instance)
-
-        monkeypatch.setattr(penalty, "band_layout", counted)
-        for gamma in (["--gamma", "400"], []):
-            built.clear()
+            monkeypatch.setattr(module, name, counted)
+        mesh = [
+            "--mesh", "32x16", "--load", "right_edge:0,-1", "--load", "top_right:0.5,-1",
+            "--load", "bottom_right:-0.5,-1",
+        ]
+        saved = str(tmp_path / "i.fmo")
+        sources = {
+            "gamma": [*mesh, "--gamma", "400", "--save-instance", saved],
+            "probe": mesh,
+            "instance": ["--instance", saved, "--eta", "2.5"],
+        }
+        for label, source in sources.items():
+            for calls in built.values():
+                calls.clear()
             rc = cli.main([
-                "--mesh", "32x16", "--load", "right_edge:0,-1", "--load", "top_right:0.5,-1",
-                "--load", "bottom_right:-0.5,-1", *gamma, "--scheme", "weighted",
-                "--iters", "30", "--tau", "auto", "--sigma0", "auto", "--autotune-window", "10",
-                "--stride", "10", "--out", str(tmp_path / "c"),
+                *source, "--scheme", "weighted", "--iters", "30", "--tau", "auto",
+                "--sigma0", "auto", "--autotune-window", "10", "--stride", "10",
+                "--out", str(tmp_path / "c"),
             ])
             assert rc == 0
             report = json.loads(capsys.readouterr().out)
             assert report["N"] == 1088 and report["certificate"] is not None
             rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
             assert len(rows) == 3 and all(row.split(",")[5] != "nan" for row in rows)
-            assert built == [1088], gamma
+            assert built == {"band_layout": [1088], "find_shared_operator": [512]}, label
 
     def test_bad_input_exit_two(self, tmp_path, capsys):
         rc = cli.main(["--instance", str(tmp_path / "missing.fmo")])
@@ -364,6 +379,18 @@ class TestMain:
         assert err["kind"] == "input"
         assert field in err["error"]
 
+    @pytest.mark.parametrize("flag,value,field", [("--eta", "inf", "eta"), ("--nu", "-1", "nu")])
+    def test_instance_override_exit_two(self, tmp_path, capsys, instance_file, flag, value, field):
+        rc = cli.main([
+            "--instance", str(instance_file), "--iters", "3", flag, value,
+            "--out", str(tmp_path / "n"),
+        ])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input"
+        assert field in err["error"]
+        assert not (tmp_path / "n.csv").exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--tau", "1.5"),
         ("--sigma0", "-1"),
@@ -386,7 +413,7 @@ class TestMain:
         assert "bound constant L_E2" in err["error"]
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
-        def broken_run(config, instance, out_prefix, layout=None):
+        def broken_run(config, instance, out_prefix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(cli, "run", broken_run)

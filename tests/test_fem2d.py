@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fmopt import diagnostics, fem2d, penalty
+from fmopt import fem2d, penalty
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance, element_matrices
 from fmopt.model import InvalidInstance, MaterialState, ProblemInstance
 from fmopt.oracle import compliances_reference, dense_stiffness_reference
@@ -207,25 +207,23 @@ class TestReferenceCompliance:
             got = fem2d.reference_compliance(inst, MaterialState.from_dense(blocks))
             np.testing.assert_allclose(got, ref, rtol=1e-10)
 
-    def test_passed_layout_matches_a_fresh_build_bitwise(self, rng):
-        # the band layout is a value: built once and passed down, it gives the
-        # compliances and the bound data of a build inside each call
+    def test_instance_layout_matches_a_fresh_build_bitwise(self, rng):
+        # the band layout is built once per instance and kept: it equals a
+        # fresh build, and no caller can write to it
         spec = MeshSpec(nx=6, ny=3, lx=6.0, ly=3.0, loads=(
             LoadSpec("right_edge", (0.0, -1.0)),
             LoadSpec("top_right", (0.5, 0.5)),
         ))
         mesh = build_instance(spec, 0.3, 3.0, 0.05, 5.0, 8.0)
         inst = renumbered(mesh, rng.permutation(mesh.N))
-        layout = penalty.band_layout(inst)
-        for _ in range(3):
-            blocks = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
-            fresh = penalty.compliances(inst, blocks)
-            np.testing.assert_array_equal(penalty.compliances(inst, blocks, layout), fresh)
-            got = fem2d.reference_compliance(inst, MaterialState.from_dense(blocks), layout)
-            np.testing.assert_array_equal(got, fresh)
-        assert diagnostics.smallest_nonzero_singular_sq(inst, layout=layout) == (
-            diagnostics.smallest_nonzero_singular_sq(inst)
-        )
+        blocks = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
+        comp = fem2d.reference_compliance(inst, MaterialState.from_dense(blocks))
+        np.testing.assert_allclose(comp, compliances_reference(inst, blocks), rtol=1e-10)
+        kept, fresh = inst.band_layout, penalty.band_layout(inst)
+        assert inst.band_layout is kept and kept[3] == fresh[3]
+        for got, want in zip(kept[:3], fresh[:3]):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
 
     def test_scaling_inverse_in_material(self, rng, small_mesh_instance):
         inst = small_mesh_instance

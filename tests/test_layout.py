@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import fem2d, saddle
+from fmopt import fem2d, penalty, saddle
 from fmopt.model import ProblemInstance, apply_B, apply_Bt
 from fmopt.oracle import da_step_reference, dense_strain_matrices
 from fmopt.proj import project_blocks
@@ -75,6 +75,17 @@ class TestLayoutIndependence:
         assert g_E.shape == (inst.m, inst.k, inst.k) and is_element_last(g_E)
         for a, b in zip(got_c[:3], got_l[:3]):
             assert_close(a, b)
+
+    def test_penalty_correction_keeps_g_E_element_last(self, small_mesh_instance):
+        E = small_mesh_instance.start_material().dense()
+        x = small_mesh_instance.start_dual().vectors
+        g_E = subgradients(small_mesh_instance, E, x, np.zeros_like(x))[0]
+        for gamma, violated in ((1e-6, small_mesh_instance.L), (1e6, 0)):
+            inst = small_mesh_instance.with_params(gamma=gamma, nu=1.0)
+            state = penalty.compliance_solves(inst, E)
+            assert state.violated.size == violated
+            correction = penalty.penalty_grad_correction(inst, state)
+            assert is_element_last(correction) and is_element_last(g_E + correction)
 
     def test_project_blocks(self, rng):
         s = rng.normal(0.0, 1.0, (40, 3, 3))

@@ -377,6 +377,36 @@ class TestInstanceValidation:
             ProblemInstance(inst.cols_packed[0], inst.B_packed, *args)
 
 
+
+class TestWithParams:
+    SPEC = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0)
+
+    def test_shares_what_B_determines(self):
+        base = fem2d.build_instance(self.SPEC, 0.3, 3.0, 0.05, 1.0, 10.0)
+        built = base.band_layout
+        variant = base.with_params(gamma=2.5, nu=4.0)
+        assert (variant.gamma, variant.eta, variant.nu) == (2.5, 10.0, 4.0)
+        assert (base.gamma, base.eta, base.nu) == (1.0, 10.0, 0.0)
+        for name in ("B", "cols", "shared", "scatter_index", "band_layout", "loads"):
+            assert getattr(variant, name) is getattr(base, name), name
+        assert variant.band_layout is built
+
+    @pytest.mark.parametrize("field,bad", [
+        ("gamma", np.nan), ("gamma", 0.0), ("eta", np.inf), ("eta", -1.0),
+        ("nu", np.nan), ("nu", -1.0),
+    ])
+    def test_validated_as_the_constructor_does(self, field, bad):
+        args = dict(rho_l=0.2, rho_u=1.0, r=0.1, gamma=1.0, eta=1.0, nu=0.0)
+        base = ProblemInstance(**TestInstanceValidation.ONE, loads=np.zeros((1, 2)), **args)
+        with pytest.raises(InvalidInstance) as built:
+            ProblemInstance(**TestInstanceValidation.ONE, loads=np.zeros((1, 2)),
+                            **{**args, field: bad})
+        with pytest.raises(InvalidInstance) as derived:
+            base.with_params(**{field: bad})
+        assert str(derived.value) == str(built.value) and field in str(derived.value)
+        assert getattr(base, field) == args[field]
+
+
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_quad_matches_apply_property(k, seed):

@@ -208,9 +208,9 @@ class TestInPlaceFactorization:
         return A, np.einsum("nj,jn->j", sol, inst.loads), sol
 
     @staticmethod
-    def copied_band(inst, E, layout):
+    def copied_band(inst, E):
         # row-major (bw + 1, N) band, cholesky_banded with its copy
-        perm, lower, band_idx, bw = layout
+        perm, lower, band_idx, bw = inst.band_layout
         col, diag = np.divmod(band_idx, bw + 1)
         ke = penalty.element_stiffness(inst, E)
         band = np.bincount(diag * inst.N + col, weights=ke[lower], minlength=(bw + 1) * inst.N)
@@ -222,7 +222,6 @@ class TestInPlaceFactorization:
 
     def test_bit_identical_to_factoring_a_copy(self, rng, small_mesh_instance):
         for inst in (small_mesh_instance, tight_instance(nx=6, ny=3)):
-            layout = penalty.band_layout(inst)
             materials = [inst.start_material().dense()] + [
                 random_feasible_blocks(rng, inst.m, 3, 0.4, 2.8, 0.05) for _ in range(3)
             ]
@@ -233,13 +232,13 @@ class TestInPlaceFactorization:
                 state = penalty.compliance_solves(inst, E)
                 assert np.array_equal(state.compliances, comp)
                 assert np.array_equal(state.solutions, sol)
-                band, comp = self.copied_band(inst, E, layout)
-                perm, got = penalty.assemble_band(inst, E, layout)
+                band, comp = self.copied_band(inst, E)
+                perm, got = penalty.assemble_band(inst, E)
                 assert got.flags.f_contiguous and np.array_equal(got, band)
                 permuted = A[np.ix_(perm, perm)]
                 for d in range(band.shape[0]):
                     assert np.array_equal(band[d, :inst.N - d], np.diagonal(permuted, -d))
-                assert np.array_equal(penalty.compliances(inst, E, layout), comp)
+                assert np.array_equal(penalty.compliances(inst, E), comp)
 
     def test_dense_step_makes_no_copy_of_A(self):
         # penalty-tight size: the scatter's N x N array is the only one
@@ -251,12 +250,12 @@ class TestInPlaceFactorization:
     def test_band_factorization_makes_no_copy_of_the_band(self):
         # plain-large size: band plus element stiffnesses, not two bands
         inst = tight_instance(nx=128, ny=64)
-        layout = penalty.band_layout(inst)
+        bw = inst.band_layout[3]  # built before the measurement, as a run builds it once
         E = inst.start_material().dense()
-        band = (layout[3] + 1) * inst.N * 8
+        band = (bw + 1) * inst.N * 8
         ke = inst.cols_packed.size * inst.cols_packed.shape[1] * 8
         assert ke + band / 10 < band  # a second band could not hide in the slack
-        assert peak_bytes(penalty.compliances, inst, E, layout) < band + ke + band / 10
+        assert peak_bytes(penalty.compliances, inst, E) < band + ke + band / 10
 
 
 class TestViolationSums:
