@@ -36,38 +36,24 @@ CSV_HEADER = (
 )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str) -> dict:
     """Solve one instance and write CSV/report/state artifacts under ``out_prefix``.
 
-    Resolves an auto (None) ``tau`` or ``sigma0`` from the bound constants,
-    which are computed once and also feed the bound column and the
-    certificate.  Returns the report dictionary.  Violation columns are
-    filled from the banded compliance solve at logged rows (penalty mode
-    already has them).  Above the dense threshold, penalty mode and
-    rank-deficient bound data are refused before any file is opened; the
-    per-row violation columns are recorded as NaN, the final violation and
-    the certificate are left out, and with a fixed tau and sigma0 the
-    bound column stays empty.
+    The bound constants are computed once, at the given tau or the balanced
+    one when tau is None, and feed the bound column, an auto (None)
+    ``sigma0`` and the certificate.  Returns the report dictionary.  Plain
+    mode fills the violation columns from the banded compliance solve at
+    logged rows (penalty mode already has them), so every column, the final
+    violation and the certificate are filled at any N.  Only dense work is
+    gated: above the dense threshold, penalty mode and rank-deficient bound
+    data are refused before any file is opened.
     """
     if config.mode == "penalty":
         check_dense_size(instance, "penalty mode", config.dense_threshold)
-    dense_ok = instance.N <= config.dense_threshold
-    tau, sigma0, constants = config.tau, config.sigma0, None
-    if tau is None or sigma0 is None:
-        tau, auto_sigma, constants = diagnostics.optimal_parameters(
-            instance, config.scheme, tau, config.dense_threshold
-        )
-        sigma0 = auto_sigma if sigma0 is None else sigma0
-    elif dense_ok:
-        constants = diagnostics.compute_constants(instance, tau, config.dense_threshold)
+    tau, auto_sigma, constants = diagnostics.optimal_parameters(
+        instance, config.scheme, config.tau, config.dense_threshold
+    )
+    sigma0 = auto_sigma if config.sigma0 is None else config.sigma0
     config = dataclasses.replace(config, tau=tau, sigma0=sigma0)
 
     csv_path = f"{out_prefix}.csv"
@@ -79,10 +65,10 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
         def sink(rec: saddle.IterationRecord):
             nonlocal best_feasible_obj
             lit, pos = rec.violation_literal, rec.violation_positive
-            if lit is None and dense_ok and config.mode == "plain":
+            if lit is None:  # plain mode: the banded solve at this row
                 comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
                 lit, pos = penalty.violation_sums(instance, comp)
-            if pos is not None and rec.feasible and pos <= 0.0:
+            if rec.feasible and pos <= 0.0:
                 obj = rec.objective
                 if best_feasible_obj is None or obj < best_feasible_obj:
                     best_feasible_obj = obj
@@ -98,7 +84,7 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
                 rec.wall_ns,
                 rec.flops,
             ]
-            csv_file.write(",".join(_csv_cell(v) for v in row) + "\n")
+            csv_file.write(",".join(map(str, row)) + "\n")  # str(float) is its repr
 
         t0 = time.perf_counter()
         result = saddle.run_solver(instance, config, sink, constants)
@@ -109,30 +95,26 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     fem2d.write_state(result.E_last, state_path)
     fem2d.write_state(result.E_avg, avg_path)
 
-    final_literal = final_positive = None
-    feasible_flag = None
-    certificate = None
-    if dense_ok:
-        comp = fem2d.reference_compliance(instance, result.E_last)
-        final_literal, final_positive = penalty.violation_sums(instance, comp)
-        in_Q, _ = feasible_E(instance, result.E_last)
-        feasible_flag = bool(in_Q and final_positive <= 1e-9 * max(1.0, instance.gamma))
-        f_star_upper = best_feasible_obj
-        if f_star_upper is None:
-            f_star_upper = float(np.sum(instance.rho_u))  # always an upper bound
-        cert = diagnostics.approximation_certificate(
-            instance, result.E_avg, result.x_avg.vectors, f_star_upper,
-            lam_min_BtB=constants.lam_min_BtB,
-        )
-        certificate = {
-            "f_star_upper_estimate": f_star_upper,
-            "all_dual_strictly_inside": cert.all_strictly_inside,
-            "violated_loads": cert.violated.tolist(),
-            "lhs_root_violation": cert.lhs_root_violation,
-            "rhs_plain": cert.rhs_plain,
-            "rhs_penalized": cert.rhs_penalized,
-            "bound_satisfied": cert.bound_satisfied,
-        }
+    comp = fem2d.reference_compliance(instance, result.E_last)
+    final_literal, final_positive = penalty.violation_sums(instance, comp)
+    in_Q, _ = feasible_E(instance, result.E_last)
+    feasible_flag = bool(in_Q and final_positive <= 1e-9 * max(1.0, instance.gamma))
+    f_star_upper = best_feasible_obj
+    if f_star_upper is None:
+        f_star_upper = float(np.sum(instance.rho_u))  # always an upper bound
+    cert = diagnostics.approximation_certificate(
+        instance, result.E_avg, result.x_avg.vectors, f_star_upper,
+        lam_min_BtB=constants.lam_min_BtB,
+    )
+    certificate = {
+        "f_star_upper_estimate": f_star_upper,
+        "all_dual_strictly_inside": cert.all_strictly_inside,
+        "violated_loads": cert.violated.tolist(),
+        "lhs_root_violation": cert.lhs_root_violation,
+        "rhs_plain": cert.rhs_plain,
+        "rhs_penalized": cert.rhs_penalized,
+        "bound_satisfied": cert.bound_satisfied,
+    }
 
     report = {
         "m": instance.m,
@@ -144,7 +126,7 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
         "obj": result.E_avg.objective(),
         "obj_last": result.E_last.objective(),
         # published tables show the violation with the sign of min(gamma - c, 0)
-        "const": "f" if feasible_flag else (None if final_positive is None else -final_positive),
+        "const": "f" if feasible_flag else -final_positive,
         "feasible": feasible_flag,
         "violation_literal": final_literal,
         "violation_positive": final_positive,
@@ -204,16 +186,20 @@ def _build_parser() -> argparse.ArgumentParser:
     rung.add_argument("--autotune-window", type=int, default=0)
     rung.add_argument("--eta", type=float, default=None, help="override the instance eta")
     rung.add_argument("--nu", type=float, default=None, help="override the instance nu")
-    rung.add_argument("--stride", type=int, default=1)
+    rung.add_argument(
+        "--stride",
+        type=int,
+        default=1,
+        help="log every STRIDE steps; each logged row costs a banded compliance solve",
+    )
     rung.add_argument("--deterministic", action="store_true")
     rung.add_argument(
         "--dense-threshold",
         type=int,
         default=DENSE_THRESHOLD,
-        help="above this N, refuse penalty mode (dense A(E) per step) and bound data that "
-        "needs the dense B^T B spectrum (a rank-deficient B, for --tau/--sigma0 auto), and "
-        "leave out the per-row violation columns, the final violation, the certificate and, "
-        "with fixed --tau and --sigma0, the theoretical bound column",
+        help="largest N for which an N x N matrix is formed: above it, penalty mode (dense "
+        "A(E) per step) and the bound data of a rank-deficient B (dense B^T B spectrum) are "
+        "refused; every other path is banded and runs at any N",
     )
     rung.add_argument("--out", default="fmopt_run", help="output path prefix")
     return p
@@ -280,7 +266,7 @@ def main(argv=None) -> int:
         report = run(config, instance, args.out)
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
         return _fail(exc, "numerical", 3)
-    except (InvalidInstance, FileNotFoundError, ValueError) as exc:
+    except (InvalidInstance, OSError, ValueError) as exc:
         return _fail(exc, "input", 2)
     except FmoError as exc:
         return _fail(exc, "numerical", 3)

@@ -370,8 +370,9 @@ def approximation_certificate(
     it, ``smallest_nonzero_singular_sq`` computes it, banded for a
     full-rank B and gated at ``model.DENSE_THRESHOLD`` only for a
     rank-deficient one.  The compliances come from the banded solve and
-    need no gate; the CLI still leaves the certificate out above the
-    threshold.
+    need no gate, so the CLI reports the certificate at any N.  The gap
+    ``f_star_upper - sum(rho_l)`` is clamped at 0; at 0 both right-hand
+    sides are 0.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)
@@ -383,17 +384,15 @@ def approximation_certificate(
     lam_min = lam_min_BtB
     if lam_min is None:
         lam_min, _, _ = smallest_nonzero_singular_sq(instance)
-    m_rho_l = float(np.sum(instance.rho_l))
-    denom = 2.0 * instance.r * lam_min * instance.eta
-    rhs = (f_star_upper - m_rho_l) / denom
+    # f* >= sum(rho_l), so a negative gap0 is rounding in f_star_upper
+    gap0 = max(f_star_upper - float(np.sum(instance.rho_l)), 0.0)
+    c = instance.r * lam_min * instance.eta
+    rhs = gap0 / (2.0 * c)
     rhs_pen = None
     if instance.nu > 0 and violated.size:
-        gap0 = f_star_upper - m_rho_l
-        inner = math.sqrt(
-            instance.nu / (gap0 * violated.size)
-            + (instance.r**2 * lam_min**2 * instance.eta**2) / gap0**2
-        ) + instance.r * lam_min * instance.eta / gap0
-        rhs_pen = 1.0 / inner
+        # 1 / (sqrt(nu / (gap0 n) + c^2 / gap0^2) + c / gap0), written so that
+        # gap0 = 0 gives its limit 0
+        rhs_pen = gap0 / (math.sqrt(instance.nu * gap0 / violated.size + c * c) + c)
     return CertificateReport(
         all_strictly_inside=bool(np.all(x_norms < instance.eta)),
         x_norms=x_norms,

@@ -354,9 +354,9 @@ class SolverConfig:
 
     ``tau`` or ``sigma0`` set to None asks for the value that realizes the
     printed gap bound; ``cli.run`` resolves it from the bound data before
-    the solve, and ``run_solver`` needs both numeric.  Above
-    ``dense_threshold`` unknowns, penalty mode and the bound data of a
-    rank-deficient B are refused as input.
+    the solve, and ``run_solver`` needs both numeric.  ``dense_threshold``
+    gates only dense work: above that many unknowns, penalty mode and the
+    bound data of a rank-deficient B are refused as input.
     """
 
     scheme: str = "simple"

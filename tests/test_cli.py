@@ -25,6 +25,15 @@ def assert_reports_lambda_min(message, instance):
     assert reported == pytest.approx(lam[0], abs=1e-12 * max(lam[-1], 1.0))
 
 
+def assert_every_cell_and_field_filled(report, csv_path):
+    """No empty column: every CSV cell is a finite float and every violation,
+    feasibility and certificate field of the report is present."""
+    for row in csv_path.read_text().splitlines()[1:]:
+        assert all(np.isfinite(float(cell)) for cell in row.split(","))
+    for field in ("const", "feasible", "violation_literal", "violation_positive", "certificate"):
+        assert report[field] is not None, field
+
+
 @pytest.fixture
 def instance_file(tmp_path, tiny_mesh_instance):
     path = tmp_path / "tiny.fmo"
@@ -150,15 +159,18 @@ class TestMain:
         ("2x2", ["--mode", "penalty", "--nu", "1"], 11, 2),
         ("rank-deficient", ["--tau", "auto"], 7, 2),
         ("rank-deficient", ["--tau", "auto"], 8, 3),
-    ], ids=["11-0", "12-0", "penalty-11-2", "rank-deficient-7-2", "rank-deficient-8-3"])
+        ("rank-deficient", ["--tau", "0.3"], 7, 2),
+    ], ids=["11-0", "12-0", "penalty-11-2", "rank-deficient-7-2", "rank-deficient-8-3",
+            "rank-deficient-fixed-tau-7-2"])
     def test_dense_threshold_gates_auto_parameters(
         self, tmp_path, capsys, source, params, threshold, code
     ):
         # a 2x2 mesh has N = 12 and a full-rank B: auto tau takes the banded
         # bound data at any threshold, while penalty mode needs a dense A(E)
         # per step.  The rank-deficient instance (N = 8, one column no element
-        # touches) needs the dense B^T B spectrum; within the gate it gets
-        # that far and then fails on its singular stiffness.
+        # touches) needs the dense B^T B spectrum, at an auto or a fixed tau;
+        # within the gate it gets that far and then fails on its singular
+        # stiffness.
         if source == "rank-deficient":
             rng = np.random.default_rng(7)
             cols = np.array([np.sort(rng.choice(7, size=5, replace=False)) for _ in range(4)])
@@ -183,17 +195,36 @@ class TestMain:
             assert json.loads(capsys.readouterr().out)["N"] == 12
 
     def test_auto_parameters_above_dense_threshold(self, tmp_path, capsys):
-        # N = 4032 over the default threshold 4000: the banded bound data
-        # needs no dense gate, so the bound column is filled
+        # N = 4032 over the default threshold 4000: the bound data, the rows,
+        # the final violation and the certificate are all banded, so every
+        # column and field is filled
         rc = cli.main([
             "--mesh", "63x31", "--iters", "2", "--tau", "auto", "--sigma0", "auto",
             "--out", str(tmp_path / "a"),
         ])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["N"] == 4032 and report["certificate"] is None
+        assert report["N"] == 4032
+        assert_every_cell_and_field_filled(report, tmp_path / "a.csv")
         rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 and all(float(row.split(",")[3]) > 0 for row in rows)
+
+    def test_dense_threshold_does_not_change_a_plain_run(self, tmp_path, capsys):
+        # the threshold gates only dense work, which a full-rank plain run
+        # has none of: N = 4032 runs the same path on either side of it
+        out = str(tmp_path / "s")
+        runs = []
+        for threshold in (model.DENSE_THRESHOLD, 5000):
+            rc = cli.main([
+                "--mesh", "63x31", "--iters", "3", "--deterministic",
+                "--dense-threshold", str(threshold), "--out", out,
+            ])
+            assert rc == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["cpu"]
+            runs.append((report, (tmp_path / "s.csv").read_bytes()))
+        assert runs[0][0]["N"] == 4032
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("params", [
         ["--tau", "auto", "--sigma0", "auto"],
@@ -254,10 +285,12 @@ class TestMain:
             assert built == {"band_layout": [1088], "find_shared_operator": [512]}, label
 
     def test_bad_input_exit_two(self, tmp_path, capsys):
-        rc = cli.main(["--instance", str(tmp_path / "missing.fmo")])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "input"
+        for source in (tmp_path / "missing.fmo", tmp_path):  # a missing file, a directory
+            rc = cli.main(["--instance", str(source), "--out", str(tmp_path / "b")])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["kind"] == "input"
+            assert not (tmp_path / "b.csv").exists()
 
     def test_no_source_exit_two(self, capsys):
         rc = cli.main(["--iters", "3"])
@@ -331,7 +364,20 @@ class TestMain:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["N"] == 4032
-        assert report["certificate"] is None
+        assert_every_cell_and_field_filled(report, tmp_path / "d.csv")
+
+    def test_certificate_at_zero_gap(self, tmp_path, capsys):
+        # rho_l = rho_u: every objective is sum(rho_l), so f_star_upper
+        # equals it and the certificate takes its gap0 = 0 limit
+        rc = cli.main([
+            "--mesh", "2x1", "--rho-l", "3", "--rho-u", "3", "--r", "1e-3", "--gamma", "1",
+            "--eta", "1", "--mode", "penalty", "--nu", "1", "--iters", "200", "--stride", "10",
+            "--out", str(tmp_path / "z"),
+        ])
+        assert rc == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["f_star_upper_estimate"] == 6.0 and cert["violated_loads"]
+        assert cert["rhs_plain"] == 0.0 and cert["rhs_penalized"] == 0.0
 
     def test_save_instance_roundtrip(self, tmp_path):
         saved = tmp_path / "gen.fmo"

@@ -326,6 +326,24 @@ class TestCertificate:
         assert rep.rhs_penalized <= rep.rhs_plain
         assert rep.lhs_root_violation <= rep.rhs_penalized
 
+    def test_zero_gap_takes_the_limit(self, small_mesh_instance):
+        # f_star_upper at sum(rho_l), or a rounding below it: gap0 is clamped
+        # at 0 and both right-hand sides take their limit 0
+        inst = small_mesh_instance.with_params(gamma=1e-6, nu=1.0)
+        E = inst.start_material()
+        x = np.zeros((inst.L, inst.N))
+        floor = float(np.sum(inst.rho_l))
+        for f_star_upper in (floor, floor - 1e-13):
+            rep = diagnostics.approximation_certificate(inst, E, x, f_star_upper)
+            assert rep.violated.size == inst.L
+            assert rep.rhs_plain == 0.0 and rep.rhs_penalized == 0.0
+        # above it, the limit-safe form is the printed 1 / (sqrt(...) + ...)
+        gap0 = 1e-3
+        rep = diagnostics.approximation_certificate(inst, E, x, floor + gap0)
+        c = inst.r * compute_constants(inst, 0.5).lam_min_BtB * inst.eta
+        printed = 1.0 / (np.sqrt(inst.nu / (gap0 * inst.L) + c**2 / gap0**2) + c / gap0)
+        assert rep.rhs_penalized == pytest.approx(printed, rel=1e-9)
+
     def test_given_lam_min_matches_computed(self, small_mesh_instance):
         inst = small_mesh_instance
         E = inst.start_material()
