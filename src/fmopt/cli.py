@@ -41,12 +41,12 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
 
     The bound constants are computed once, at the given tau or the balanced
     one when tau is None, and feed the bound column, an auto (None)
-    ``sigma0`` and the certificate.  Returns the report dictionary.  Plain
-    mode fills the violation columns from the banded compliance solve at
-    logged rows (penalty mode already has them), so every column, the final
-    violation and the certificate are filled at any N.  Only dense work is
-    gated: above the dense threshold, penalty mode and rank-deficient bound
-    data are refused before any file is opened.
+    ``sigma0`` and the certificate.  Returns the report dictionary.  In
+    both modes the violation columns come from the banded compliance solve
+    at logged rows, so every column, the final violation and the
+    certificate are filled at any N.  Only dense work is gated: above the
+    dense threshold, penalty mode and rank-deficient bound data are refused
+    before any file is opened.
     """
     if config.mode == "penalty":
         check_dense_size(instance, "penalty mode", config.dense_threshold)
@@ -64,10 +64,8 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
 
         def sink(rec: saddle.IterationRecord):
             nonlocal best_feasible_obj
-            lit, pos = rec.violation_literal, rec.violation_positive
-            if lit is None:  # plain mode: the banded solve at this row
-                comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
-                lit, pos = penalty.violation_sums(instance, comp)
+            comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
+            lit, pos = penalty.violation_sums(instance, comp)
             if rec.feasible and pos <= 0.0:
                 obj = rec.objective
                 if best_feasible_obj is None or obj < best_feasible_obj:
@@ -112,7 +110,8 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
         "violated_loads": cert.violated.tolist(),
         "lhs_root_violation": cert.lhs_root_violation,
         "rhs_plain": cert.rhs_plain,
-        "rhs_penalized": cert.rhs_penalized,
+        # nu matters only in penalty mode, as in the bound column
+        "rhs_penalized": cert.rhs_penalized if config.mode == "penalty" else None,
         "bound_satisfied": cert.bound_satisfied,
     }
 
@@ -235,8 +234,13 @@ def _instance_from_args(args) -> ProblemInstance:
     gamma = 1.0 if args.gamma is None else args.gamma
     inst = fem2d.build_instance(spec, args.rho_l, args.rho_u, args.r, gamma, eta, nu)
     if args.gamma is None:  # probe at gamma = 1; the variant shares what B determines
-        comp = fem2d.reference_compliance(inst, inst.start_material())
-        inst = inst.with_params(gamma=2.0 * float(np.max(comp)))
+        c0 = float(np.max(fem2d.reference_compliance(inst, inst.start_material())))
+        if c0 == 0.0:
+            raise InvalidInstance(
+                "zero load: the start compliance is 0, so the default gamma (twice it) "
+                "would be 0; give --gamma"
+            )
+        inst = inst.with_params(gamma=2.0 * c0)
     if args.save_instance:
         fem2d.write_instance(inst, args.save_instance)
     return inst

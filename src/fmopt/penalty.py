@@ -5,8 +5,9 @@ iterates toward compliance feasibility at the cost of one dense
 factorization of A(E) per iteration, so ``compliance_solves`` refuses N
 above the dense threshold through ``model.check_dense_size`` (bad input,
 CLI exit 2).  That gate covers penalty mode and, in ``diagnostics``, the
-bound data of a rank-deficient B, and nothing else.  Compliances outside
-penalty mode (report rows, certificate, gamma probe) come from
+bound data of a rank-deficient B, and nothing else.  Each penalty step
+solves for its own E; every other compliance (the CLI's report rows in
+both modes, the certificate, the gamma probe) comes from
 ``compliances``, a banded Cholesky in reverse Cuthill-McKee order
 (``assemble_band`` and ``band_cholesky``, which also factor A(I) for the
 bound data) that needs no gate; its order and scatter index

@@ -273,20 +273,22 @@ def da_step(
 ):
     """One dual-averaging iteration from (E, x); mutates ``acc``.
 
-    Returns ``(E_next, x_next, info)``.  ``grads`` may carry a precomputed
-    ``subgradients`` tuple (the penalty mode adjusts g_E before stepping).
-    The four running sums are updated in place by ``daxpy`` on the flat
-    views ``acc.flat``, and the two gap sums take flat dot products, so
-    the step allocates no (k, k, m) temporary; E, x and the subgradients
-    are read as flat views when they are in element-last (blocks) or C
-    (rows) order, and copied once otherwise.  ``info["grad_norm"]`` is the
-    dual norm the weighted scheme divides by; the simple scheme does not
-    need it and leaves it None (``grad_norm_star`` gives it on demand).
+    Returns ``(E_next, x_next, info)``, ``info`` holding ``alpha``, ``beta``
+    and ``grad_norm``.  ``grads`` may carry precomputed subgradients whose
+    first two entries are g_E and g_x (``run_solver`` adds the penalty
+    correction to g_E); without it the step calls ``subgradients`` with
+    ``fallback_y``.  The four running sums are updated in place by
+    ``daxpy`` on the flat views ``acc.flat``, and the two gap sums take
+    flat dot products, so the step allocates no (k, k, m) temporary; E, x
+    and the subgradients are read as flat views when they are in
+    element-last (blocks) or C (rows) order, and copied once otherwise.
+    ``info["grad_norm"]`` is the dual norm the weighted scheme divides by;
+    the simple scheme does not need it and leaves it None
+    (``grad_norm_star`` gives it on demand).
     """
     if grads is None:
         grads = subgradients(instance, E_dense, x, fallback_y)
-    g_E, g_x, quad, in_R, used_plain = grads
-    g_E, g_x = _blocks_flat(g_E), _rows_flat(g_x)
+    g_E, g_x = _blocks_flat(grads[0]), _rows_flat(grads[1])
     E_flat, x_flat = _blocks_flat(E_dense), _rows_flat(x)
 
     gnorm = None
@@ -312,15 +314,7 @@ def da_step(
         acc.s_E, beta_next * schedule.tau, instance.rho_l, instance.rho_u, instance.r
     )
 
-    info = {
-        "alpha": alpha,
-        "beta": beta_next,
-        "grad_norm": gnorm,
-        "quad": quad,
-        "in_R": in_R,
-        "used_plain_fallback": used_plain,
-    }
-    return E_next, x_next, info
+    return E_next, x_next, {"alpha": alpha, "beta": beta_next, "grad_norm": gnorm}
 
 
 def _solve_x(s_x, beta_next: float, tau: float, eta: float):
@@ -393,7 +387,10 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration sink payload (state AFTER ``t`` completed steps)."""
+    """Per-iteration sink payload (state AFTER ``t`` completed steps).
+
+    It holds no compliances: a sink that reports them solves at ``E_ref``.
+    """
 
     t: int
     alpha: float
@@ -409,9 +406,6 @@ class IterationRecord:
     x_in_ball: bool
     flops: float
     wall_ns: int
-    compliances: np.ndarray | None = None
-    violation_literal: float | None = None
-    violation_positive: float | None = None
     E_ref: np.ndarray | None = None  # current iterate; rebound every step, safe to hold
 
 
@@ -426,7 +420,6 @@ class SolveResult:
     sigma_final: float
     controller: SigmaController | None
     fallback_events: int
-    wall_seconds: float
 
 
 def run_solver(
@@ -439,10 +432,13 @@ def run_solver(
 
     ``sink`` receives an IterationRecord every ``log_stride`` steps and at
     the final step.  ``constants`` (a diagnostics.BoundConstants) enables
-    the theoretical-bound column.  Penalty mode above the dense threshold
-    is refused by the first step's ``compliance_solves``, before any row
-    reaches the sink.  The flop ledger ``counter`` is charged here, per
-    call, from ``diagnostics.flop_model``.
+    the theoretical-bound column; nu enters it only in penalty mode, the
+    one mode that reads nu.  Each penalty step solves for the compliances
+    of its own E (one dense assembly and solve on the ledger) and adds the
+    penalty correction to g_E; rows compute none.  Penalty mode above the
+    dense threshold is refused by the first step's ``compliance_solves``,
+    before any row reaches the sink.  The flop ledger ``counter`` is
+    charged here, per call, from ``diagnostics.flop_model``.
 
     Per-step diagnostics are computed only where they are read.  With a
     controller tuning sigma, ``diagnostics.gap_estimate`` runs at the first
@@ -473,41 +469,32 @@ def run_solver(
     fallback_events = 0
     window_first, window_steps = 0.0, 0  # the pending window: first gap, steps so far
 
-    pen = None
+    pen, nu = None, 0.0  # plain mode reads no nu
     if config.mode == "penalty":
         from . import penalty as pen
 
-    def dense_solves(E):  # penalty compliances of E, charged to the ledger
-        state = pen.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
-        counter.add("dense_assembly", flops["dense_assembly"])
-        counter.add("dense_solve", flops["dense_solve"])
-        return state
+        nu = instance.nu
 
-    t_start = time.perf_counter()
     last_wall = time.perf_counter_ns()
-    pen_state = None  # compliances of the current E, carried across log rows
     for step in range(config.iterations):
-        grads = subgradients(instance, E, x, fallback_y)
+        g_E, g_x, quad, in_R, used_plain = subgradients(instance, E, x, fallback_y)
         counter.add("grads", flops["grads"])
         if pen is not None:
-            if pen_state is None:
-                pen_state = dense_solves(E)
-            g_E = grads[0] + pen.penalty_grad_correction(instance, pen_state)
-            grads = (g_E,) + grads[1:]
-        pen_state = None
-
-        x_prev = x
-        E, x, info = da_step(instance, acc, schedule, E, x, fallback_y=fallback_y, grads=grads)
-        for key in ("x_update", "E_update", "averaging"):
-            counter.add(key, flops[key])
-        if info["used_plain_fallback"]:
+            state = pen.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
+            counter.add("dense_assembly", flops["dense_assembly"])
+            counter.add("dense_solve", flops["dense_solve"])
+            g_E = g_E + pen.penalty_grad_correction(instance, state)
+        if used_plain:
             fallback_events += 1
             log.info("step %d: plain 2f selection used for a load outside R", step)
-        quad, in_R = info["quad"], info["in_R"]
         if np.any(in_R):
             # unit-quadratic representatives for the set-valued branch:
             # the pre-step iterate scaled by its own quadratic form
-            fallback_y[in_R] = x_prev[in_R] / np.sqrt(quad[in_R])[:, None]
+            fallback_y[in_R] = x[in_R] / np.sqrt(quad[in_R])[:, None]
+
+        E, x, info = da_step(instance, acc, schedule, E, x, grads=(g_E, g_x))
+        for key in ("x_update", "E_update", "averaging"):
+            counter.add(key, flops[key])
 
         gap_parts = None  # this step's (kappa, upsilon, gap), once computed
         if controller is not None and not controller.frozen:
@@ -543,18 +530,10 @@ def run_solver(
             kappa, upsilon, gap = gap_parts
             grad_norm = info["grad_norm"]
             if grad_norm is None:  # the simple scheme leaves it to the rows
-                grad_norm = grad_norm_star(grads[0], grads[1], config.tau)
+                grad_norm = grad_norm_star(g_E, g_x, config.tau)
             bound = None
             if constants is not None:
-                bound = diagnostics.theoretical_gap_bound(
-                    constants, t - 1, config.scheme, nu=instance.nu
-                )
-            if pen is not None:
-                # post-step compliances for this row; reused next iteration
-                pen_state = dense_solves(E)
-            lit = pos = None
-            if pen_state is not None:
-                lit, pos = pen.violation_sums(instance, pen_state.compliances)
+                bound = diagnostics.theoretical_gap_bound(constants, t - 1, config.scheme, nu=nu)
             objective = float(np.einsum("qkk->", E))
             for name, value in (
                 ("objective", objective), ("gap", gap),
@@ -578,15 +557,11 @@ def run_solver(
                 x_in_ball=in_eta_ball(x, instance.eta),
                 flops=counter.total,
                 wall_ns=wall_ns,
-                compliances=None if pen_state is None else pen_state.compliances,
-                violation_literal=lit,
-                violation_positive=pos,
                 E_ref=E,
             )
             if sink is not None:
                 sink(record)
 
-    wall = time.perf_counter() - t_start
     return SolveResult(
         E_last=MaterialState.from_dense(E),
         x_last=DualState.from_array(x),
@@ -597,7 +572,6 @@ def run_solver(
         sigma_final=schedule.sigma,
         controller=controller,
         fallback_events=fallback_events,
-        wall_seconds=wall,
     )
 
 

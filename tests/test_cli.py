@@ -292,6 +292,35 @@ class TestMain:
             assert err["kind"] == "input"
             assert not (tmp_path / "b.csv").exists()
 
+    def test_zero_load_with_default_gamma_exit_two(self, tmp_path, capsys):
+        # the default gamma is twice the start compliance, which a zero load makes 0
+        argv = ["--mesh", "4x2", "--load", "right_edge:0,0", "--iters", "2",
+                "--out", str(tmp_path / "z")]
+        rc = cli.main(argv)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input"
+        assert "zero load" in err["error"] and "--gamma" in err["error"]
+        assert list(tmp_path.iterdir()) == []
+        assert cli.main(argv + ["--gamma", "1"]) == 0  # an explicit gamma is valid
+
+    def test_nu_does_not_change_a_plain_run(self, tmp_path, capsys):
+        # nu enters only the penalized problem: a plain run's bound column and
+        # certificate are those of nu = 0
+        runs = []
+        for nu in ("0", "3"):
+            rc = cli.main([
+                "--mesh", "4x2", "--gamma", "0.4", "--nu", nu, "--iters", "20",
+                "--stride", "10", "--deterministic", "--out", str(tmp_path / "n"),
+            ])
+            assert rc == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["cpu"]
+            runs.append((report, (tmp_path / "n.csv").read_bytes()))
+        assert runs[0] == runs[1]
+        cert = runs[0][0]["certificate"]
+        assert cert["violated_loads"] and cert["rhs_penalized"] is None
+
     def test_no_source_exit_two(self, capsys):
         rc = cli.main(["--iters", "3"])
         assert rc == 2

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import fem2d, penalty, saddle
+from fmopt import cli, fem2d, penalty, saddle
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance
 from fmopt.model import DualState, InvalidInstance, MaterialState
 from fmopt.oracle import compliances_reference, fd_check
@@ -131,14 +131,21 @@ class TestPenaltyTermConvexity:
 
 
 class TestPenaltyMode:
-    def test_solver_mode_runs_and_reports_compliance(self):
+    def test_solver_mode_runs_and_reports_compliance(self, tmp_path):
         inst = tight_instance(nu=3.0)
         rows = []
         cfg = saddle.SolverConfig(mode="penalty", iterations=30, log_stride=10)
         res = saddle.run_solver(inst, cfg, sink=rows.append)
-        assert all(r.compliances is not None for r in rows)
-        assert all(r.violation_literal is not None for r in rows)
         assert res.counter.counts.get("dense_solve", 0) > 0
+        # the CLI's violation columns are those of each row's own iterate
+        cli.run(cfg, inst, str(tmp_path / "p"))
+        lines = (tmp_path / "p.csv").read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == [r.t for r in rows]
+        for rec, line in zip(rows, lines):
+            cells = [float(cell) for cell in line.split(",")]
+            expected = penalty.violation_sums(inst, compliances_reference(inst, rec.E_ref))
+            assert cells[4:6] == pytest.approx(expected, rel=1e-9)
+        assert cells[5] > 0.0  # the tight cap is still violated at the last row
 
     def test_dense_threshold_refusal(self):
         inst = tight_instance()

@@ -1,5 +1,6 @@
 """Subgradient oracle, the DA step, averaging, and the sigma controller."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -410,6 +411,7 @@ class TestRunSolver:
         E, x = inst.start_material().dense(), inst.start_dual().vectors
         _, _, info = da_step(inst, acc, StepSchedule("simple", 0.4, 1.0), E, x)
         assert info["grad_norm"] is None  # left to the rows that read it
+        assert sorted(info) == ["alpha", "beta", "grad_norm"]
 
     def test_autotune_changes_sigma(self, small_mesh_instance):
         cfg = SolverConfig(iterations=120, log_stride=120, autotune_window=20,
@@ -417,6 +419,35 @@ class TestRunSolver:
         res = run_solver(small_mesh_instance, cfg)
         assert res.controller is not None
         assert res.sigma_final != pytest.approx(1e-3)
+
+    def test_autotune_budget_checked_when_the_controller_freezes(self):
+        # this run doubles sigma four times before it backtracks: 5 windows of 10
+        spec = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0, loads=(
+            fem2d.LoadSpec("right_edge", (0.3, -1.0)), fem2d.LoadSpec("bottom_right", (0.3, -1.0)),
+        ))
+        inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 100.0)
+        sigma0, window = 2.0**-13, 10
+        # constants whose optimal sigma is sigma0 exactly (L_combined = 2^-13,
+        # D = 1/2 at tau = 1/2), so the budget is 3 windows
+        constants = dataclasses.replace(
+            diagnostics.compute_constants(inst, 0.5), L_E2=2.0**-28, L_x=2.0**-14, D_E=0.5, D_x=0.5
+        )
+        assert constants.L_combined / math.sqrt(2.0 * constants.D) == sigma0
+        budget = saddle.autotune_step_budget(constants.L_combined, constants.D, sigma0, window)
+        assert budget == 3 * window
+
+        def config(iterations):
+            return SolverConfig(scheme="weighted", iterations=iterations, log_stride=iterations,
+                                sigma0=sigma0, autotune_window=window)
+
+        with pytest.raises(
+            NumericalFailure, match=f"used 50 test steps, over the budget {budget}"
+        ):
+            run_solver(inst, config(100), constants=constants)
+        # four windows in, the controller is still growing: over budget, but unchecked
+        ctl = run_solver(inst, config(45), constants=constants).controller
+        assert ctl.phase == "growing" and ctl.test_steps == 40 > budget
+        assert run_solver(inst, config(100)).controller.test_steps == 50  # no constants, no check
 
     def test_gap_samples_nonnegative(self, small_mesh_instance):
         rows = []
@@ -451,15 +482,14 @@ class TestRunSolver:
         charged = [key for key in table if mode == "penalty" or not key.startswith("dense")]
 
         def ledger(t):
-            # t charges of each key, one per step; in penalty mode one more
-            # dense assembly and solve, for the compliances of the t-th iterate
-            calls = {key: t + key.startswith("dense") for key in charged}
-            return {key: sum([float(table[key])] * calls[key]) for key in charged}
+            # t charges of each key, one per step; a penalty step pays its own
+            # dense assembly and solve, and a row pays none
+            return {key: sum([float(table[key])] * t) for key in charged}
 
         snapshot = res.counter.snapshot()
         assert snapshot == ledger(30) and list(snapshot) == charged
         if mode == "penalty":
-            assert snapshot["dense_solve"] == sum([table["dense_solve"]] * 31)
+            assert snapshot["dense_solve"] == sum([table["dense_solve"]] * 30)
         assert [row.t for row in rows] == [7, 14, 21, 28, 30]
         assert [row.flops for row in rows] == [sum(ledger(row.t).values()) for row in rows]
 
