@@ -33,7 +33,7 @@ from .model import (
     apply_B,
     apply_Bt,
     feasible_E,
-    quad_A,
+    lagrangian_value,
 )
 from .penalty import penalty_grad_correction, penalty_value
 from .proj import (
@@ -55,7 +55,6 @@ from .saddle import (
     StepSchedule,
     averaged_primal,
     da_step,
-    lagrangian_value,
     run_solver,
     subgradients,
 )

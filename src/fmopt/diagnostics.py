@@ -2,9 +2,9 @@
 
 Everything here is read-only over solver state: the running duality-gap
 estimate (kappa + upsilon), the input-data constants entering the
-theoretical gap bounds, the bounds themselves for both step schemes, the
-approximate-solution certificates, and the flop ledger's cost table and
-report.
+theoretical gap bound, the one data-only bound both step schemes share,
+the approximate-solution certificates, and the flop ledger's cost table
+and report.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    apply_A,
     check_dense_size,
 )
 
@@ -54,7 +55,6 @@ class BoundConstants:
     B_rank_deficient: bool
     f_norm: float
     rho_u_max: float
-    rho_l_sum: float
     r: float
     gamma: float
     eta: float
@@ -70,13 +70,28 @@ class BoundConstants:
     @property
     def L_combined(self) -> float:
         """sup of the combined dual norm of (g_E, g_x)."""
-        return math.sqrt(self.L_E2 / self.tau + self.L_x**2 / (1.0 - self.tau))
+        return self._combined_root(1.0)
+
+    @property
+    def sigma_opt(self) -> float:
+        """L_combined / sqrt(2 D): the sigma that realizes the simple scheme's bound."""
+        return self._combined_root(2.0 * self.D)
+
+    def _combined_root(self, d: float) -> float:
+        """sqrt((L_E^2 / tau + L_x^2 / (1 - tau)) / d), with no overflow in the squares.
+
+        L_E and L_x are scaled by the power of two s at their magnitude and
+        the root is multiplied back by s.  Scaling by a power of two is
+        exact, so the result has the bits of the unscaled expression
+        wherever that one is finite.
+        """
+        s = math.ldexp(1.0, math.frexp(max(self.L_E, self.L_x))[1])
+        a, b = self.L_E / s, self.L_x / s
+        return s * math.sqrt((a**2 / self.tau + b**2 / (1.0 - self.tau)) / d)
 
 
 def power_iteration_norm(instance: ProblemInstance, tol: float = 1e-8, max_iter: int = 10000):
     """||B||_2 by power iteration on B^T B, applied matrix-free."""
-    from .model import apply_A
-
     ident = MaterialState.from_dense(np.tile(np.eye(instance.k), (instance.m, 1, 1)))
     v = np.ones(instance.N) + 1e-3 * np.arange(instance.N) / max(instance.N - 1, 1)
     v /= np.linalg.norm(v)
@@ -197,7 +212,6 @@ def compute_constants(
         B_rank_deficient=deficient,
         f_norm=f_norm,
         rho_u_max=rho_u_max,
-        rho_l_sum=float(np.sum(instance.rho_l)),
         r=r,
         gamma=gamma,
         eta=eta,
@@ -210,25 +224,25 @@ def optimal_parameters(
     tau: float | None = None,
     dense_threshold: int = DENSE_THRESHOLD,
 ):
-    """(tau, sigma, constants) that realize the printed gap bounds.
+    """(tau, sigma, constants) that realize the printed gap bound.
 
     tau, unless given, balances the two Lipschitz/diameter pairs; sigma is
-    1/sqrt(2D) at that tau for the weighted scheme and carries the extra
-    combined-norm factor for the simple one (the printed simple-scheme
-    sigma omits that factor and does not reproduce its own final bound).
-    Only ``tau`` and ``D`` depend on tau, so the constants are computed
-    once, under ``dense_threshold``, and returned at the tau used.
+    1/sqrt(2D) at that tau for the weighted scheme and
+    ``BoundConstants.sigma_opt``, which carries the extra combined-norm
+    factor, for the simple one (the printed simple-scheme sigma omits that
+    factor and does not reproduce its own final bound).  Only ``tau`` and
+    ``D`` depend on tau, so the constants are computed once, under
+    ``dense_threshold``, and returned at the tau used.
     """
     constants = compute_constants(instance, 0.5 if tau is None else tau, dense_threshold)
     L_E, L_x = constants.L_E, constants.L_x
     if tau is None:
         tau = 1.0 / (1.0 + (L_x / L_E) * math.sqrt(constants.D_E / constants.D_x))
         constants = dataclasses.replace(constants, tau=tau)
-    D = constants.D
     if scheme == "weighted":
-        sigma = 1.0 / math.sqrt(2.0 * D)
+        sigma = 1.0 / math.sqrt(2.0 * constants.D)
     else:
-        sigma = math.sqrt((L_E**2 / tau + L_x**2 / (1.0 - tau)) / (2.0 * D))
+        sigma = constants.sigma_opt
     return tau, sigma, constants
 
 
@@ -237,66 +251,20 @@ def gap_bound_prefactor(t: int) -> float:
     return (GAP_PREFACTOR_CONST + math.sqrt(2.0 * t + 1.0)) / (t + 1.0)
 
 
-def theoretical_gap_bound(
-    constants: BoundConstants,
-    t: int,
-    scheme: str,
-    nu: float = 0.0,
-    d_star: float | None = None,
-    beta_hat_t1: float | None = None,
-) -> float:
+def theoretical_gap_bound(constants: BoundConstants, t: int, nu: float = 0.0) -> float:
     """Printed right-hand side of the duality-gap theorem after t+1 steps.
 
-    For the weighted scheme this is the data-only branch (bound 2); the
-    reference-point branch (bound 1) is evaluated only when ``d_star``, the
-    prox value at a known saddle point, is supplied.
+    pre(t) (sqrt(m L_E^2) (rho_u_max - k r) + sqrt(L) eta L_x), plus the
+    penalty increment when nu > 0.  The paper prints one data-only bound
+    per step scheme; written in the Lipschitz constants both are this one
+    number, so the scheme does not enter.  The weighted scheme's
+    reference-point bound needs the prox value at a saddle point, which a
+    run never knows, so it is not evaluated.
     """
     c = constants
-    pre = gap_bound_prefactor(t)
-    if scheme == "simple":
-        bound = pre * (
-            math.sqrt((c.m * c.k + (c.gamma / c.r) * c.L**2 * c.B_norm**2 * c.eta**2) * c.m)
-            * (c.rho_u_max - c.k * c.r)
-            + 2.0
-            * (c.f_norm + math.sqrt(c.gamma * c.L * (c.rho_u_max - c.k * c.r + c.r)) * c.B_norm)
-            * math.sqrt(c.L)
-            * c.eta
-        )
-    elif scheme == "weighted":
-        bound = pre * (
-            math.sqrt(c.m**2 * c.k + c.L**2 * c.m * (c.gamma / c.r) * c.B_norm**2 * c.eta**2)
-            * (c.rho_u_max - c.k * c.r)
-            + 2.0 * math.sqrt(c.L) * c.eta * c.f_norm
-            + 2.0
-            * math.sqrt(c.gamma * (c.rho_u_max - c.k * c.r + c.r))
-            * c.B_norm
-            * c.L
-            * c.eta
-        )
-        if d_star is not None:
-            if beta_hat_t1 is None:
-                from .saddle import beta_hat_sequence
-
-                beta_hat_t1 = float(beta_hat_sequence(t + 1)[t + 1])
-            branch1 = (
-                (4.0 * math.sqrt(2.0) + 2.0)
-                * beta_hat_t1
-                * math.sqrt(d_star)
-                / (t + 1.0)
-                * math.sqrt(
-                    c.m * c.k
-                    + 8.0 * (3.0 + math.sqrt(2.0)) * (c.gamma / c.r) * c.L * c.B_norm**2 * d_star
-                    + 4.0
-                    * (
-                        c.f_norm
-                        + math.sqrt(c.gamma * c.L * (c.rho_u_max - c.k * c.r + c.r)) * c.B_norm
-                    )
-                    ** 2
-                )
-            )
-            bound = min(bound, branch1)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    bound = gap_bound_prefactor(t) * (
+        math.sqrt(c.m * c.L_E2) * (c.rho_u_max - c.k * c.r) + math.sqrt(c.L) * c.eta * c.L_x
+    )
     if nu > 0.0:
         bound += penalty_gap_increment(constants, t, nu)
     return bound
@@ -357,7 +325,7 @@ def approximation_certificate(
     E: MaterialState,
     x,
     f_star_upper: float,
-    lam_min_BtB: float | None = None,
+    lam_min_BtB: float,
 ) -> CertificateReport:
     """Evaluate both sides of the constraint-violation bound at (E, x).
 
@@ -366,11 +334,10 @@ def approximation_certificate(
     sum is compared against the data bound.  ``f_star_upper`` is an upper
     estimate of the optimal cost (e.g. the best feasible objective seen),
     so the comparison is reported rather than asserted.  ``lam_min_BtB``
-    may carry the value already held in the run's BoundConstants; without
-    it, ``smallest_nonzero_singular_sq`` computes it, banded for a
-    full-rank B and gated at ``model.DENSE_THRESHOLD`` only for a
-    rank-deficient one.  The compliances come from the banded solve and
-    need no gate, so the CLI reports the certificate at any N.  The gap
+    is the smallest nonzero squared singular value of B, the value the
+    run's ``BoundConstants`` already hold (computed under the run's dense
+    threshold).  The compliances come from the banded solve and need no
+    gate, so the CLI reports the certificate at any N.  The gap
     ``f_star_upper - sum(rho_l)`` is clamped at 0; at 0 both right-hand
     sides are 0.
     """
@@ -381,12 +348,9 @@ def approximation_certificate(
     lhs = float(
         np.sum(np.sqrt(comp[violated]) - math.sqrt(instance.gamma))
     ) if violated.size else 0.0
-    lam_min = lam_min_BtB
-    if lam_min is None:
-        lam_min, _, _ = smallest_nonzero_singular_sq(instance)
     # f* >= sum(rho_l), so a negative gap0 is rounding in f_star_upper
     gap0 = max(f_star_upper - float(np.sum(instance.rho_l)), 0.0)
-    c = instance.r * lam_min * instance.eta
+    c = instance.r * lam_min_BtB * instance.eta
     rhs = gap0 / (2.0 * c)
     rhs_pen = None
     if instance.nu > 0 and violated.size:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import penalty
 from .model import (
     InvalidInstance,
     MaterialState,
@@ -193,8 +194,6 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
 
 def reference_compliance(instance: ProblemInstance, E: MaterialState):
     """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size)."""
-    from . import penalty
-
     return penalty.compliances(instance, E.dense())
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -531,6 +532,14 @@ def element_gram(W, coef) -> np.ndarray:
     return np.moveaxis(gram, -1, 0)
 
 
+def lagrangian_value(instance: ProblemInstance, E_dense, x) -> float:
+    """Value of the saddle function at dense-array arguments."""
+    _, quad = element_quads(E_dense, apply_B(instance, x))
+    traces = np.einsum("qkk->q", E_dense).sum()
+    pair = np.einsum("jn,jn->j", instance.loads, x)
+    return float(traces + 2.0 * np.sum(pair - math.sqrt(instance.gamma) * np.sqrt(quad)))
+
+
 def apply_A(instance: ProblemInstance, E: MaterialState, v):
     """Apply the stiffness operator A(E) to a vector, element by element.
 
@@ -540,11 +549,3 @@ def apply_A(instance: ProblemInstance, E: MaterialState, v):
     v = _check_vector(instance, v)
     EW = element_products(E.dense(), apply_B(instance, v[None]))
     return apply_Bt(instance, EW)[0]
-
-
-def quad_A(instance: ProblemInstance, E: MaterialState, v) -> float:
-    """Quadratic form <A(E) v, v> accumulated through the element loops."""
-    instance.check_material(E)
-    v = _check_vector(instance, v)
-    _, quad = element_quads(E.dense(), apply_B(instance, v[None]))
-    return float(quad[0])

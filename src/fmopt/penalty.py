@@ -38,8 +38,8 @@ from .model import (
     apply_B,
     check_dense_size,
     element_gram,
+    lagrangian_value,
 )
-from .saddle import lagrangian_value
 
 
 @dataclass

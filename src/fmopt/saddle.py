@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from . import proj
+from . import diagnostics, penalty, proj
 from .model import (
     DENSE_THRESHOLD,
     DualState,
@@ -244,14 +244,6 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None):
     return g_E, g_x, quad, in_R, used_plain
 
 
-def lagrangian_value(instance: ProblemInstance, E_dense, x) -> float:
-    """Value of the saddle function at dense-array arguments."""
-    _, quad = element_quads(E_dense, apply_B(instance, x))
-    traces = np.einsum("qkk->q", E_dense).sum()
-    pair = np.einsum("jn,jn->j", instance.loads, x)
-    return float(traces + 2.0 * np.sum(pair - math.sqrt(instance.gamma) * np.sqrt(quad)))
-
-
 def grad_norm_star(g_E, g_x, tau: float) -> float:
     """Combined dual norm sqrt(|g_E|^2/tau + |g_x|^2/(1-tau)), from flat dot products.
 
@@ -284,7 +276,9 @@ def da_step(
     element-last (blocks) or C (rows) order, and copied once otherwise.
     ``info["grad_norm"]`` is the dual norm the weighted scheme divides by;
     the simple scheme does not need it and leaves it None
-    (``grad_norm_star`` gives it on demand).
+    (``grad_norm_star`` gives it on demand).  A non-finite norm fails the
+    weighted step (``NumericalFailure`` naming it): its weight 1/inf = 0
+    would leave the running sums empty.
     """
     if grads is None:
         grads = subgradients(instance, E_dense, x, fallback_y)
@@ -296,6 +290,10 @@ def da_step(
         alpha = 1.0
     else:
         gnorm = grad_norm_star(g_E, g_x, schedule.tau)
+        if not math.isfinite(gnorm):  # alpha = 0 would leave the averages empty
+            raise NumericalFailure(
+                f"step {schedule.t + 1}: subgradient norm is not finite ({gnorm})"
+            )
         alpha = 1.0 / gnorm
 
     s_E, s_x, E_avg, x_avg = acc.flat
@@ -432,10 +430,14 @@ def run_solver(
 
     ``sink`` receives an IterationRecord every ``log_stride`` steps and at
     the final step.  ``constants`` (a diagnostics.BoundConstants) enables
-    the theoretical-bound column; nu enters it only in penalty mode, the
-    one mode that reads nu.  Each penalty step solves for the compliances
-    of its own E (one dense assembly and solve on the ledger) and adds the
-    penalty correction to g_E; rows compute none.  Penalty mode above the
+    the theoretical-bound column, the one data-only bound of both schemes;
+    nu enters it only in penalty mode, the one mode that reads nu.  The
+    constants also arm the autotune budget: a controller that started at
+    or below ``constants.sigma_opt`` and freezes after more test steps
+    than ``autotune_step_budget`` allows fails the run.  Each penalty step
+    solves for the compliances of its own E (one dense assembly and solve
+    on the ledger) and adds the penalty correction to g_E; rows compute
+    none.  Penalty mode above the
     dense threshold is refused by the first step's ``compliance_solves``,
     before any row reaches the sink.  The flop ledger ``counter`` is
     charged here, per call, from ``diagnostics.flop_model``.
@@ -449,8 +451,6 @@ def run_solver(
     the row's ``grad_norm`` is computed at the row, from the subgradients
     of that step.
     """
-    from . import diagnostics
-
     if config.tau is None or config.sigma0 is None:
         raise InvalidInstance("run_solver needs numeric tau and sigma0 (cli.run resolves auto)")
 
@@ -469,21 +469,18 @@ def run_solver(
     fallback_events = 0
     window_first, window_steps = 0.0, 0  # the pending window: first gap, steps so far
 
-    pen, nu = None, 0.0  # plain mode reads no nu
-    if config.mode == "penalty":
-        from . import penalty as pen
-
-        nu = instance.nu
+    penalty_mode = config.mode == "penalty"
+    nu = instance.nu if penalty_mode else 0.0  # plain mode reads no nu
 
     last_wall = time.perf_counter_ns()
     for step in range(config.iterations):
         g_E, g_x, quad, in_R, used_plain = subgradients(instance, E, x, fallback_y)
         counter.add("grads", flops["grads"])
-        if pen is not None:
-            state = pen.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
+        if penalty_mode:
+            state = penalty.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
             counter.add("dense_assembly", flops["dense_assembly"])
             counter.add("dense_solve", flops["dense_solve"])
-            g_E = g_E + pen.penalty_grad_correction(instance, state)
+            g_E = g_E + penalty.penalty_grad_correction(instance, state)
         if used_plain:
             fallback_events += 1
             log.info("step %d: plain 2f selection used for a load outside R", step)
@@ -508,8 +505,7 @@ def run_solver(
                 window_steps = 0
                 if controller.frozen and constants is not None:
                     # theorem budget applies when sigma0 starts below the optimum
-                    sigma_opt = constants.L_combined / math.sqrt(2.0 * constants.D)
-                    if config.sigma0 <= sigma_opt:
+                    if config.sigma0 <= constants.sigma_opt:
                         budget = autotune_step_budget(
                             constants.L_combined, constants.D, config.sigma0,
                             controller.window,
@@ -533,7 +529,7 @@ def run_solver(
                 grad_norm = grad_norm_star(g_E, g_x, config.tau)
             bound = None
             if constants is not None:
-                bound = diagnostics.theoretical_gap_bound(constants, t - 1, config.scheme, nu=nu)
+                bound = diagnostics.theoretical_gap_bound(constants, t - 1, nu=nu)
             objective = float(np.einsum("qkk->", E))
             for name, value in (
                 ("objective", objective), ("gap", gap),

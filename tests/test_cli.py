@@ -3,7 +3,9 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -486,6 +488,23 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "numerical"
         assert "bound constant L_E2" in err["error"]
+
+    @pytest.mark.parametrize("scheme", ["simple", "weighted"])
+    def test_overflowing_load_exit_three(self, tmp_path, scheme):
+        # the command as a user runs it: numpy's overflow warnings stay warnings
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fmopt.cli", "--mesh", "4x2", "--gamma", "5",
+             "--load", "bottom_right:0,1e154", "--iters", "20", "--stride", "10",
+             "--scheme", scheme, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert err["kind"] == "numerical"
+        assert "Traceback" not in proc.stderr
+        if scheme == "weighted":  # the step whose weight 1 / inf would be 0
+            assert err["error"] == "step 1: subgradient norm is not finite (inf)"
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_run(config, instance, out_prefix):

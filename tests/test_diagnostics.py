@@ -1,10 +1,12 @@
 """Bound constants, gap estimates, theoretical bounds, certificates, flops."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import diagnostics, fem2d, penalty, saddle
+from fmopt import diagnostics, fem2d, model, penalty, saddle
 from fmopt.diagnostics import (
     compute_constants,
     gap_bound_prefactor,
@@ -194,7 +196,7 @@ class TestGapEstimate:
             Es = random_feasible_blocks(rng, inst.m, 3, 0.3, 3.0, 0.05)
             xs = rng.normal(0, 1, x_hat.shape)
             xs *= min(1.0, inst.eta / max(np.linalg.norm(xs, axis=1).max(), 1e-12))
-            lower = saddle.lagrangian_value(inst, E_hat, xs) - saddle.lagrangian_value(
+            lower = model.lagrangian_value(inst, E_hat, xs) - model.lagrangian_value(
                 inst, Es, x_hat
             )
             assert gap >= lower - 1e-8
@@ -206,53 +208,64 @@ class TestTheoreticalBound:
         for T in (100, 1000, 10000):
             assert gap_bound_prefactor(T) / gap_bound_prefactor(4 * T) >= 1.9
 
-    def test_simple_bound_matches_independent_transcription(self, small_mesh_instance):
-        import math
-
-        c = compute_constants(small_mesh_instance, 0.5)
+    @staticmethod
+    def simple_transcription(c, t):
+        """The printed simple-scheme bound, term by term."""
         m, k, L = c.m, c.k, c.L
         B, eta, gam, r = c.B_norm, c.eta, c.gamma, c.r
         ru, f = c.rho_u_max, c.f_norm
-        for t in (0, 17, 4096):
-            pre = (0.37 + math.sqrt(2 * t + 1)) / (t + 1)
-            expected = pre * (
-                math.sqrt((m * k + (gam / r) * L**2 * B**2 * eta**2) * m) * (ru - k * r)
-                + 2 * (f + math.sqrt(gam * L * (ru - k * r + r)) * B) * math.sqrt(L) * eta
-            )
-            got = theoretical_gap_bound(c, t, "simple")
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_weighted_bounds_match_independent_transcription(self, small_mesh_instance):
-        import math
-
-        c = compute_constants(small_mesh_instance, 0.5)
-        m, k, L = c.m, c.k, c.L
-        B, eta, gam, r = c.B_norm, c.eta, c.gamma, c.r
-        ru, f = c.rho_u_max, c.f_norm
-        t = 33
         pre = (0.37 + math.sqrt(2 * t + 1)) / (t + 1)
-        branch2 = pre * (
+        return pre * (
+            math.sqrt((m * k + (gam / r) * L**2 * B**2 * eta**2) * m) * (ru - k * r)
+            + 2 * (f + math.sqrt(gam * L * (ru - k * r + r)) * B) * math.sqrt(L) * eta
+        )
+
+    @staticmethod
+    def weighted_transcription(c, t):
+        """The printed weighted-scheme data-only bound, term by term."""
+        m, k, L = c.m, c.k, c.L
+        B, eta, gam, r = c.B_norm, c.eta, c.gamma, c.r
+        ru, f = c.rho_u_max, c.f_norm
+        pre = (0.37 + math.sqrt(2 * t + 1)) / (t + 1)
+        return pre * (
             math.sqrt(m**2 * k + L**2 * m * (gam / r) * B**2 * eta**2) * (ru - k * r)
             + 2 * math.sqrt(L) * eta * f
             + 2 * math.sqrt(gam * (ru - k * r + r)) * B * L * eta
         )
-        assert theoretical_gap_bound(c, t, "weighted") == pytest.approx(branch2, rel=1e-12)
-        d_star = 0.25
-        bh = saddle.beta_hat_sequence(t + 1)[t + 1]
-        branch1 = (
-            (4 * math.sqrt(2) + 2) * bh * math.sqrt(d_star) / (t + 1)
-            * math.sqrt(
-                m * k
-                + 8 * (3 + math.sqrt(2)) * (gam / r) * L * B**2 * d_star
-                + 4 * (f + math.sqrt(gam * L * (ru - k * r + r)) * B) ** 2
+
+    def test_simple_bound_matches_independent_transcription(self, small_mesh_instance):
+        c = compute_constants(small_mesh_instance, 0.5)
+        for t in (0, 17, 4096):
+            expected = self.simple_transcription(c, t)
+            assert theoretical_gap_bound(c, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_weighted_bounds_match_independent_transcription(self, small_mesh_instance):
+        c = compute_constants(small_mesh_instance, 0.5)
+        t = 33
+        expected = self.weighted_transcription(c, t)
+        assert theoretical_gap_bound(c, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_printed_bounds_are_one_number(self, rng):
+        # both printed data-only bounds, on constants spread over decades
+        for _ in range(200):
+            k = int(rng.choice([2, 3, 6]))
+            m, L = int(10 ** rng.uniform(0, 5)), int(10 ** rng.uniform(0, 2))
+            r, gamma, eta = 10 ** rng.uniform((-3, -3, -2), (0, 3, 4))
+            B_norm, f_norm = 10 ** rng.uniform((-2, -3), (3, 3))
+            rho_u_max = k * r * (1.0 + 10 ** rng.uniform(-2, 2))
+            L_E2 = m * k + L**2 * (gamma / r) * B_norm**2 * eta**2
+            L_x = 2 * f_norm + 2 * math.sqrt(gamma * L * (rho_u_max - k * r + r)) * B_norm
+            c = diagnostics.BoundConstants(
+                m=m, k=k, L=L, tau=0.5, L_E2=L_E2, L_x=L_x, D_E=1.0, D_x=1.0, B_norm=B_norm,
+                lam_min_BtB=1.0, B_rank_deficient=False, f_norm=f_norm, rho_u_max=rho_u_max,
+                r=r, gamma=gamma, eta=eta,
             )
-        )
-        got = theoretical_gap_bound(c, t, "weighted", d_star=d_star)
-        assert got == pytest.approx(min(branch1, branch2), rel=1e-12)
+            t = int(rng.integers(0, 10**5))
+            bound = theoretical_gap_bound(c, t)
+            assert self.simple_transcription(c, t) == pytest.approx(bound, rel=1e-12)
+            assert self.weighted_transcription(c, t) == pytest.approx(bound, rel=1e-12)
 
     def test_penalty_increment_matches_transcription(self, small_mesh_instance):
-        import math
-
         c = compute_constants(small_mesh_instance, 0.5)
         t, nu = 12, 2.5
         pre = (0.37 + math.sqrt(2 * t + 1)) / (t + 1)
@@ -260,9 +273,7 @@ class TestTheoreticalBound:
             pre * math.sqrt(c.m) * (c.rho_u_max - c.k * c.r) * nu
             / (c.r**2 * c.lam_min_BtB) * c.f_norm**2
         )
-        got = theoretical_gap_bound(c, t, "simple", nu=nu) - theoretical_gap_bound(
-            c, t, "simple"
-        )
+        got = theoretical_gap_bound(c, t, nu=nu) - theoretical_gap_bound(c, t)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_dominates_measured_gap(self, small_mesh_instance):
@@ -277,17 +288,16 @@ class TestTheoreticalBound:
                 assert r.gap <= r.theoretical_bound * (1 + 1e-6)
                 assert r.gap >= -1e-8
 
-    def test_weighted_reference_branch_needs_point(self, small_mesh_instance):
-        const = compute_constants(small_mesh_instance, 0.5)
-        plain = theoretical_gap_bound(const, 10, "weighted")
-        with_ref = theoretical_gap_bound(const, 10, "weighted", d_star=1e-6)
-        assert with_ref <= plain
-
     def test_penalty_increment_added(self, small_mesh_instance):
         const = compute_constants(small_mesh_instance, 0.5)
-        base = theoretical_gap_bound(const, 10, "simple")
-        with_nu = theoretical_gap_bound(const, 10, "simple", nu=2.0)
+        base = theoretical_gap_bound(const, 10)
+        with_nu = theoretical_gap_bound(const, 10, nu=2.0)
         assert with_nu > base
+
+
+def lam_min(inst):
+    """The instance's smallest nonzero squared singular value, as the bound data hold it."""
+    return diagnostics.smallest_nonzero_singular_sq(inst)[0]
 
 
 class TestCertificate:
@@ -295,19 +305,25 @@ class TestCertificate:
         inst = small_mesh_instance
         E = inst.start_material()
         x = rng.normal(0, 0.01, (inst.L, inst.N))
-        rep = diagnostics.approximation_certificate(inst, E, x, f_star_upper=E.objective())
+        rep = diagnostics.approximation_certificate(
+            inst, E, x, f_star_upper=E.objective(), lam_min_BtB=lam_min(inst)
+        )
         assert rep.all_strictly_inside
 
     def test_eta_scaling_of_bound(self, small_mesh_instance):
         inst = small_mesh_instance
         E = inst.start_material()
         x = np.zeros((inst.L, inst.N))
-        rep1 = diagnostics.approximation_certificate(inst, E, x, f_star_upper=20.0)
+        rep1 = diagnostics.approximation_certificate(
+            inst, E, x, f_star_upper=20.0, lam_min_BtB=lam_min(inst)
+        )
         big = ProblemInstance(
             inst.cols_packed, inst.B_packed, inst.loads, inst.rho_l, inst.rho_u, inst.r,
             inst.gamma, 10.0 * inst.eta, inst.nu,
         )
-        rep2 = diagnostics.approximation_certificate(big, E, x, f_star_upper=20.0)
+        rep2 = diagnostics.approximation_certificate(
+            big, E, x, f_star_upper=20.0, lam_min_BtB=lam_min(big)
+        )
         assert rep2.rhs_plain == pytest.approx(rep1.rhs_plain / 10.0)
 
     def test_penalized_bound_tighter_and_satisfied(self, rng):
@@ -321,7 +337,9 @@ class TestCertificate:
         # x at the ball boundary: bound case with the nu-dependent denominator
         x = res.x_avg.vectors
         x = x * (inst.eta / max(np.linalg.norm(x, axis=1).max(), 1e-12))
-        rep = diagnostics.approximation_certificate(inst, res.E_avg, x, f_star_upper=96.0)
+        rep = diagnostics.approximation_certificate(
+            inst, res.E_avg, x, f_star_upper=96.0, lam_min_BtB=lam_min(inst)
+        )
         assert rep.rhs_penalized is not None
         assert rep.rhs_penalized <= rep.rhs_plain
         assert rep.lhs_root_violation <= rep.rhs_penalized
@@ -334,24 +352,15 @@ class TestCertificate:
         x = np.zeros((inst.L, inst.N))
         floor = float(np.sum(inst.rho_l))
         for f_star_upper in (floor, floor - 1e-13):
-            rep = diagnostics.approximation_certificate(inst, E, x, f_star_upper)
+            rep = diagnostics.approximation_certificate(inst, E, x, f_star_upper, lam_min(inst))
             assert rep.violated.size == inst.L
             assert rep.rhs_plain == 0.0 and rep.rhs_penalized == 0.0
         # above it, the limit-safe form is the printed 1 / (sqrt(...) + ...)
         gap0 = 1e-3
-        rep = diagnostics.approximation_certificate(inst, E, x, floor + gap0)
+        rep = diagnostics.approximation_certificate(inst, E, x, floor + gap0, lam_min(inst))
         c = inst.r * compute_constants(inst, 0.5).lam_min_BtB * inst.eta
         printed = 1.0 / (np.sqrt(inst.nu / (gap0 * inst.L) + c**2 / gap0**2) + c / gap0)
         assert rep.rhs_penalized == pytest.approx(printed, rel=1e-9)
-
-    def test_given_lam_min_matches_computed(self, small_mesh_instance):
-        inst = small_mesh_instance
-        E = inst.start_material()
-        x = np.zeros((inst.L, inst.N))
-        lam_min = compute_constants(inst, 0.5).lam_min_BtB
-        given = diagnostics.approximation_certificate(inst, E, x, 20.0, lam_min_BtB=lam_min)
-        computed = diagnostics.approximation_certificate(inst, E, x, 20.0)
-        assert given.rhs_plain == computed.rhs_plain
 
     def test_violation_bound_on_solver_run(self, small_mesh_instance):
         inst = small_mesh_instance
@@ -359,7 +368,7 @@ class TestCertificate:
         res = saddle.run_solver(inst, cfg)
         f_star_upper = float(np.sum(inst.rho_u))  # the stiff start is feasible here
         rep = diagnostics.approximation_certificate(
-            inst, res.E_avg, res.x_avg.vectors, f_star_upper
+            inst, res.E_avg, res.x_avg.vectors, f_star_upper, lam_min(inst)
         )
         assert rep.bound_satisfied
 

@@ -15,6 +15,7 @@ from fmopt.model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    lagrangian_value,
 )
 from fmopt.oracle import da_step_reference, dense_stiffness_reference, fd_check
 from fmopt.saddle import (
@@ -26,7 +27,6 @@ from fmopt.saddle import (
     beta_hat_sequence,
     da_step,
     grad_norm_star,
-    lagrangian_value,
     run_solver,
     subgradients,
 )
@@ -63,10 +63,10 @@ class TestSubgradients:
         inst = make_synthetic_instance(rng, m=3, L=1)
         Ed = random_feasible_blocks(rng, 3, 3, 0.4, 2.5, 0.1)
         y = rng.normal(0, 1, (1, inst.N))
-        from fmopt.model import apply_A, quad_A
+        from fmopt.model import apply_A, apply_B, element_quads
 
         Estate = MaterialState.from_dense(Ed)
-        q = quad_A(inst, Estate, y[0])
+        q = float(element_quads(Ed, apply_B(inst, y))[1][0])
         y_unit = y / math.sqrt(q)
         _, g_x, _, _, used_plain = subgradients(
             inst, Ed, np.zeros((1, inst.N)), fallback_y=y_unit
