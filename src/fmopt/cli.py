@@ -44,9 +44,10 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     ``sigma0`` and the certificate.  Returns the report dictionary.  In
     both modes the violation columns come from the banded compliance solve
     at logged rows, so every column, the final violation and the
-    certificate are filled at any N.  Only dense work is gated: above the
-    dense threshold, penalty mode and rank-deficient bound data are refused
-    before any file is opened.
+    certificate are filled at any N.  The final step is always a logged
+    row, at E_last, so the final violation is that row's.  Only dense work
+    is gated: above the dense threshold, penalty mode and rank-deficient
+    bound data are refused before any file is opened.
     """
     if config.mode == "penalty":
         check_dense_size(instance, "penalty mode", config.dense_threshold)
@@ -58,14 +59,15 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
 
     csv_path = f"{out_prefix}.csv"
     best_feasible_obj = None
+    final_violation = None  # (literal, positive) of the latest row
 
     with open(csv_path, "w") as csv_file:
         csv_file.write(CSV_HEADER + "\n")
 
         def sink(rec: saddle.IterationRecord):
-            nonlocal best_feasible_obj
+            nonlocal best_feasible_obj, final_violation
             comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
-            lit, pos = penalty.violation_sums(instance, comp)
+            lit, pos = final_violation = penalty.violation_sums(instance, comp)
             if rec.feasible and pos <= 0.0:
                 obj = rec.objective
                 if best_feasible_obj is None or obj < best_feasible_obj:
@@ -93,8 +95,7 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     fem2d.write_state(result.E_last, state_path)
     fem2d.write_state(result.E_avg, avg_path)
 
-    comp = fem2d.reference_compliance(instance, result.E_last)
-    final_literal, final_positive = penalty.violation_sums(instance, comp)
+    final_literal, final_positive = final_violation
     in_Q, _ = feasible_E(instance, result.E_last)
     feasible_flag = bool(in_Q and final_positive <= 1e-9 * max(1.0, instance.gamma))
     f_star_upper = best_feasible_obj

@@ -192,6 +192,8 @@ def compute_constants(
     rho_u_max = float(instance.rho_u.max())
     L_E2 = m * k + L**2 * (gamma / r) * _square(B_norm) * _square(eta)
     f_norm = float(np.linalg.norm(instance.loads))
+    if not math.isfinite(f_norm):  # every load is finite, so their norm overflowed
+        raise NumericalFailure(f"load norm ||f|| = {f_norm} is not finite")
     L_x = 2.0 * f_norm + 2.0 * math.sqrt(gamma * L * (rho_u_max - k * r + r)) * B_norm
     D_E = 0.5 * float(np.sum((instance.rho_u - k * r) ** 2))
     D_x = 0.5 * L * _square(eta)

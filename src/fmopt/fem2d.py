@@ -12,6 +12,7 @@ row-major from the lower-left of the grid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -271,7 +272,9 @@ def read_instance(path) -> ProblemInstance:
     with indices in range, every entry must name a row in [0, k) and a
     column in [0, N) at most once per header, and every load index in
     [0, L) must appear exactly once with N values; anything else raises
-    InvalidInstance naming the offending line.
+    InvalidInstance naming the first offending line in file order.  B
+    entries are read as ``np.loadtxt`` reads them: three fields, ASCII
+    digits, no ``_`` and no comment.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -316,39 +319,52 @@ def read_instance(path) -> ProblemInstance:
         rho_l = np.array([float(v) for v in take("rho_l", m + 1)[1:]])
         rho_u = np.array([float(v) for v in take("rho_u", m + 1)[1:]])
 
-        section = _parse_B_section(lines, pos, m, nig, k, N)
-        if section is None:
-            # an irregular section: parse it line by line to name the bad line
-            counts = {}  # i * nig + ig -> entry count, in file order
-            entries, values = [], []  # row * N + col and value of each entry
+        # the B section: one walk over the headers, then every entry line in
+        # one read; a bad header waits until the entries before it are checked
+        start, counts, body, error = pos, {}, [], None  # counts: i * nig + ig -> entries
+        try:
             for _ in range(m * nig):
                 head = take("B", 4)
-                i, ig, nnz = int(head[1]), int(head[2]), int(head[3])
+                try:
+                    i, ig, nnz = (int(v) for v in head[1:])
+                except ValueError as exc:
+                    raise fail(pos - 1, f"cannot parse {lines[pos - 1]!r}") from exc
                 if not (0 <= i < m and 0 <= ig < nig and nnz >= 0):
                     raise fail(pos - 1, f"B header needs 0 <= i < {m}, 0 <= ig < {nig}, nnz >= 0")
                 if i * nig + ig in counts:
                     raise fail(pos - 1, f"duplicate B header for element {i}, point {ig}")
-                block = set()
-                for n in range(pos, min(pos + nnz, len(lines))):
-                    try:
-                        row, col, val = lines[n].split()
-                        row, col, val = int(row), int(col), float(val)
-                    except ValueError as exc:
-                        raise fail(n, f"expected '<row> <col> <value>', got {lines[n]!r}") from exc
-                    if not (0 <= row < k and 0 <= col < N):
-                        raise fail(n, f"entry needs 0 <= row < {k} and 0 <= col < {N}")
-                    if row * N + col in block:
-                        raise fail(n, f"repeated entry ({row}, {col}) in element {i}, point {ig}")
-                    block.add(row * N + col)
-                    entries.append(row * N + col)
-                    values.append(val)
-                pos += len(block)
-                if len(block) < nnz:
+                counts[i * nig + ig] = got = min(nnz, len(lines) - pos)
+                body += lines[pos:pos + got]
+                pos += got
+                if got < nnz:
                     raise fail(pos, "unexpected end of file")
-                counts[i * nig + ig] = nnz
-            section = (pos, np.repeat(list(counts), list(counts.values())),
-                       np.array(entries, dtype=np.int64), values)
-        pos, block, entries, values = section
+        except InvalidInstance as exc:
+            error = exc
+
+        entries = _read_entries(body)
+        block = np.repeat(list(counts), list(counts.values()))[:entries.size]
+        row, col, values = entries["row"], entries["col"], entries["value"]
+        in_range = (0 <= row) & (row < k) & (0 <= col) & (col < N)
+        key = (block * k + row) * N + col  # distinct for distinct in-range entries
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(key.size, dtype=bool)  # true from the second sighting on
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero(~in_range | repeated)
+        e = int(bad[0]) if bad.size else entries.size  # the first bad entry line, if any
+        if e < len(body):
+            # its line follows the section start, e entries and the headers up to its own
+            ends = np.cumsum(list(counts.values()))
+            at = start + 1 + e + int(np.searchsorted(ends, e, side="right"))
+            if e == entries.size:
+                what = f"expected '<row> <col> <value>', got {lines[at]!r}"
+            elif in_range[e]:
+                i, ig = divmod(int(block[e]), nig)
+                what = f"repeated entry ({row[e]}, {col[e]}) in element {i}, point {ig}"
+            else:
+                what = f"entry needs 0 <= row < {k} and 0 <= col < {N}"
+            error = fail(at, what)
+        if error is not None:
+            raise error
 
         loads = np.zeros((L, N))
         seen = np.zeros(L, dtype=bool)
@@ -364,7 +380,6 @@ def read_instance(path) -> ProblemInstance:
         raise fail(pos, "unexpected content after the last load")
 
     elem, point = np.divmod(block, nig)
-    row, col = np.divmod(entries, N)
     # the support of each element is the sorted set of its columns: the
     # distinct element * N + col keys, of which element i's start at first[i]
     # (sorted by hand: the first np.unique call imports numpy.ma, 1.3 MB)
@@ -393,46 +408,30 @@ def read_instance(path) -> ProblemInstance:
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
-def _parse_B_section(lines, pos, m, nig, k, N):
-    """The m * nig B blocks of an instance file from line ``pos``, in bulk.
+def _read_entries(body: list) -> np.ndarray:
+    """The B entries of ``body`` up to its first line that is not one entry:
+    a line that ``np.loadtxt`` reads as exactly the three fields of ``_ENTRY``.
 
-    Returns ``(pos, block, key, value)``: the line after the section and,
-    per entry, its block i * nig + ig, its row * N + col and its value; or
-    None when any line breaks a rule of ``read_instance`` (which then parses
-    the section line by line to name it).  The entry lines go through one
-    ``np.loadtxt`` call, which accepts no field that ``int`` or ``float``
-    would reject.
+    One loadtxt call reads all lines; only when it fails, or reads fewer
+    rows than lines (it skips blank lines), are they read one at a time.
     """
-    heads, body = [], []
-    try:
-        for _ in range(m * nig):
-            head = lines[pos].split()
-            if len(head) != 4 or head[0] != "B":
-                return None
-            heads.append([int(v) for v in head[1:]])
-            nnz = heads[-1][2]
-            if nnz < 0 or pos + 1 + nnz > len(lines):
-                return None
-            body += lines[pos + 1:pos + 1 + nnz]
-            pos += 1 + nnz
-        if not body:
-            return None
-        entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
-        i, ig, nnz = np.array(heads, dtype=np.int64).T
-    except (IndexError, ValueError, OverflowError):
-        return None
-    row, col = entries["row"], entries["col"]
-    ids = i * nig + ig
-    if not (entries.size == len(body)  # loadtxt skips blank lines
-            and np.all((0 <= i) & (i < m) & (0 <= ig) & (ig < nig))
-            and np.all((0 <= row) & (row < k) & (0 <= col) & (col < N))
-            and np.bincount(ids, minlength=m * nig).max() == 1):
-        return None
-    block, key = np.repeat(ids, nnz), row * N + col
-    keys = np.sort(block * (k * N) + key)
-    if np.any(keys[1:] == keys[:-1]):
-        return None
-    return pos, block, key, entries["value"]
+    read = functools.partial(np.loadtxt, dtype=_ENTRY, comments=None, ndmin=1)
+    if body and body[0].strip():  # loadtxt warns on all-blank lines; the loop names them
+        try:
+            entries = read(body)
+            if entries.size == len(body):
+                return entries
+        except ValueError:
+            pass
+    good = [np.zeros(0, dtype=_ENTRY)]
+    for text in body:
+        if not text.strip():
+            break
+        try:
+            good.append(read([text]))
+        except ValueError:
+            break
+    return np.concatenate(good)
 
 
 def write_state(state: MaterialState, path) -> None:

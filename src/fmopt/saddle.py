@@ -278,7 +278,9 @@ def da_step(
     the simple scheme does not need it and leaves it None
     (``grad_norm_star`` gives it on demand).  A non-finite norm fails the
     weighted step (``NumericalFailure`` naming it): its weight 1/inf = 0
-    would leave the running sums empty.
+    would leave the running sums empty.  In both schemes a non-finite
+    pairing sum (``acc.sum_gE_dot_E`` or ``acc.sum_gx_dot_x``) fails the
+    step, before the projection meets non-finite blocks.
     """
     if grads is None:
         grads = subgradients(instance, E_dense, x, fallback_y)
@@ -303,6 +305,8 @@ def da_step(
     acc.sum_alpha += alpha
     acc.sum_gE_dot_E += alpha * float(g_E @ E_flat)
     acc.sum_gx_dot_x += alpha * float(g_x @ x_flat)
+    if not (math.isfinite(acc.sum_gE_dot_E) and math.isfinite(acc.sum_gx_dot_x)):
+        raise NumericalFailure(f"step {schedule.t + 1}: subgradient pairing is not finite")
     daxpy(g_E, s_E, a=alpha)
     daxpy(g_x, s_x, a=-alpha)
 

@@ -36,6 +36,19 @@ def assert_every_cell_and_field_filled(report, csv_path):
         assert report[field] is not None, field
 
 
+def run_fmopt(tmp_path, *args):
+    """fmopt as a user runs it, in a subprocess, so that numpy's overflow
+    warnings stay warnings; returns the exit code and the JSON error that
+    ends stderr."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmopt.cli", *args, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env,
+    )
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, json.loads(proc.stderr.splitlines()[-1])
+
+
 @pytest.fixture
 def instance_file(tmp_path, tiny_mesh_instance):
     path = tmp_path / "tiny.fmo"
@@ -286,6 +299,32 @@ class TestMain:
             assert len(rows) == 3 and all(row.split(",")[5] != "nan" for row in rows)
             assert built == {"band_layout": [1088], "find_shared_operator": [512]}, label
 
+    def test_compliances_solved_once_per_row(self, tmp_path, capsys, monkeypatch):
+        # the final step is a logged row at E_last, so the report's final
+        # violation is that row's and costs no solve of its own; --gamma
+        # keeps the default-gamma probe from solving
+        solve = fem2d.reference_compliance
+        calls = []
+
+        def counted(instance, E):
+            calls.append(E)
+            return solve(instance, E)
+
+        monkeypatch.setattr(fem2d, "reference_compliance", counted)
+        rc = cli.main(["--mesh", "4x2", "--gamma", "5", "--iters", "25", "--stride", "10",
+                       "--save-instance", str(tmp_path / "i.fmo"), "--out", str(tmp_path / "c")])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["10", "20", "25"]
+        assert len(calls) == len(rows)
+        last = rows[-1].split(",")
+        final = (report["violation_literal"], report["violation_positive"])
+        assert final == (float(last[4]), float(last[5]))
+        inst = fem2d.read_instance(tmp_path / "i.fmo")
+        E_last = fem2d.read_state(tmp_path / "c_state.txt")
+        assert final == penalty.violation_sums(inst, solve(inst, E_last))
+
     def test_bad_input_exit_two(self, tmp_path, capsys):
         for source in (tmp_path / "missing.fmo", tmp_path):  # a missing file, a directory
             rc = cli.main(["--instance", str(source), "--out", str(tmp_path / "b")])
@@ -491,20 +530,25 @@ class TestMain:
 
     @pytest.mark.parametrize("scheme", ["simple", "weighted"])
     def test_overflowing_load_exit_three(self, tmp_path, scheme):
-        # the command as a user runs it: numpy's overflow warnings stay warnings
-        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "fmopt.cli", "--mesh", "4x2", "--gamma", "5",
-             "--load", "bottom_right:0,1e154", "--iters", "20", "--stride", "10",
-             "--scheme", scheme, "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 3, proc.stderr
-        err = json.loads(proc.stderr.splitlines()[-1])
-        assert err["kind"] == "numerical"
-        assert "Traceback" not in proc.stderr
+        rc, err = run_fmopt(tmp_path, "--mesh", "4x2", "--gamma", "5",
+                            "--load", "bottom_right:0,1e154", "--iters", "20", "--stride", "10",
+                            "--scheme", scheme)
+        assert rc == 3 and err["kind"] == "numerical"
         if scheme == "weighted":  # the step whose weight 1 / inf would be 0
             assert err["error"] == "step 1: subgradient norm is not finite (inf)"
+
+    @pytest.mark.parametrize("load,extra,message", [
+        # the pairing sums overflow at step 1, before eigh meets the blocks
+        ("0,1e154", ["--mode", "penalty", "--nu", "1"], "step 1: subgradient pairing is not finite"),
+        # the load norm overflows before any bound constant is formed from it
+        ("0,2e154", [], "load norm ||f|| = inf is not finite"),
+    ], ids=["penalty-pairing", "load-norm"])
+    def test_overflow_named_where_it_starts(self, tmp_path, load, extra, message):
+        rc, err = run_fmopt(tmp_path, "--mesh", "4x2", "--gamma", "5",
+                            "--load", f"bottom_right:{load}", "--iters", "20", "--stride", "10",
+                            *extra)
+        assert rc == 3
+        assert err == {"error": message, "kind": "numerical"}
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_run(config, instance, out_prefix):

@@ -262,20 +262,6 @@ class TestFileFormats:
             for name in ("r", "gamma", "eta", "nu"):
                 assert getattr(again, name) == getattr(inst, name)
 
-    def test_line_by_line_parse_reads_valid_files_alike(self, tmp_path, rng, monkeypatch,
-                                                        small_mesh_instance):
-        # the per-line parse that names bad lines is the reference for the bulk one
-        ragged = make_synthetic_instance(rng, m=4, N=11, L=3, n_loc=(2, 5, 3, 4))
-        for n, inst in enumerate((small_mesh_instance, ragged)):
-            path = tmp_path / f"i{n}.fmo"
-            fem2d.write_instance(inst, path)
-            bulk = fem2d.read_instance(path)
-            with monkeypatch.context() as patch:
-                patch.setattr(fem2d, "_parse_B_section", lambda *args: None)
-                by_line = fem2d.read_instance(path)
-            np.testing.assert_array_equal(by_line.cols, bulk.cols)
-            np.testing.assert_array_equal(by_line.B, bulk.B)
-
     def test_instance_rejects_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.fmo"
         p.write_text("not-an-instance\n")
@@ -381,6 +367,13 @@ class TestFileFormats:
         ("blank_entry", {10: ""}, 10),
         ("commented_entry", {10: "0 0 0.5 # note"}, 10),
         ("fractional_row", {10: "0.0 0 0.5"}, 10),
+        # B entries are read as np.loadtxt reads them, not as int and float do
+        ("non_ascii_digit", {10: "0 0 \u0661"}, 10),
+        ("underscore_in_value", {10: "0 0 0.7886_751345948129"}, 10),
+        # the first block takes the next header as its ninth entry
+        ("overstated_nnz", {9: "B 0 0 9"}, 18),
+        # the first bad line in file order is named, entry or header
+        ("entry_before_header_error", {10: "0 x 0.5", 18: "B 0 0 8"}, 10),
     ])
     def test_instance_reader_rejects_malformed(self, tmp_path, tiny_mesh_instance, capsys,
                                                case, edit, line):
