@@ -5,7 +5,9 @@ the shape of the experiment tables (m, N, L, nig, obj0, cpu, obj, const),
 and the final material states (last iterate and weighted average) in the
 state file format.
 
-Exit codes: 0 success, 2 bad input, 3 numerical failure.
+Exit codes: 0 success, 2 bad input, 3 numerical failure.  On exit 2 or 3
+stderr is one JSON line: ``{"error", "kind"}``, plus a ``warnings`` list of
+the distinct warnings the run raised when there were any.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -247,34 +250,56 @@ def _instance_from_args(args) -> ProblemInstance:
     return inst
 
 
-def _fail(exc: Exception, kind: str, code: int) -> int:
-    json.dump({"error": str(exc), "kind": kind}, sys.stderr)
+def _fail(exc: Exception, kind: str, code: int, caught: list) -> int:
+    """Write the JSON error line, with the distinct warnings in ``caught``; return ``code``."""
+    error = {"error": str(exc), "kind": kind}
+    messages = [f"{w.category.__name__}: {w.message}" for w in caught]
+    if messages:
+        error["warnings"] = list(dict.fromkeys(messages))
+    json.dump(error, sys.stderr)
     sys.stderr.write("\n")
     return code
 
 
+def _show(caught: list) -> None:
+    """Show recorded warnings as the warnings module would have shown them."""
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
 def main(argv=None) -> int:
+    """Run the CLI; return its exit code.
+
+    Warnings are recorded under the filters in force.  A run that exits 2
+    or 3 folds them into its JSON error line, so that stderr is that one
+    line; any other run shows them unchanged.
+    """
     args = _build_parser().parse_args(argv)
-    try:
-        instance = _instance_from_args(args)
-        config = saddle.SolverConfig(
-            scheme=args.scheme,
-            mode=args.mode,
-            iterations=args.iters,
-            tau=None if args.tau == "auto" else float(args.tau),
-            sigma0=None if args.sigma0 == "auto" else float(args.sigma0),
-            autotune_window=args.autotune_window,
-            log_stride=args.stride,
-            dense_threshold=args.dense_threshold,
-            deterministic=args.deterministic,
-        )
-        report = run(config, instance, args.out)
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
-        return _fail(exc, "numerical", 3)
-    except (InvalidInstance, OSError, ValueError) as exc:
-        return _fail(exc, "input", 2)
-    except FmoError as exc:
-        return _fail(exc, "numerical", 3)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            instance = _instance_from_args(args)
+            config = saddle.SolverConfig(
+                scheme=args.scheme,
+                mode=args.mode,
+                iterations=args.iters,
+                tau=None if args.tau == "auto" else float(args.tau),
+                sigma0=None if args.sigma0 == "auto" else float(args.sigma0),
+                autotune_window=args.autotune_window,
+                log_stride=args.stride,
+                dense_threshold=args.dense_threshold,
+                deterministic=args.deterministic,
+            )
+            report = run(config, instance, args.out)
+        except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
+            return _fail(exc, "numerical", 3, caught)
+        except (InvalidInstance, OSError, ValueError) as exc:
+            return _fail(exc, "input", 2, caught)
+        except FmoError as exc:
+            return _fail(exc, "numerical", 3, caught)
+        except BaseException:
+            _show(caught)
+            raise
+    _show(caught)
     json.dump(report, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return 0

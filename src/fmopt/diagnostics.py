@@ -24,6 +24,7 @@ from .model import (
     ProblemInstance,
     apply_A,
     check_dense_size,
+    elements_last,
 )
 
 GAP_PREFACTOR_CONST = 0.37  # printed constant; beta_hat bound gives 0.36603
@@ -295,7 +296,7 @@ def gap_estimate(acc, instance: ProblemInstance):
     """
     if acc.sum_alpha <= 0:
         raise NumericalFailure("gap estimate requested before the first step")
-    lam_min = proj.lambda_min(np.moveaxis(acc.s_E, 0, -1))
+    lam_min = proj.lambda_min(elements_last(acc.s_E))
     tr_s = np.einsum("qkk->q", acc.s_E)
     k, r = instance.k, instance.r
     lo_mass = np.maximum(instance.rho_l - k * r, 0.0)

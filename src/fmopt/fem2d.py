@@ -24,6 +24,8 @@ from .model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    elements_first,
+    elements_last,
 )
 
 GAUSS = 1.0 / np.sqrt(3.0)
@@ -177,7 +179,7 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
     cols = dofs[:width]
     padding = cols == N
     cols[padding] = 0
-    B = np.take_along_axis(np.moveaxis(B_local, 0, -1), order[None, None, :width], axis=2)
+    B = np.take_along_axis(elements_last(B_local), order[None, None, :width], axis=2)
     np.copyto(B, 0.0, where=padding)
 
     loads = np.zeros((len(spec.loads), N))
@@ -190,7 +192,7 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
             loads[j, dof_of_node[node, 0]] += share[0]
             loads[j, dof_of_node[node, 1]] += share[1]
 
-    return ProblemInstance(cols.T, np.moveaxis(B, -1, 0), loads, rho_l, rho_u, r, gamma, eta, nu)
+    return ProblemInstance(cols.T, elements_first(B), loads, rho_l, rho_u, r, gamma, eta, nu)
 
 
 def reference_compliance(instance: ProblemInstance, E: MaterialState):
@@ -345,11 +347,12 @@ def read_instance(path) -> ProblemInstance:
         block = np.repeat(list(counts), list(counts.values()))[:entries.size]
         row, col, values = entries["row"], entries["col"], entries["value"]
         in_range = (0 <= row) & (row < k) & (0 <= col) & (col < N)
+        finite = np.isfinite(values)
         key = (block * k + row) * N + col  # distinct for distinct in-range entries
         order = np.argsort(key, kind="stable")
         repeated = np.zeros(key.size, dtype=bool)  # true from the second sighting on
         repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
-        bad = np.flatnonzero(~in_range | repeated)
+        bad = np.flatnonzero(~(in_range & finite) | repeated)
         e = int(bad[0]) if bad.size else entries.size  # the first bad entry line, if any
         if e < len(body):
             # its line follows the section start, e entries and the headers up to its own
@@ -357,6 +360,8 @@ def read_instance(path) -> ProblemInstance:
             at = start + 1 + e + int(np.searchsorted(ends, e, side="right"))
             if e == entries.size:
                 what = f"expected '<row> <col> <value>', got {lines[at]!r}"
+            elif in_range[e] and not finite[e]:
+                what = f"entry value must be finite, got {lines[at]!r}"
             elif in_range[e]:
                 i, ig = divmod(int(block[e]), nig)
                 what = f"repeated entry ({row[e]}, {col[e]}) in element {i}, point {ig}"
@@ -394,7 +399,7 @@ def read_instance(path) -> ProblemInstance:
 
     return ProblemInstance(
         cols.T,
-        np.moveaxis(B, -1, 0),
+        elements_first(B),
         loads,
         rho_l,
         rho_u,

@@ -38,6 +38,8 @@ from .model import (
     apply_B,
     check_dense_size,
     element_gram,
+    elements_first,
+    elements_last,
     lagrangian_value,
 )
 
@@ -60,13 +62,13 @@ def element_stiffness(instance: ProblemInstance, E_dense):
     """
     nig, k, n_loc, m = instance.B.shape
     B = instance.B.reshape(nig * k, n_loc, m)
-    EB = np.einsum("cdq,ldbq->lcbq", np.moveaxis(E_dense, 0, -1), instance.B)
+    EB = np.einsum("cdq,ldbq->lcbq", elements_last(E_dense), instance.B)
     EB = EB.reshape(nig * k, n_loc, m)
     ke = np.empty((n_loc, n_loc, m))
     for a in range(n_loc):
         np.einsum("xq,xbq->bq", B[:, a], EB[:, a:], out=ke[a, a:])
         ke[a + 1:, a] = ke[a, a + 1:]
-    return np.moveaxis(ke, -1, 0)
+    return elements_first(ke)
 
 
 def assemble_dense(instance: ProblemInstance, E_dense):
@@ -222,7 +224,7 @@ def penalty_grad_correction(instance: ProblemInstance, state: PenaltyState):
     """
     m, k = instance.m, instance.k
     if state.violated.size == 0 or instance.nu == 0.0:
-        return np.moveaxis(np.zeros((k, k, m)), -1, 0)
+        return elements_first(np.zeros((k, k, m)))
     coef = instance.nu * np.maximum(
         1.0 - math.sqrt(instance.gamma) / np.sqrt(state.compliances[state.violated]), 0.0
     )

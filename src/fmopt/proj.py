@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FmoError, InvalidInstance
+from .model import FmoError, InvalidInstance, elements_first, elements_last
 
 
 @dataclass(frozen=True)
@@ -480,11 +480,10 @@ def trace_spread(blocks):
     mean + spread (Wolkowicz & Styan, Bounds for eigenvalues using traces,
     1980).  Computed elementwise along the element axis.
     """
-    k = blocks.shape[0]
-    diag = np.arange(k)
-    mean = np.trace(blocks) / k
+    k, _, m = blocks.shape
+    mean = blocks.trace() / k
     dev = blocks.copy()
-    dev[diag, diag] -= mean
+    dev.reshape(k * k, m)[:: k + 1] -= mean  # the diagonal, through a flat view
     return mean, np.sqrt((k - 1) / k * np.einsum("ijq,ijq->q", dev, dev))
 
 
@@ -509,7 +508,7 @@ def _trig_eigenvalues(blocks, with_max: bool):
     eigenvalue (Kopp, arXiv:physics/0610206), so blocks within
     ``DOUBLE_ROOT_MARGIN`` of it are unresolved, as are non-finite blocks.
     """
-    q = np.trace(blocks) / 3.0
+    q = blocks.trace() / 3.0
     d0, d1, d2 = blocks[0, 0] - q, blocks[1, 1] - q, blocks[2, 2] - q
     # move the rounding left in q into q, so the deviator is trace-free and
     # t I gives p = 0 whether or not 3t/3 rounds back to t
@@ -521,16 +520,18 @@ def _trig_eigenvalues(blocks, with_max: bool):
     with np.errstate(divide="ignore", invalid="ignore"):
         # the deviator scaled to unit size, so det neither underflows nor
         # overflows (blocks far from the loads deviate from qI by 1e-108)
-        d0, d1, d2, a01, a02, a12 = (x / p for x in (d0, d1, d2, a01, a02, a12))
+        d0, d1, d2, a01, a02, a12 = np.array([d0, d1, d2, a01, a02, a12]) / p
         cos3 = 0.5 * (
             d0 * (d1 * d2 - a12 * a12) - a01 * (a01 * d2 - a12 * a02) + a02 * (a01 * a12 - d1 * a02)
         )
         angle = np.arccos(np.maximum(cos3, -1.0)) / 3.0
-        roots = [q + 2.0 * p * np.cos(angle + 2.0 * np.pi / 3.0)]
+        two_p = 2.0 * p
+        roots = [q + two_p * np.cos(angle + 2.0 * np.pi / 3.0)]
         if with_max:
-            roots.append(q + 2.0 * p * np.cos(angle))
-    for root in roots:
-        root[isotropic] = q[isotropic]
+            roots.append(q + two_p * np.cos(angle))
+    if isotropic.any():
+        for root in roots:
+            root[isotropic] = q[isotropic]
     # the negated tests also catch NaN cosines (non-finite blocks)
     unresolved = ~(cos3 < 1.0 - DOUBLE_ROOT_MARGIN)
     if with_max:
@@ -547,11 +548,11 @@ def lambda_min(blocks):
     """
     k = blocks.shape[0]
     if k != 3:
-        return np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))[:, 0]
+        return np.linalg.eigvalsh(elements_first(blocks))[:, 0]
     (out,), _, unresolved = _trig_eigenvalues(blocks, with_max=False)
-    rest = np.flatnonzero(unresolved)
+    rest = unresolved.nonzero()[0]
     if rest.size:
-        out[rest] = np.linalg.eigvalsh(np.moveaxis(blocks[:, :, rest], -1, 0))[:, 0]
+        out[rest] = np.linalg.eigvalsh(elements_first(blocks[:, :, rest]))[:, 0]
     return out
 
 
@@ -567,33 +568,46 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     (Wolkowicz-Styan), computed elementwise on (k, k, m) slices.  The
     blocks it cannot certify are gathered into (k, k, n) and solved in
     closed form when k = 3 (``_project_blocks_3x3``), through one batched
-    eigendecomposition otherwise (``_project_blocks_eigh``).  ``s_blocks``
-    is (m, k, k) in any layout; the result is an (m, k, k) view of
-    (k, k, m) storage, exactly symmetric.  It is built in one pass over the
-    blocks, (s + s^T) * (-1/(2 bt)) added into a fresh array and scaled in
-    place, then the diagonal shift, so the certified blocks are symmetric
-    by construction; only the gathered solves are symmetrized, on the
-    gathered (k, k, n) result.
+    eigendecomposition otherwise (``_project_blocks_eigh``); when no block
+    is certified, s itself is solved, with no gather and no scatter back.
+    ``s_blocks`` is (m, k, k) in any layout; ``rho_l`` and ``rho_u`` are
+    positive scalars or (m,) arrays.  The result is an (m, k, k) view of
+    (k, k, m) storage, exactly symmetric.  The certified blocks are built
+    in one pass, (s + s^T) * (-1/(2 bt)) added into a fresh array and
+    scaled in place, then the diagonal shift, so they are symmetric by
+    construction; only the solves are symmetrized, as (solved + solved^T) / 2.
     """
-    s = np.moveaxis(np.asarray(s_blocks, dtype=float), 0, -1)
+    s = elements_last(np.asarray(s_blocks, dtype=float))
     k, _, m = s.shape
-    rho_l = np.broadcast_to(np.asarray(rho_l, dtype=float), (m,))
-    rho_u = np.broadcast_to(np.asarray(rho_u, dtype=float), (m,))
-    diag = np.arange(k)
     mean, spread = trace_spread(s)
     tr_y = k * (r - mean / beta_tau)
-    shift = (np.clip(tr_y, rho_l, rho_u) - tr_y) / k
-    out = np.add(s, s.transpose(1, 0, 2), out=np.empty((k, k, m)))
-    out *= -0.5 / beta_tau
-    out[diag, diag] += r + shift
+    # np.clip, without its Python wrappers: the same values for bounds > 0
+    shift = (np.minimum(np.maximum(tr_y, rho_l), rho_u) - tr_y) / k
     # lambda_max(s) <= mean + spread, so lambda_min(Z) >= r where this holds;
     # the negated test also sends non-finite blocks to the solves
-    scan = np.flatnonzero(~(mean + spread <= shift * beta_tau))
+    scan = (~(mean + spread <= shift * beta_tau)).nonzero()[0]
+    out = np.empty((k, k, m))
+    if scan.size < m:
+        np.add(s, s.transpose(1, 0, 2), out=out)
+        out *= -0.5 / beta_tau
+        out.reshape(k * k, m)[:: k + 1] += r + shift  # the diagonal
     if scan.size:
         solve = _project_blocks_3x3 if k == 3 else _project_blocks_eigh
-        solved = solve(s[:, :, scan], beta_tau, rho_l[scan], rho_u[scan], r)
-        out[:, :, scan] = 0.5 * (solved + solved.transpose(1, 0, 2))
-    return np.moveaxis(out, -1, 0)
+        rho_l, rho_u = _per_block(rho_l, m), _per_block(rho_u, m)
+        if scan.size == m:
+            solved = solve(s, beta_tau, rho_l, rho_u, r)
+            np.add(solved, solved.transpose(1, 0, 2), out=out)
+            out *= 0.5
+        else:
+            solved = solve(s[:, :, scan], beta_tau, rho_l[scan], rho_u[scan], r)
+            out[:, :, scan] = 0.5 * (solved + solved.transpose(1, 0, 2))
+    return elements_first(out)
+
+
+def _per_block(bound, m: int) -> np.ndarray:
+    """A trace bound as an (m,) array: as given when it is one, else broadcast."""
+    bound = np.asarray(bound, dtype=float)
+    return bound if bound.shape == (m,) else np.broadcast_to(bound, (m,))
 
 
 # per prefix {1..j} of a descending 3-spectrum: the count 3 - j of the
@@ -631,32 +645,34 @@ def _project_blocks_3x3(s, beta_tau: float, rho_l, rho_u, r: float):
     n = q.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # unresolved blocks are redone below
         mu = r - np.array([lam1, 3.0 * q - lam1 - lam3, lam3]) / beta_tau
-        t0 = np.maximum(mu, r).sum(axis=0)
-        bound = np.clip(t0, rho_l, rho_u)
+        t0 = np.add.reduce(np.maximum(mu, r), axis=0)
+        bound = np.minimum(np.maximum(t0, rho_l), rho_u)  # np.clip, as in project_blocks
         # shifts of the prefixes {1}, {1, 2}, {1, 2, 3} onto the bound, and the
         # longest admissible prefix; no shift where the clipped trace is inside
-        shifts = (bound - np.cumsum(mu, axis=0) - _PREFIX_FLOOR * r) / _PREFIX_SIZE
+        shifts = (bound - mu.cumsum(axis=0) - _PREFIX_FLOOR * r) / _PREFIX_SIZE
         admit = mu[1:] + shifts[1:] > r
         phi = np.where(admit[0], np.where(admit[1], shifts[2], shifts[1]), shifts[0])
         phi[t0 == bound] = 0.0
         low = mu[1] + phi <= r  # c >= 2: r I plus the lam1 part
         coef = np.maximum(np.where(low, mu[0] + phi - r, r - mu[2] - phi), 0.0)
+        needed = coef > 0.0
         # (s - lam I) / (lam3 - lam1) has O(1) entries, so the cross products
         # of its rows (the rows of its adjugate) neither underflow nor overflow;
         # zero where no eigenvector is needed
-        scale = np.divide(1.0, lam3 - lam1, out=np.zeros(n), where=coef > 0.0)
+        scale = np.divide(1.0, lam3 - lam1, out=np.zeros(n), where=needed)
         a = s * scale
         a.reshape(9, n)[::4] -= np.where(low, lam1, lam3) * scale  # the diagonal
         g = a.reshape(9, n)[_COFACTOR]
         cross = g[0] * g[1] - g[2] * g[3]
         norm2 = np.einsum("ijn,ijn->in", cross, cross)
-        v = np.where(norm2[0] >= np.maximum(norm2[1], norm2[2]), cross[0],
+        norm2_12 = np.maximum(norm2[1], norm2[2])
+        v = np.where(norm2[0] >= norm2_12, cross[0],
                      np.where(norm2[1] >= norm2[2], cross[1], cross[2]))
-        weight = np.divide(coef, norm2.max(axis=0), out=np.zeros(n), where=coef > 0.0)
+        weight = np.divide(coef, np.maximum(norm2[0], norm2_12), out=np.zeros(n), where=needed)
         out = s * np.where(low, 0.0, -1.0 / beta_tau)
         out += weight * v[:, None] * v[None, :]
     out.reshape(9, n)[::4] += r + np.where(low, 0.0, phi)
-    rest = np.flatnonzero(unresolved)
+    rest = unresolved.nonzero()[0]
     if rest.size:
         out[:, :, rest] = _project_blocks_eigh(s[:, :, rest], beta_tau, rho_l[rest], rho_u[rest], r)
     return out
@@ -669,7 +685,7 @@ def _project_blocks_eigh(s, beta_tau: float, rho_l, rho_u, r: float):
     Q diag(omega) Q^T elementwise on (k, k, n) storage; the solve of
     ``project_blocks`` for k != 3 and the fallback of ``_project_blocks_3x3``.
     """
-    lam, Q = np.linalg.eigh(np.moveaxis(s, -1, 0))
+    lam, Q = np.linalg.eigh(elements_first(s))
     omega = _project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
-    Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
+    Q = np.ascontiguousarray(elements_last(Q))
     return np.einsum("ijq,kjq->ikq", Q * omega.T, Q)

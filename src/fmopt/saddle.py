@@ -10,6 +10,7 @@ doubling/backtrack controller for the scale sigma.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -32,6 +33,8 @@ from .model import (
     element_gram,
     element_products,
     element_quads,
+    elements_first,
+    elements_last,
 )
 
 log = logging.getLogger(__name__)
@@ -84,9 +87,10 @@ def beta_hat_sequence(t_max: int) -> np.ndarray:
 def _blocks_flat(blocks) -> np.ndarray:
     """(m, k, k) blocks as a flat vector in element-last order.
 
-    A view of element-last contiguous storage, a copy for any other layout.
+    A view of element-last contiguous storage, a copy for any other layout;
+    a flat vector is returned as it is.
     """
-    return np.ascontiguousarray(np.moveaxis(blocks, 0, -1), dtype=float).reshape(-1)
+    return np.ascontiguousarray(elements_last(blocks), dtype=float).reshape(-1)
 
 
 def _rows_flat(rows) -> np.ndarray:
@@ -131,17 +135,17 @@ class DualAccumulators:
         )
         s_E, s_x, E_avg, x_avg = self.flat
         element_last = blocks[1:] + blocks[:1]  # (k, k, m)
-        self.s_E = np.moveaxis(s_E.reshape(element_last), -1, 0)
-        self.E_avg = np.moveaxis(E_avg.reshape(element_last), -1, 0)
+        self.s_E = elements_first(s_E.reshape(element_last))
+        self.E_avg = elements_first(E_avg.reshape(element_last))
         self.s_x, self.x_avg = s_x.reshape(rows), x_avg.reshape(rows)
 
     @classmethod
     def zeros(cls, instance: ProblemInstance) -> "DualAccumulators":
         blocks = (instance.k, instance.k, instance.m)
         return cls(
-            s_E=np.moveaxis(np.zeros(blocks), -1, 0),
+            s_E=elements_first(np.zeros(blocks)),
             s_x=np.zeros((instance.L, instance.N)),
-            E_avg=np.moveaxis(np.zeros(blocks), -1, 0),
+            E_avg=elements_first(np.zeros(blocks)),
             x_avg=np.zeros((instance.L, instance.N)),
         )
 
@@ -213,6 +217,14 @@ def autotune_step_budget(L_norm: float, D: float, sigma0: float, window: int) ->
 # -- subgradient oracle ----------------------------------------------------
 
 
+@functools.cache
+def _identity(k: int) -> np.ndarray:
+    """The read-only (1, k, k) identity that ``subgradients`` adds to every g_E block."""
+    eye = np.eye(k)[None, :, :]
+    eye.flags.writeable = False
+    return eye
+
+
 def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None):
     """Fused evaluation of the Lagrangian subgradients at (E, x).
 
@@ -229,13 +241,13 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None):
     coef = np.zeros(instance.L)
     coef[in_R] = sqrt_gamma / np.sqrt(quad[in_R])
     g_E = -element_gram(W, coef)
-    g_E += np.eye(instance.k)[None, :, :]
+    g_E += _identity(instance.k)
     # loads outside R have coef 0, so their rows already hold the plain 2 f_j
     g_x = 2.0 * instance.loads - 2.0 * coef[:, None] * apply_Bt(instance, EW)
 
     plain = ~in_R
-    if fallback_y is not None:
-        stored = plain & np.any(fallback_y, axis=1)
+    if fallback_y is not None and plain.any():
+        stored = plain & fallback_y.any(axis=1)
         plain &= ~stored
         if stored.any():
             EWy = element_products(E_dense, apply_B(instance, fallback_y[stored]))
@@ -321,8 +333,10 @@ def da_step(
 
 def _solve_x(s_x, beta_next: float, tau: float, eta: float):
     """Closed-form adjoint update: radial shrink of -s onto the eta-ball."""
-    norms = np.linalg.norm(s_x, axis=1)
-    scale = np.zeros_like(norms)
+    # np.linalg.norm(s_x, axis=1) of a real array, the same product and
+    # reduction, without its dispatch
+    norms = np.sqrt(np.add.reduce(s_x * s_x, axis=1))
+    scale = np.zeros(norms.shape)
     nz = norms > 0
     scale[nz] = -np.minimum(eta / norms[nz], 1.0 / (beta_next * (1.0 - tau)))
     return scale[:, None] * s_x
@@ -488,7 +502,7 @@ def run_solver(
         if used_plain:
             fallback_events += 1
             log.info("step %d: plain 2f selection used for a load outside R", step)
-        if np.any(in_R):
+        if in_R.any():
             # unit-quadratic representatives for the set-valued branch:
             # the pre-step iterate scaled by its own quadratic form
             fallback_y[in_R] = x[in_R] / np.sqrt(quad[in_R])[:, None]
@@ -593,15 +607,15 @@ def _quick_feasible(instance: ProblemInstance, E_dense) -> tuple:
     ``eigvalsh`` runs on the rest, and non-finite blocks fail.  Returns
     ``(ok, floor_ok)`` with the per-block verdict on the floor.
     """
-    E = np.moveaxis(E_dense, 0, -1)
+    E = elements_last(E_dense)
     mean, spread = proj.trace_spread(E)
-    traces = np.trace(E)
+    traces = E.trace()
     floor = instance.r - 1e-9
     slack = 64 * np.finfo(float).eps * (np.abs(mean) + spread)
     floor_ok = mean - spread >= floor + slack
     rest = np.flatnonzero(~floor_ok & np.isfinite(E).all(axis=(0, 1)))
     if rest.size:
-        eigmin = np.linalg.eigvalsh(np.moveaxis(E[:, :, rest], -1, 0))[:, 0]
+        eigmin = np.linalg.eigvalsh(elements_first(E[:, :, rest]))[:, 0]
         floor_ok[rest] = eigmin >= floor
     ok = bool(
         np.all(traces <= instance.rho_u + 1e-9)

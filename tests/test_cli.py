@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,15 +39,17 @@ def assert_every_cell_and_field_filled(report, csv_path):
 
 def run_fmopt(tmp_path, *args):
     """fmopt as a user runs it, in a subprocess, so that numpy's overflow
-    warnings stay warnings; returns the exit code and the JSON error that
-    ends stderr."""
+    warnings stay warnings (in-process, pytest's ``filterwarnings = error``
+    would raise them); returns the exit code and the JSON error, which must
+    be all of stderr, one line."""
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "fmopt.cli", *args, "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=env,
     )
-    assert "Traceback" not in proc.stderr
-    return proc.returncode, json.loads(proc.stderr.splitlines()[-1])
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    return proc.returncode, json.loads(lines[0])
 
 
 @pytest.fixture
@@ -536,6 +539,11 @@ class TestMain:
         assert rc == 3 and err["kind"] == "numerical"
         if scheme == "weighted":  # the step whose weight 1 / inf would be 0
             assert err["error"] == "step 1: subgradient norm is not finite (inf)"
+        # numpy's overflow warnings are folded into the one JSON line
+        assert err["warnings"] and all(
+            w.startswith("RuntimeWarning: overflow encountered") for w in err["warnings"]
+        )
+        assert len(set(err["warnings"])) == len(err["warnings"])
 
     @pytest.mark.parametrize("load,extra,message", [
         # the pairing sums overflow at step 1, before eigh meets the blocks
@@ -548,7 +556,38 @@ class TestMain:
                             "--load", f"bottom_right:{load}", "--iters", "20", "--stride", "10",
                             *extra)
         assert rc == 3
+        assert all(w.startswith("RuntimeWarning: overflow") for w in err.pop("warnings", []))
         assert err == {"error": message, "kind": "numerical"}
+
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_warnings_shown_or_folded_by_exit_code(self, tmp_path, capsys, monkeypatch, code):
+        # in-process, so pytest's filterwarnings = error applies: the test
+        # records what main would show, under an "always" filter of its own
+        def warning_run(config, instance, out_prefix):
+            for _ in range(2):
+                warnings.warn("probe overflow", RuntimeWarning)
+            if code == 2:
+                raise InvalidInstance("bad input")
+            if code == 3:
+                raise NumericalFailure("step 1: gap is not finite (inf)")
+            return {"ok": True}
+
+        monkeypatch.setattr(cli, "run", warning_run)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            rc = cli.main(["--mesh", "2x2", "--iters", "2", "--out", str(tmp_path / "w")])
+        out, err = capsys.readouterr()
+        assert rc == code
+        if code == 0:
+            # shown as the warnings module shows them, once per warning raised
+            assert [(str(w.message), w.category, w.filename) for w in shown] == [
+                ("probe overflow", RuntimeWarning, __file__)
+            ] * 2
+            assert json.loads(out) == {"ok": True} and err == ""
+        else:
+            assert shown == [] and out == ""
+            assert json.loads(err)["warnings"] == ["RuntimeWarning: probe overflow"]
+            assert err.count("\n") == 1
 
     def test_linalg_error_exit_three(self, tmp_path, capsys, monkeypatch):
         def broken_run(config, instance, out_prefix):

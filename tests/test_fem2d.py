@@ -374,6 +374,10 @@ class TestFileFormats:
         ("overstated_nnz", {9: "B 0 0 9"}, 18),
         # the first bad line in file order is named, entry or header
         ("entry_before_header_error", {10: "0 x 0.5", 18: "B 0 0 8"}, 10),
+        # a non-finite value is named with its line, not left to the instance check
+        ("nan_entry", {10: "0 0 nan"}, 10),
+        ("inf_entry", {10: "0 0 inf"}, 10),
+        ("overflowing_entry", {10: "0 0 1e999"}, 10),
     ])
     def test_instance_reader_rejects_malformed(self, tmp_path, tiny_mesh_instance, capsys,
                                                case, edit, line):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmopt import proj
-from fmopt.model import FmoError, InvalidInstance
+from fmopt.model import FmoError, InvalidInstance, elements_first, elements_last
 from fmopt.oracle import kkt_residual_standard, qp_reference, spectral_kkt_reference
 from fmopt.proj import (
     BoxTraceLS,
@@ -730,3 +730,77 @@ class TestClosedForm3x3:
 
         monkeypatch.setattr(proj, "_project_blocks_3x3", refuse)
         np.testing.assert_array_equal(project_blocks(blocks, bt, rho_l, rho_u, r), want)
+
+
+class TestProjectBlocksPaths:
+    """``project_blocks`` with every block certified, some, or none."""
+
+    BT, R = 0.7, 0.1
+
+    @staticmethod
+    def batch(rng, m, certified):
+        """(m, 3, 3) element-last blocks; the first ``certified`` pass the trace bound.
+
+        Those are -c I plus a 1e-3 perturbation, certified for any rho_u
+        >= 0.5; the rest have spectrum (-b, c, b) with b in [2, 3] and c in
+        [-1, 1], so mean + spread >= 1.98 rules the bound out for any
+        rho_u < 7 at BT and R.
+        """
+        out = np.empty((3, 3, m))
+        for i in range(m):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            if i < certified:
+                g = rng.normal(0, 1, (3, 3))
+                block = -(1.0 + rng.random()) * np.eye(3) + 1e-3 * (g + g.T)
+            else:
+                b, c = 2.0 + rng.random(), rng.uniform(-1.0, 1.0)
+                block = (Q * np.array([-b, c, b])) @ Q.T
+            out[:, :, i] = 0.5 * (block + block.T)
+        return elements_first(out)
+
+    @staticmethod
+    def sent_to_closed_form(monkeypatch):
+        sent = []
+        closed_form = proj._project_blocks_3x3
+
+        def recorded(s, *args):
+            sent.append(s)
+            return closed_form(s, *args)
+
+        monkeypatch.setattr(proj, "_project_blocks_3x3", recorded)
+        return sent
+
+    @pytest.mark.parametrize("certified", [0, 60, 200])
+    def test_scalar_and_per_block_bounds_agree_bitwise(self, rng, certified):
+        s = self.batch(rng, 200, certified)
+        got = project_blocks(s, self.BT, 0.5, 2.5, self.R)
+        want = project_blocks(s, self.BT, np.full(200, 0.5), np.full(200, 2.5), self.R)
+        assert np.array_equal(got, want)
+
+    def test_uncertified_batch_is_the_symmetrized_closed_form_bitwise(self, rng, monkeypatch):
+        s = self.batch(rng, 200, 0)
+        rho_l = 0.3 + rng.random(200)
+        rho_u = rho_l + 2.0 * rng.random(200)
+        sent = self.sent_to_closed_form(monkeypatch)
+        got = project_blocks(s, self.BT, rho_l, rho_u, self.R)
+        monkeypatch.undo()
+        # s itself is solved: no gather, and no scatter back
+        assert len(sent) == 1 and sent[0].base is s.base
+        solved = proj._project_blocks_3x3(elements_last(s), self.BT, rho_l, rho_u, self.R)
+        assert np.array_equal(elements_last(got), 0.5 * (solved + solved.transpose(1, 0, 2)))
+        assert elements_last(got).flags.c_contiguous
+
+    def test_mixed_batch_matches_oracle(self, rng, monkeypatch):
+        s = self.batch(rng, 200, 60)
+        rho_l = 0.3 + rng.random(200)
+        rho_u = rho_l + 2.0 * rng.random(200)
+        sent = self.sent_to_closed_form(monkeypatch)
+        got = project_blocks(s, self.BT, rho_l, rho_u, self.R)
+        assert [a.shape[-1] for a in sent] == [140]
+        want = np.array([
+            spectral_kkt_reference(self.R * np.eye(3) - s[i] / self.BT, rho_l[i], rho_u[i], self.R)
+            for i in range(200)
+        ])
+        scale = np.abs(s).max() / self.BT + 3.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+

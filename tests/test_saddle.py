@@ -493,6 +493,27 @@ class TestRunSolver:
         assert [row.t for row in rows] == [7, 14, 21, 28, 30]
         assert [row.flops for row in rows] == [sum(ledger(row.t).values()) for row in rows]
 
+    @pytest.mark.parametrize("mode, nu", [("plain", 0.0), ("penalty", 3.0)])
+    def test_step_makes_no_moveaxis_or_broadcast_to_call(self, monkeypatch, mode, nu):
+        # the kernels change layout by transpose and take the instance's (m,)
+        # trace bounds as they are, so these calls, if any, belong to the
+        # setup and the final row: the count does not grow with the steps
+        spec = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0)
+        inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 0.4, 8.0, nu)
+        calls = []
+        for name in ("moveaxis", "broadcast_to"):
+            def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        counts = []
+        for iterations in (20, 40):
+            calls.clear()
+            run_solver(inst, SolverConfig(mode=mode, iterations=iterations, log_stride=iterations))
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+
     def test_penalty_mode_above_dense_threshold_refused_before_any_row(
         self, small_mesh_instance
     ):
