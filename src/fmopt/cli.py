@@ -267,39 +267,49 @@ def _show(caught: list) -> None:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
+def _solve(args) -> dict:
+    """Build the instance and configuration from ``args``; run them; return the report."""
+    instance = _instance_from_args(args)
+    config = saddle.SolverConfig(
+        scheme=args.scheme,
+        mode=args.mode,
+        iterations=args.iters,
+        tau=None if args.tau == "auto" else float(args.tau),
+        sigma0=None if args.sigma0 == "auto" else float(args.sigma0),
+        autotune_window=args.autotune_window,
+        log_stride=args.stride,
+        dense_threshold=args.dense_threshold,
+        deterministic=args.deterministic,
+    )
+    return run(config, instance, args.out)
+
+
 def main(argv=None) -> int:
     """Run the CLI; return its exit code.
 
     Warnings are recorded under the filters in force.  A run that exits 2
     or 3 folds them into its JSON error line, so that stderr is that one
-    line; any other run shows them unchanged.
+    line; any other run, one that raises included, shows them unchanged
+    once the recording has ended (while it lasts, showing a warning would
+    record it again).
     """
     args = _build_parser().parse_args(argv)
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            instance = _instance_from_args(args)
-            config = saddle.SolverConfig(
-                scheme=args.scheme,
-                mode=args.mode,
-                iterations=args.iters,
-                tau=None if args.tau == "auto" else float(args.tau),
-                sigma0=None if args.sigma0 == "auto" else float(args.sigma0),
-                autotune_window=args.autotune_window,
-                log_stride=args.stride,
-                dense_threshold=args.dense_threshold,
-                deterministic=args.deterministic,
-            )
-            report = run(config, instance, args.out)
-        except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
-            return _fail(exc, "numerical", 3, caught)
-        except (InvalidInstance, OSError, ValueError) as exc:
-            return _fail(exc, "input", 2, caught)
-        except FmoError as exc:
-            return _fail(exc, "numerical", 3, caught)
-        except BaseException:
+    code = 0
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                report = _solve(args)
+            except np.linalg.LinAlgError as exc:  # a ValueError subclass, but not bad input
+                code = _fail(exc, "numerical", 3, caught)
+            except (InvalidInstance, OSError, ValueError) as exc:
+                code = _fail(exc, "input", 2, caught)
+            except FmoError as exc:
+                code = _fail(exc, "numerical", 3, caught)
+    finally:
+        if not code:
             _show(caught)
-            raise
-    _show(caught)
+    if code:
+        return code
     json.dump(report, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return 0

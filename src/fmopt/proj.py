@@ -569,7 +569,7 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     blocks it cannot certify are gathered into (k, k, n) and solved in
     closed form when k = 3 (``_project_blocks_3x3``), through one batched
     eigendecomposition otherwise (``_project_blocks_eigh``); when no block
-    is certified, s itself is solved, with no gather and no scatter back.
+    is certified, s itself is solved, through views instead of a gather.
     ``s_blocks`` is (m, k, k) in any layout; ``rho_l`` and ``rho_u`` are
     positive scalars or (m,) arrays.  The result is an (m, k, k) view of
     (k, k, m) storage, exactly symmetric.  The certified blocks are built
@@ -594,13 +594,9 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     if scan.size:
         solve = _project_blocks_3x3 if k == 3 else _project_blocks_eigh
         rho_l, rho_u = _per_block(rho_l, m), _per_block(rho_u, m)
-        if scan.size == m:
-            solved = solve(s, beta_tau, rho_l, rho_u, r)
-            np.add(solved, solved.transpose(1, 0, 2), out=out)
-            out *= 0.5
-        else:
-            solved = solve(s[:, :, scan], beta_tau, rho_l[scan], rho_u[scan], r)
-            out[:, :, scan] = 0.5 * (solved + solved.transpose(1, 0, 2))
+        idx = scan if scan.size < m else slice(None)  # a slice takes views, not copies
+        solved = solve(s[:, :, idx], beta_tau, rho_l[idx], rho_u[idx], r)
+        out[:, :, idx] = 0.5 * (solved + solved.transpose(1, 0, 2))
     return elements_first(out)
 
 

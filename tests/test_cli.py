@@ -559,13 +559,18 @@ class TestMain:
         assert all(w.startswith("RuntimeWarning: overflow") for w in err.pop("warnings", []))
         assert err == {"error": message, "kind": "numerical"}
 
-    @pytest.mark.parametrize("code", [0, 2, 3])
+    @pytest.mark.parametrize("code", [0, 2, 3, None])
     def test_warnings_shown_or_folded_by_exit_code(self, tmp_path, capsys, monkeypatch, code):
         # in-process, so pytest's filterwarnings = error applies: the test
-        # records what main would show, under an "always" filter of its own
+        # records what main would show, under an "always" filter of its own.
+        # code None is a fault outside the exit codes: it propagates once,
+        # and the warnings are shown after main stops recording them (shown
+        # while it records, each would be recorded again, without end)
         def warning_run(config, instance, out_prefix):
             for _ in range(2):
                 warnings.warn("probe overflow", RuntimeWarning)
+            if code is None:
+                raise RuntimeError("fault in run")
             if code == 2:
                 raise InvalidInstance("bad input")
             if code == 3:
@@ -573,17 +578,24 @@ class TestMain:
             return {"ok": True}
 
         monkeypatch.setattr(cli, "run", warning_run)
+        argv = ["--mesh", "2x2", "--iters", "2", "--out", str(tmp_path / "w")]
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
-            rc = cli.main(["--mesh", "2x2", "--iters", "2", "--out", str(tmp_path / "w")])
+            if code is None:
+                with pytest.raises(RuntimeError, match="fault in run"):
+                    cli.main(argv)
+                rc = None
+            else:
+                rc = cli.main(argv)
         out, err = capsys.readouterr()
         assert rc == code
-        if code == 0:
+        if code in (0, None):
             # shown as the warnings module shows them, once per warning raised
             assert [(str(w.message), w.category, w.filename) for w in shown] == [
                 ("probe overflow", RuntimeWarning, __file__)
             ] * 2
-            assert json.loads(out) == {"ok": True} and err == ""
+            assert err == ""
+            assert (json.loads(out) == {"ok": True}) if code == 0 else out == ""
         else:
             assert shown == [] and out == ""
             assert json.loads(err)["warnings"] == ["RuntimeWarning: probe overflow"]

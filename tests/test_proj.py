@@ -784,7 +784,7 @@ class TestProjectBlocksPaths:
         sent = self.sent_to_closed_form(monkeypatch)
         got = project_blocks(s, self.BT, rho_l, rho_u, self.R)
         monkeypatch.undo()
-        # s itself is solved: no gather, and no scatter back
+        # s itself is solved, through a view: no gather
         assert len(sent) == 1 and sent[0].base is s.base
         solved = proj._project_blocks_3x3(elements_last(s), self.BT, rho_l, rho_u, self.R)
         assert np.array_equal(elements_last(got), 0.5 * (solved + solved.transpose(1, 0, 2)))
