@@ -380,8 +380,14 @@ def flop_model(instance: ProblemInstance) -> dict:
     ``grads`` per ``subgradients`` call, ``dense_assembly`` and
     ``dense_solve`` per penalty ``compliance_solves`` call (assembly of the
     dense A(E), then its Cholesky factor and L solves), and ``x_update``,
-    ``E_update`` and ``averaging`` per ``da_step``.  The keys are in the
-    order a penalty step first charges them.
+    ``E_update`` and ``averaging`` per ``da_step``.  ``dense_solve``
+    charges N^3 / 3 for the factorization whatever its precision (the
+    step factors in single and falls back to double), and one forward and
+    back substitution per load.  The refinement sweeps of the
+    single-precision solve are not charged: their number depends on the
+    data (two or three on a mesh), and each costs one substitution pair
+    per load (O(L N^2)) plus one matrix-free product, far below N^3 / 3.
+    The keys are in the order a penalty step first charges them.
     """
     k, L, nig, m, N = instance.k, instance.L, instance.nig, instance.m, instance.N
     per_l = 4 * k * instance.n_loc + 3 * k * k + 3 * k

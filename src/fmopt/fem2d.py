@@ -276,7 +276,9 @@ def read_instance(path) -> ProblemInstance:
     [0, L) must appear exactly once with N values; anything else raises
     InvalidInstance naming the first offending line in file order.  B
     entries are read as ``np.loadtxt`` reads them: three fields, ASCII
-    digits, no ``_`` and no comment.
+    digits, no ``_`` and no comment.  Every other number of the file (the
+    dims, param, rho_l, rho_u, B header and load lines) follows the same
+    token rule, and every real value must be finite.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -302,9 +304,17 @@ def read_instance(path) -> ProblemInstance:
             raise fail(pos - 1, f"expected {count} fields, got {lines[pos - 1]!r}")
         return toks
 
+    def reals(toks) -> np.ndarray:
+        """The fields ``toks`` of the line just taken, read as the B entry values
+        are (``np.loadtxt``: ASCII digits, no ``_``); a non-finite value is refused."""
+        values = np.loadtxt([" ".join(toks)], comments=None, ndmin=1)
+        if not np.isfinite(values).all():
+            raise fail(pos - 1, f"values must be finite, got {lines[pos - 1]!r}")
+        return values
+
     try:
         dims = dict(tok.split("=") for tok in take("dims", 6)[1:])
-        m, k, N, L, nig = (int(dims[key]) for key in ("m", "k", "N", "L", "nig"))
+        m, k, N, L, nig = (_integer(dims[key]) for key in ("m", "k", "N", "L", "nig"))
         if min(m, k, N, L, nig) < 1:
             raise ValueError
     except (KeyError, ValueError) as exc:
@@ -317,9 +327,9 @@ def read_instance(path) -> ProblemInstance:
             _, name, val = take("param", 3)
             if name not in ("r", "gamma", "eta", "nu") or name in params:
                 raise fail(pos - 1, f"unexpected or repeated parameter {name!r}")
-            params[name] = float(val)
-        rho_l = np.array([float(v) for v in take("rho_l", m + 1)[1:]])
-        rho_u = np.array([float(v) for v in take("rho_u", m + 1)[1:]])
+            params[name] = float(reals([val])[0])
+        rho_l = reals(take("rho_l", m + 1)[1:])
+        rho_u = reals(take("rho_u", m + 1)[1:])
 
         # the B section: one walk over the headers, then every entry line in
         # one read; a bad header waits until the entries before it are checked
@@ -328,7 +338,7 @@ def read_instance(path) -> ProblemInstance:
             for _ in range(m * nig):
                 head = take("B", 4)
                 try:
-                    i, ig, nnz = (int(v) for v in head[1:])
+                    i, ig, nnz = (_integer(v) for v in head[1:])
                 except ValueError as exc:
                     raise fail(pos - 1, f"cannot parse {lines[pos - 1]!r}") from exc
                 if not (0 <= i < m and 0 <= ig < nig and nnz >= 0):
@@ -374,11 +384,11 @@ def read_instance(path) -> ProblemInstance:
         loads = np.zeros((L, N))
         seen = np.zeros(L, dtype=bool)
         for _ in range(L):
-            j = int(take("load", 2)[1])
+            j = _integer(take("load", 2)[1])
             if not 0 <= j < L or seen[j]:
                 raise fail(pos - 1, f"load index {j} outside [0, {L}) or repeated")
             seen[j] = True
-            loads[j] = [float(v) for v in take(count=N)]
+            loads[j] = reals(take(count=N))
     except ValueError as exc:
         raise fail(pos - 1, f"cannot parse {lines[pos - 1]!r}") from exc
     if pos < len(lines):
@@ -408,6 +418,14 @@ def read_instance(path) -> ProblemInstance:
         params["eta"],
         params["nu"],
     )
+
+
+def _integer(text: str) -> int:
+    """``text`` as ``np.loadtxt`` reads an integer field: ``int`` without the
+    non-ASCII digits and ``_`` separators it would accept."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for an integer field: {text!r}")
+    return int(text)
 
 
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])

@@ -255,8 +255,10 @@ class ProblemInstance:
     ``scatter_index`` is the flat ``bincount`` index of ``apply_Bt`` for L
     rows (``scatter_index(L, N, cols)``), built once.  ``band_layout`` is
     the RCM order and band scatter index of the banded compliance solves
-    (``penalty.band_layout``), built on first use.  ``B``, ``cols``, the
-    storage they view, ``shared``, ``scatter_index`` and ``band_layout``
+    (``penalty.band_layout``), and ``dense_layout`` the lower-triangle
+    scatter layout of the penalty step (``penalty.dense_layout``), each
+    built on first use.  ``B``, ``cols``, the storage they view,
+    ``shared``, ``scatter_index``, ``band_layout`` and ``dense_layout``
     are read-only, so none of them can go stale.  ``with_params`` derives
     an instance with other gamma, eta or nu that shares all of them.
 
@@ -374,7 +376,8 @@ class ProblemInstance:
 
         None keeps a value.  Everything else is shared, not rebuilt: the
         operators, loads and bounds, ``shared``, ``scatter_index`` and, once
-        built, ``band_layout`` depend on none of the three scalars.
+        built, ``band_layout`` and ``dense_layout`` depend on none of the
+        three scalars.
         """
         variant = copy.copy(self)
         for name, value in (("gamma", gamma), ("eta", eta), ("nu", nu)):
@@ -389,6 +392,13 @@ class ProblemInstance:
         from . import penalty
 
         return penalty.band_layout(self)
+
+    @functools.cached_property
+    def dense_layout(self) -> tuple:
+        """``penalty.dense_layout(self)``, built on first use and kept."""
+        from . import penalty
+
+        return penalty.dense_layout(self)
 
     # -- starting point ----------------------------------------------------
 

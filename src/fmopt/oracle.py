@@ -201,13 +201,18 @@ def singular_sq_reference(instance):
 
 
 def dense_stiffness_reference(instance, E_blocks):
-    """A(E) assembled densely with explicit loops (test reference only)."""
+    """A(E) assembled densely with explicit loops (test reference only).
+
+    Each congruence B^T E_i B is added on the DOFs element i's dense
+    strain operator touches, the only rows and columns where it is nonzero.
+    """
     E_blocks = np.asarray(E_blocks, dtype=float)
     A = np.zeros((instance.N, instance.N))
     for i, dense in enumerate(dense_strain_matrices(instance)):
+        touched = np.flatnonzero(np.any(dense != 0.0, axis=(0, 1)))
         for ig in range(instance.nig):
-            B = dense[ig]
-            A += B.T @ E_blocks[i] @ B
+            B = dense[ig][:, touched]
+            A[np.ix_(touched, touched)] += B.T @ E_blocks[i] @ B
     return A
 
 

@@ -14,11 +14,19 @@ bound data) that needs no gate; its order and scatter index
 (``band_layout``) depend only on the sparsity of B, so each instance
 builds them on first use and keeps them (``ProblemInstance.band_layout``).
 
-Storage rule: A(E) is scattered straight into the Fortran-ordered storage
-LAPACK factors (the N x N matrix for ``dpotrf``, the (bw + 1, N) lower
-band for ``dpbtrf``) and factored in place, so no factorization copies
-it.  A factorization destroys the matrix it is handed; a failed one
-rebuilds A(E) from E to report lambda_min.
+Storage rule: a penalty step forms one N x N array, the lower triangle
+of A(E) in single precision (float32), scattered straight into the
+Fortran-ordered storage ``spotrf`` factors and factored in place; the
+solutions are then refined in double against the matrix-free operator
+(LAPACK's ``dsposv`` scheme, written out because scipy does not wrap
+it), so no double N x N array exists on that path.  When single precision
+cannot deliver (the sums leave its range, ``spotrf`` fails, a residual is
+not finite or stops shrinking, or ``REFINE_SWEEPS`` sweeps do not pass)
+the step falls back to the double N x N A(E), factored in place by
+``dpotrf``.  The banded solves scatter into the (bw + 1, N) lower band
+``dpbtrf`` factors, in double, and factor it in place.  No factorization
+copies its matrix; a factorization destroys the matrix it is handed, and
+a failed double one rebuilds A(E) from E to report lambda_min.
 """
 
 from __future__ import annotations
@@ -36,12 +44,21 @@ from .model import (
     NumericalFailure,
     ProblemInstance,
     apply_B,
+    apply_Bt,
     check_dense_size,
     element_gram,
     elements_first,
+    element_products,
     elements_last,
     lagrangian_value,
 )
+
+# most refinement sweeps of a single-precision solve before the double
+# fallback (LAPACK's dsposv allows 30; a penalty step on a fem2d mesh
+# passes at its third sweep)
+REFINE_SWEEPS = 10
+_SINGLE_MAX = float(np.finfo(np.float32).max)
+_EPS = float(np.finfo(np.float64).epsneg)  # 2^-53, LAPACK's dlamch('Epsilon')
 
 
 @dataclass
@@ -80,29 +97,133 @@ def assemble_dense(instance: ProblemInstance, E_dense):
     return np.bincount(idx, weights=ke.ravel(), minlength=N**2).reshape(N, N, order="F")
 
 
+def dense_layout(instance: ProblemInstance):
+    """Scatter layout of A(E)'s lower triangle in Fortran-ordered N x N storage.
+
+    Returns ``(inverse, position, norm_pick, norm_row)``.  ``position``
+    lists the distinct flat positions row + col * N (row >= col) that the
+    elements touch, sorted; ``inverse`` maps every element-stiffness entry,
+    in the (n_loc, n_loc, m) storage order of ``element_stiffness``, to
+    its position's index, or to ``position.size`` (a bin that is dropped)
+    when the entry lies above the diagonal or on a padded column.  The row
+    sums of |A| are ``bincount(norm_row, |sums|[norm_pick])``: every
+    distinct entry on its row, and each off the diagonal on its column
+    too.  Like ``band_layout`` it depends only on the sparsity of B, so
+    ``compliance_solves`` reads it from ``instance.dense_layout``, built
+    once per instance; the arrays are read-only.
+    """
+    N, cols = instance.N, instance.cols  # (n_loc, m)
+    real = np.any(instance.B != 0.0, axis=(0, 1))
+    rows_of, cols_of = cols[:, None, :], cols[None, :, :]
+    keep = real[:, None, :] & real[None, :, :] & (rows_of >= cols_of)
+    flat = (rows_of + cols_of * N)[keep]
+    # distinct positions sorted by hand: np.unique imports numpy.ma
+    ordered = np.sort(flat)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    position = ordered[first]
+    inverse = np.full(keep.shape, position.size, dtype=np.int64)
+    inverse[keep] = np.searchsorted(position, flat)
+    col, row = np.divmod(position, N)
+    off = np.flatnonzero(row != col)
+    norm_pick = np.concatenate([np.arange(position.size), off])
+    norm_row = np.concatenate([row, col[off]])
+    layout = (inverse.ravel(), position, norm_pick, norm_row)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def assemble_single(instance: ProblemInstance, E_dense):
+    """A(E)'s lower triangle in single precision, in the storage ``spotrf`` factors.
+
+    Returns ``(A, norm)``: the element stiffnesses are summed in double
+    per distinct position of ``instance.dense_layout`` and scattered once
+    into a zeroed Fortran-ordered float32 N x N array ``A`` (its strict
+    upper triangle stays zero); ``norm`` is ||A(E)||_inf of the double
+    sums.  ``A`` is None when a sum is outside single range.
+    """
+    N = instance.N
+    inverse, position, norm_pick, norm_row = instance.dense_layout
+    ke = elements_last(element_stiffness(instance, E_dense))  # contiguous storage
+    sums = np.bincount(inverse, weights=ke.ravel(), minlength=position.size + 1)[:-1]
+    norm = np.bincount(norm_row, weights=np.abs(sums)[norm_pick], minlength=N).max()
+    if not norm < _SINGLE_MAX:  # NaN fails too
+        return None, norm
+    A = np.zeros(N * N, dtype=np.float32)
+    A[position] = sums
+    return A.reshape(N, N, order="F"), norm
+
+
 def _singular(lam_min) -> NumericalFailure:
     return NumericalFailure(
         f"stiffness singular - check boundary conditions (lambda_min ~ {float(lam_min):.3e})"
     )
 
 
-def _factor_and_solve(instance: ProblemInstance, A):
-    """Cholesky-factor ``A`` in place and solve for every load.
+def _factor_and_solve(instance: ProblemInstance, A, E_dense=None, norm=None):
+    """Cholesky-factor ``A`` in place and solve for every load: the (N, L) solutions.
 
-    ``A`` is the Fortran-ordered A(E) of ``assemble_dense``, so ``dpotrf``
-    overwrites it with the factor and copies nothing.  Returns None when A
-    is not numerically positive definite; A is destroyed either way.
+    ``A`` is Fortran-ordered, so the factorization overwrites it and
+    copies nothing.  A double ``A`` (``assemble_dense``) is factored by
+    ``dpotrf`` and solved by ``dpotrs``.  A float32 lower triangle
+    (``assemble_single``) is factored by ``spotrf`` and the solutions are
+    refined in double by ``_refine`` against the A(E) of ``E_dense``,
+    whose infinity norm is ``norm``.  Returns None when A is not
+    numerically positive definite or the refinement fails; A is destroyed
+    either way.
     """
+    if A.dtype == np.float32:
+        factor, info = scipy.linalg.lapack.spotrf(A, lower=1, clean=0, overwrite_a=1)
+        return None if info > 0 else _refine(instance, factor, E_dense, norm)
     factor, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         return None
-    sol, _ = scipy.linalg.lapack.dpotrs(factor, instance.loads.T, lower=1)
-    comp = np.einsum("nj,jn->j", sol, instance.loads)
-    return PenaltyState(
-        compliances=comp,
-        solutions=sol,
-        violated=np.flatnonzero(comp > instance.gamma),
-    )
+    return scipy.linalg.lapack.dpotrs(factor, instance.loads.T, lower=1)[0]
+
+
+def _single_solve(factor, rhs):
+    """(L L^T)^{-1} rhs for a ``spotrf`` factor L, as two ``strtrs`` triangular solves.
+
+    ``spotrs`` computes the same two solves through ``strsm``, which took
+    4x as long at one right-hand side (N = 800, OpenBLAS, one thread).
+    """
+    y = scipy.linalg.lapack.strtrs(factor, rhs, lower=1)[0]
+    return scipy.linalg.lapack.strtrs(factor, y, lower=1, trans=1, overwrite_b=1)[0]
+
+
+def _refine(instance: ProblemInstance, factor, E_dense, norm):
+    """Solutions of A(E) x_j = f_j in double from a single-precision Cholesky ``factor``.
+
+    From x = 0, whose residual is the loads, each sweep solves for a
+    correction with the factor (``_single_solve``), adds it in double, and takes
+    the residual r = f - A(E) x through the matrix-free operator
+    (``apply_B``, ``element_products``, ``apply_Bt``), so the one N x N
+    array is the factor.  Returns the (N, L) solutions once every load
+    passes ``dsposv``'s backward-error test
+    ||r_j||_inf <= sqrt(N) eps ||A||_inf ||x_j||_inf, and None (the
+    caller's double fallback) as soon as a residual is not finite, the
+    residual of a load that fails the test does not shrink, or
+    ``REFINE_SWEEPS`` sweeps pass without success.
+    """
+    loads = instance.loads
+    tol = math.sqrt(instance.N) * _EPS * norm
+    X = np.zeros(loads.shape)  # the solutions as rows, the layout apply_B reads
+    resid, last = loads, np.full(instance.L, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
+        for _ in range(REFINE_SWEEPS):
+            X += _single_solve(factor, resid.T.astype(np.float32)).T
+            resid = loads - apply_Bt(instance, element_products(E_dense, apply_B(instance, X)))
+            size = np.abs(resid).max(axis=1)
+            if not np.isfinite(size).all():
+                return None
+            failing = size > tol * np.abs(X).max(axis=1)
+            if not failing.any():
+                return X.T
+            if np.any(size[failing] >= last[failing]):
+                return None
+            last = size
+    return None
 
 
 def band_layout(instance: ProblemInstance):
@@ -193,14 +314,28 @@ def compliance_solves(
 ) -> PenaltyState:
     """Assemble, factor, and solve for every load; the per-iteration workhorse.
 
-    A(E) is scattered into Fortran order and factored in place, so the one
-    N x N array of a step is the one the scatter fills.
+    A(E)'s lower triangle is scattered into one float32 N x N array
+    (``assemble_single``), factored there by ``spotrf``, and the solutions
+    are refined in double through the matrix-free operator until each
+    passes ``dsposv``'s backward-error test (``_refine``), so the one
+    N x N array of a step is that float32 triangle.  When single precision
+    cannot deliver, the step takes the double path instead: the full
+    A(E) of ``assemble_dense`` factored in place by ``dpotrf``, whose
+    failure reports A(E) singular with its lambda_min.
     """
     check_dense_size(instance, "penalty mode", dense_threshold)
-    state = _factor_and_solve(instance, assemble_dense(instance, E_dense))
-    if state is None:  # the factorization overwrote A(E): rebuild it for lambda_min
+    A, norm = assemble_single(instance, E_dense)
+    sol = None if A is None else _factor_and_solve(instance, A, E_dense, norm)
+    if sol is None:  # single precision did not deliver: the double path
+        sol = _factor_and_solve(instance, assemble_dense(instance, E_dense))
+    if sol is None:  # the factorization overwrote A(E): rebuild it for lambda_min
         raise _singular(np.linalg.eigvalsh(assemble_dense(instance, E_dense))[0])
-    return state
+    comp = np.einsum("nj,jn->j", sol, instance.loads)
+    return PenaltyState(
+        compliances=comp,
+        solutions=sol,
+        violated=np.flatnonzero(comp > instance.gamma),
+    )
 
 
 def penalty_value(instance: ProblemInstance, E: MaterialState, x: DualState) -> float:

@@ -378,6 +378,19 @@ class TestFileFormats:
         ("nan_entry", {10: "0 0 nan"}, 10),
         ("inf_entry", {10: "0 0 inf"}, 10),
         ("overflowing_entry", {10: "0 0 1e999"}, 10),
+        # the dims, param, rho, header and load numbers follow the B entries'
+        # token rule, and real values must be finite, each refusal naming its line
+        ("non_ascii_dims", {2: "dims m=\u0661 k=3 N=4 L=1 nig=4"}, 2),
+        ("underscore_in_dims", {2: "dims m=1 k=3 N=4 L=1 nig=4_0"}, 2),
+        ("non_ascii_param", {4: "param gamma \u0661"}, 4),
+        ("nan_param", {4: "param gamma nan"}, 4),
+        ("underscore_in_rho", {7: "rho_l 0.3_0"}, 7),
+        ("inf_rho", {8: "rho_u inf"}, 8),
+        ("non_ascii_load_index", {45: "load \u0660"}, 45),
+        ("underscore_in_load", {46: "0.0 -0.5 0.0 -0.5_0"}, 46),
+        ("overflowing_load", {46: "0.0 -0.5 0.0 1e999"}, 46),
+        ("non_ascii_header", {9: "B 0 0 \u0668"}, 9),
+        ("underscore_in_header", {18: "B 0 0_1 8"}, 18),
     ])
     def test_instance_reader_rejects_malformed(self, tmp_path, tiny_mesh_instance, capsys,
                                                case, edit, line):

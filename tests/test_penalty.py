@@ -11,8 +11,14 @@ import scipy.linalg
 from conftest import make_synthetic_instance, random_feasible_blocks
 from fmopt import cli, fem2d, penalty, saddle
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance
-from fmopt.model import DualState, InvalidInstance, MaterialState, lagrangian_value
-from fmopt.oracle import compliances_reference, fd_check
+from fmopt.model import (
+    DualState,
+    InvalidInstance,
+    MaterialState,
+    ProblemInstance,
+    lagrangian_value,
+)
+from fmopt.oracle import compliances_reference, dense_stiffness_reference, fd_check
 
 
 def tight_instance(nx=2, ny=2, gamma_scale=0.25, nu=5.0, eta=8.0):
@@ -23,6 +29,16 @@ def tight_instance(nx=2, ny=2, gamma_scale=0.25, nu=5.0, eta=8.0):
     comp = fem2d.reference_compliance(probe, probe.start_material())
     gamma = gamma_scale * float(np.max(comp))
     return build_instance(spec, 0.3, 3.0, 0.05, gamma, eta, nu)
+
+
+def passes_backward_error_test(inst, E, solutions):
+    """LAPACK dsposv's test for every load, against the oracle's dense A(E):
+    ||f_j - A x_j||_inf <= sqrt(N) eps ||A||_inf ||x_j||_inf with eps = 2^-53."""
+    A = dense_stiffness_reference(inst, E)
+    resid = np.abs(inst.loads.T - A @ solutions).max(axis=0)
+    eps = np.finfo(float).epsneg
+    bound = math.sqrt(inst.N) * eps * np.abs(A).sum(axis=1).max() * np.abs(solutions).max(axis=0)
+    return bool(np.all(resid <= bound))
 
 
 def penalty_grad_E(inst, E, x):
@@ -201,7 +217,9 @@ class TestElementStiffness:
 class TestInPlaceFactorization:
     """A(E) is scattered into the Fortran-ordered storage LAPACK factors and
     factored there: no transposing copy, the same numbers as a factorization
-    of a C-ordered copy."""
+    of a C-ordered copy for the double dense matrix and the band; the
+    penalty step, factored in single precision, meets dsposv's
+    backward-error test instead."""
 
     @staticmethod
     def copied_dense(inst, E):
@@ -236,9 +254,9 @@ class TestInPlaceFactorization:
                 A, comp, sol = self.copied_dense(inst, E)
                 dense = penalty.assemble_dense(inst, E)
                 assert dense.flags.f_contiguous and np.array_equal(dense, A)
+                # the step factors in single precision and refines in double
                 state = penalty.compliance_solves(inst, E)
-                assert np.array_equal(state.compliances, comp)
-                assert np.array_equal(state.solutions, sol)
+                assert passes_backward_error_test(inst, E, state.solutions)
                 band, comp = self.copied_band(inst, E)
                 perm, got = penalty.assemble_band(inst, E)
                 assert got.flags.f_contiguous and np.array_equal(got, band)
@@ -248,11 +266,12 @@ class TestInPlaceFactorization:
                 assert np.array_equal(penalty.compliances(inst, E), comp)
 
     def test_dense_step_makes_no_copy_of_A(self):
-        # penalty-tight size: the scatter's N x N array is the only one
+        # penalty-tight size: the scatter's float32 N x N array is the only
+        # one, and no double N x N array is formed
         inst = tight_instance(nx=20, ny=19)
         assert inst.N == 800
         E = inst.start_material().dense()
-        assert peak_bytes(penalty.compliance_solves, inst, E) < 1.5 * inst.N**2 * 8
+        assert peak_bytes(penalty.compliance_solves, inst, E) < 0.75 * inst.N**2 * 8
 
     def test_band_factorization_makes_no_copy_of_the_band(self):
         # plain-large size: band plus element stiffnesses, not two bands
@@ -263,6 +282,124 @@ class TestInPlaceFactorization:
         ke = inst.cols_packed.size * inst.cols_packed.shape[1] * 8
         assert ke + band / 10 < band  # a second band could not hide in the slack
         assert peak_bytes(penalty.compliances, inst, E) < band + ke + band / 10
+
+
+def criterion_10_instance():
+    """Criterion 10's 20x19 penalty instance: nu = 10, gamma 0.5x the start compliance."""
+    spec = fem2d.MeshSpec(
+        nx=20, ny=19, lx=20.0, ly=19.0,
+        loads=(fem2d.LoadSpec("bottom_right", (0.0, -1.0)),),
+    )
+    probe = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 1.0, 20.0)
+    c0 = float(np.max(fem2d.reference_compliance(probe, probe.start_material())))
+    return fem2d.build_instance(spec, 0.3, 3.0, 0.05, 0.5 * c0, 20.0, 10.0)
+
+
+class Spy:
+    """Wraps a callable and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+class TestMixedPrecision:
+    """The step factors A(E) in single precision and refines in double
+    through the matrix-free operator; what single precision cannot deliver
+    goes to the double path."""
+
+    def test_fast_path_on_penalty_steps(self, monkeypatch):
+        inst = criterion_10_instance()
+        dpotrf = Spy(scipy.linalg.lapack.dpotrf)
+        solves = Spy(penalty._single_solve)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf)
+        monkeypatch.setattr(penalty, "_single_solve", solves)
+        seen = []
+
+        def recording(instance, E, **kwargs):
+            before = solves.calls
+            state = compliance_solves(instance, E, **kwargs)
+            seen.append((E.copy(), state, solves.calls - before))
+            return state
+
+        compliance_solves = penalty.compliance_solves
+        monkeypatch.setattr(penalty, "compliance_solves", recording)
+        cfg = saddle.SolverConfig(mode="penalty", iterations=50, tau=0.5, sigma0=1.0,
+                                  log_stride=50)
+        saddle.run_solver(inst, cfg)
+        assert len(seen) == 50 and dpotrf.calls == 0
+        for E, state, sweeps in seen:
+            assert 1 <= sweeps <= 3
+            assert passes_backward_error_test(inst, E, state.solutions)
+            np.testing.assert_allclose(state.compliances, compliances_reference(inst, E),
+                                       rtol=1e-12, atol=0)
+
+    def test_overflowing_A_takes_the_double_path(self, monkeypatch):
+        # B scaled by 1e20 puts A(E) near 1e40, beyond single range
+        base = tight_instance(nx=6, ny=3)
+        inst = ProblemInstance(base.cols_packed, 1e20 * base.B_packed, base.loads,
+                               base.rho_l, base.rho_u, base.r, base.gamma, base.eta, base.nu)
+        spotrf = Spy(scipy.linalg.lapack.spotrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "spotrf", spotrf)
+        E = inst.start_material().dense()
+        state = penalty.compliance_solves(inst, E)
+        _, comp, sol = TestInPlaceFactorization.copied_dense(inst, E)
+        assert spotrf.calls == 0
+        assert np.array_equal(state.compliances, comp)
+        assert np.array_equal(state.solutions, sol)
+
+    def test_non_finite_residual_leaves_at_once(self, monkeypatch):
+        inst = tight_instance(nx=6, ny=3)
+        E = inst.start_material().dense()
+        solves = Spy(penalty._single_solve)
+        monkeypatch.setattr(penalty, "_single_solve", solves)
+        poisoned = {}
+
+        def apply_Bt(instance, Y):
+            out = model_apply_Bt(instance, Y)
+            if not poisoned:  # the first residual of the refinement
+                poisoned["after"] = solves.calls
+                out[0, 0] = np.nan
+            return out
+
+        model_apply_Bt = penalty.apply_Bt
+        monkeypatch.setattr(penalty, "apply_Bt", apply_Bt)
+        state = penalty.compliance_solves(inst, E)
+        assert poisoned["after"] == 1 and solves.calls == 1
+        _, comp, sol = TestInPlaceFactorization.copied_dense(inst, E)
+        assert np.array_equal(state.compliances, comp)
+        assert np.array_equal(state.solutions, sol)
+
+    @pytest.mark.parametrize("damping,sweeps", [(0.0, 2), (0.5, penalty.REFINE_SWEEPS)])
+    def test_refinement_that_cannot_pass_takes_the_double_path(self, monkeypatch,
+                                                               damping, sweeps):
+        # every correction after the first scaled by ``damping``: at 0 the
+        # residual stops shrinking at the second sweep; at 0.5 it halves at
+        # each sweep and is still far from passing at the cap
+        inst = tight_instance(nx=6, ny=3)
+        E = inst.start_material().dense()
+        solves = Spy(lambda factor, rhs: (damping if solves.calls > 1 else 1.0)
+                     * single_solve(factor, rhs))
+        single_solve = penalty._single_solve
+        monkeypatch.setattr(penalty, "_single_solve", solves)
+        state = penalty.compliance_solves(inst, E)
+        assert solves.calls == sweeps
+        _, comp, sol = TestInPlaceFactorization.copied_dense(inst, E)
+        assert np.array_equal(state.compliances, comp)
+        assert np.array_equal(state.solutions, sol)
+
+    def test_layout_built_once_and_shared(self):
+        inst = tight_instance(nx=6, ny=3)
+        E = inst.start_material().dense()
+        penalty.compliance_solves(inst, E)
+        kept = inst.dense_layout
+        variant = inst.with_params(gamma=2.0 * inst.gamma)
+        assert variant.dense_layout is kept
+        for got, want in zip(kept, penalty.dense_layout(inst)):
+            assert np.array_equal(got, want) and not got.flags.writeable
 
 
 class TestViolationSums:
