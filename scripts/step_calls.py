@@ -16,7 +16,11 @@ per-call work of a step on any host.  Four runs:
 
 For each run it prints the calls per step over the whole run (setup and
 rows included) and over the last stride, which only steps of the same
-regime make.
+regime make, and the material blocks of the run by the path of
+``proj.project_blocks`` that updated them: the certified trace shift, the
+3x3 closed form, or the batched ``eigh``.  The blocks are counted in the
+same profile hook, from the arguments of each call, so counting them adds
+no call.
 
 Usage: PYTHONPATH=src python scripts/step_calls.py [--seed 1]
 """
@@ -32,7 +36,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfben
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from fmopt import diagnostics, fem2d, saddle  # noqa: E402
+from fmopt import diagnostics, fem2d, proj, saddle  # noqa: E402
 
 
 def criterion_5_run():
@@ -74,14 +78,24 @@ def workload_run(name, seed, workdir):
 
 
 def count_calls(instance, config):
-    """Calls in all, per step, and per step over the last stride."""
+    """Calls in all, per step, and per step over the last stride; blocks per projection path."""
     events = 0
     at_rows = []
+    # blocks handed to project_blocks, to the closed form and to eigh
+    sent = dict.fromkeys(("project_blocks", "closed_form", "eigh"), 0)
+    solves = {
+        proj.project_blocks.__code__: ("project_blocks", "s_blocks", 0),
+        proj._project_blocks_3x3.__code__: ("closed_form", "s", -1),
+        proj._project_blocks_eigh.__code__: ("eigh", "s", -1),
+    }
 
     def profile(frame, event, arg):
         nonlocal events
         if event == "call" or event == "c_call":
             events += 1
+            if event == "call" and frame.f_code in solves:
+                key, name, axis = solves[frame.f_code]
+                sent[key] += frame.f_locals[name].shape[axis]
 
     def sink(record):
         at_rows.append((record.t, events))
@@ -92,12 +106,18 @@ def count_calls(instance, config):
     finally:
         sys.setprofile(None)
     (t0, c0), (t1, c1) = at_rows[-2], at_rows[-1]
+    solved = sent["closed_form"] if instance.k == 3 else sent["eigh"]
     return {
         "steps": config.iterations,
         "calls": events,
         "calls_per_step": round(events / config.iterations, 2),
         "last_stride": [t0, t1],
         "calls_per_step_last_stride": round((c1 - c0) / (t1 - t0), 2),
+        "projection_blocks": {
+            "certified_shift": sent["project_blocks"] - solved,
+            "closed_form": sent["closed_form"] - sent["eigh"],
+            "eigh": sent["eigh"],
+        },
     }
 
 

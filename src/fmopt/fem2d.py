@@ -428,6 +428,14 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _real(text: str) -> float:
+    """``text`` as ``np.loadtxt`` reads a float field: ``float`` without the
+    non-ASCII digits and ``_`` separators it would accept."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for a float field: {text!r}")
+    return float(text)
+
+
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
@@ -480,7 +488,8 @@ def read_state(path) -> MaterialState:
 
     Every block index in [0, m) must appear exactly once, with k finite
     values per row and an exactly symmetric block; anything else raises
-    InvalidInstance naming the offending line.
+    InvalidInstance naming the offending line.  Numbers follow the token
+    rule of ``read_instance`` (``np.loadtxt``'s: ASCII digits, no ``_``).
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -495,7 +504,7 @@ def read_state(path) -> MaterialState:
         if head[0] != "dims":
             raise ValueError
         dims = dict(tok.split("=") for tok in head[1:])
-        m, k = int(dims["m"]), int(dims["k"])
+        m, k = _integer(dims["m"]), _integer(dims["k"])
         if m < 1 or k < 1:
             raise ValueError
     except (IndexError, KeyError, ValueError) as exc:
@@ -511,7 +520,7 @@ def read_state(path) -> MaterialState:
         try:
             if len(head) != 2 or head[0] != "block":
                 raise ValueError
-            i = int(head[1])
+            i = _integer(head[1])
         except ValueError as exc:
             raise fail(pos, f"expected 'block <i>', got {lines[pos]!r}") from exc
         if not 0 <= i < m:
@@ -522,7 +531,7 @@ def read_state(path) -> MaterialState:
         for row, n in enumerate(range(pos + 1, pos + 1 + k)):
             vals = lines[n].split()
             try:
-                blocks[i, row] = [float(v) for v in vals]
+                blocks[i, row] = [_real(v) for v in vals]
             except ValueError as exc:
                 raise fail(n, f"expected {k} floats, got {lines[n]!r}") from exc
             if not np.all(np.isfinite(blocks[i, row])):

@@ -255,11 +255,13 @@ class ProblemInstance:
     ``scatter_index`` is the flat ``bincount`` index of ``apply_Bt`` for L
     rows (``scatter_index(L, N, cols)``), built once.  ``band_layout`` is
     the RCM order and band scatter index of the banded compliance solves
-    (``penalty.band_layout``), and ``dense_layout`` the lower-triangle
-    scatter layout of the penalty step (``penalty.dense_layout``), each
-    built on first use.  ``B``, ``cols``, the storage they view,
-    ``shared``, ``scatter_index``, ``band_layout`` and ``dense_layout``
-    are read-only, so none of them can go stale.  ``with_params`` derives
+    (``penalty.band_layout``), ``dense_layout`` the lower-triangle
+    scatter layout of the penalty step (``penalty.dense_layout``), and
+    ``stiffness_map`` the map from a shared element's E to its stiffness
+    (``penalty.stiffness_map``), each built on first use.  ``B``, ``cols``,
+    the storage they view, ``shared``, ``scatter_index``, ``band_layout``,
+    ``dense_layout`` and ``stiffness_map`` are read-only, so none of them
+    can go stale.  ``with_params`` derives
     an instance with other gamma, eta or nu that shares all of them.
 
     Parameters
@@ -376,8 +378,8 @@ class ProblemInstance:
 
         None keeps a value.  Everything else is shared, not rebuilt: the
         operators, loads and bounds, ``shared``, ``scatter_index`` and, once
-        built, ``band_layout`` and ``dense_layout`` depend on none of the
-        three scalars.
+        built, ``band_layout``, ``dense_layout`` and ``stiffness_map``
+        depend on none of the three scalars.
         """
         variant = copy.copy(self)
         for name, value in (("gamma", gamma), ("eta", eta), ("nu", nu)):
@@ -392,6 +394,13 @@ class ProblemInstance:
         from . import penalty
 
         return penalty.band_layout(self)
+
+    @functools.cached_property
+    def stiffness_map(self) -> tuple | None:
+        """``penalty.stiffness_map(self)``, built on first use and kept."""
+        from . import penalty
+
+        return penalty.stiffness_map(self)
 
     @functools.cached_property
     def dense_layout(self) -> tuple:

@@ -73,19 +73,67 @@ class PenaltyState:
 def element_stiffness(instance: ProblemInstance, E_dense):
     """Per-element stiffnesses sum_l B_{i,l}^T E_i B_{i,l}, shape (m, n_loc, n_loc).
 
-    Einsums over the element-last operators, one row of the upper triangle
-    at a time (the blocks are symmetric); the result is a view of
-    (n_loc, n_loc, m) storage.
+    The elements on the instance's shared operator go through one matmul
+    of ``instance.stiffness_map`` with their E entries, the rest through
+    the einsums of ``_stiffness_einsum``; either way each block's entry
+    (a, b) with a <= b is computed once and mirrored, so the blocks are
+    exactly symmetric.  The result is a view of (n_loc, n_loc, m) storage.
     """
-    nig, k, n_loc, m = instance.B.shape
-    B = instance.B.reshape(nig * k, n_loc, m)
-    EB = np.einsum("cdq,ldbq->lcbq", elements_last(E_dense), instance.B)
-    EB = EB.reshape(nig * k, n_loc, m)
+    E = elements_last(E_dense)
+    shared = instance.shared
+    if shared is None:
+        return elements_first(_stiffness_einsum(instance.B, E))
+    upper, mirror = instance.stiffness_map
+    k, n_loc, m = instance.k, instance.n_loc, instance.m
+    ke = np.matmul(upper, E.reshape(k * k, m)).take(mirror, axis=0).reshape(n_loc, n_loc, m)
+    if shared.others.size:
+        ke[..., shared.others] = _stiffness_einsum(shared.B_others, E[..., shared.others])
+    return elements_first(ke)
+
+
+def _stiffness_einsum(B, E):
+    """(n_loc, n_loc, m) stiffnesses of element-last operators ``B`` and blocks ``E``.
+
+    Einsums along the elements, one row of the upper triangle at a time,
+    each mirrored into its column.
+    """
+    nig, k, n_loc, m = B.shape
+    EB = np.einsum("cdq,ldbq->lcbq", E, B).reshape(nig * k, n_loc, m)
+    B = B.reshape(nig * k, n_loc, m)
     ke = np.empty((n_loc, n_loc, m))
     for a in range(n_loc):
         np.einsum("xq,xbq->bq", B[:, a], EB[:, a:], out=ke[a, a:])
         ke[a + 1:, a] = ke[a, a + 1:]
-    return elements_first(ke)
+    return ke
+
+
+def stiffness_map(instance: ProblemInstance):
+    """The linear map from a shared-operator element's E to its stiffness.
+
+    For an element on ``instance.shared``, with B_l the (k, n_loc) rows of
+    integration point l, ke[a, b] = sum_cd M[(a, b), (c, d)] E[c, d] with
+    M[(a, b), (c, d)] = sum_l B_l[c, a] B_l[d, b].  Returns
+    ``(upper, mirror)``: ``upper`` holds the rows of M for a <= b
+    (row-major over the upper triangle), shape (n_loc (n_loc + 1) / 2, k^2),
+    and ``mirror`` (n_loc^2,) gives, for each entry of the row-major block,
+    the row of ``upper`` that computes it, the same one for (a, b) and
+    (b, a).  None when the instance has no shared operator.  It depends
+    only on B, so ``element_stiffness`` reads it from
+    ``instance.stiffness_map``, built once per instance; the arrays are
+    read-only.
+    """
+    if instance.shared is None:
+        return None
+    nig, k, n_loc = instance.nig, instance.k, instance.n_loc
+    B = instance.shared.B.reshape(nig, k, n_loc)
+    full = np.einsum("lca,ldb->abcd", B, B).reshape(n_loc * n_loc, k * k)
+    a, b = np.triu_indices(n_loc)
+    index = np.empty((n_loc, n_loc), dtype=np.intp)
+    index[a, b] = index[b, a] = np.arange(a.size)
+    layout = (np.ascontiguousarray(full[a * n_loc + b]), index.ravel())
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def assemble_dense(instance: ProblemInstance, E_dense):

@@ -13,8 +13,11 @@ Two related problems are solved here in closed form:
 material update, kept as the reference ``project_blocks`` is checked
 against.  ``project_blocks`` is the batched update of the solver hot loop:
 a certified trace shift for most blocks, and for the rest a closed form
-when k = 3 (``_trig_eigenvalues``, shared with ``lambda_min``) or one
-batched eigendecomposition otherwise.
+when k = 3 (``_trig_eigenvalues``, shared with ``lambda_min``), near a
+double eigenvalue included, or one batched eigendecomposition otherwise.
+The 3x3 closed form leaves to that eigendecomposition only non-finite
+blocks and those whose clip decision the split of a close eigenvalue pair
+leaves open.
 """
 
 from __future__ import annotations
@@ -488,9 +491,10 @@ def trace_spread(blocks):
 
 
 # blocks with cos(3 phi) within this of 1 (a double smallest eigenvalue) or
-# of -1 (a double largest one) go to eigvalsh/eigh when the caller needs that
-# end's eigenvalue; on the test spectra the closed forms stay at rounding
-# level outside it (see test_proj)
+# of -1 (a double largest one) are near a double root at that end: the
+# closed forms stay at rounding level outside it (see test_proj); inside it
+# lambda_min sends the smallest end to eigvalsh, and _project_blocks_3x3
+# settles the pair at its mean when its decision holds over the split
 DOUBLE_ROOT_MARGIN = 1e-6
 
 
@@ -500,13 +504,16 @@ def _trig_eigenvalues(blocks, with_max: bool):
     With q = tr/3, p = ||S - qI||_F / sqrt(6) and cos(3 phi) = det((S - qI)/p) / 2,
     the eigenvalues are q + 2p cos(phi + 2 pi j/3): j = 1 gives the smallest,
     j = 0 the largest, computed elementwise along the element axis; p = 0
-    means S = qI.  Returns ``(roots, q, unresolved)``: ``roots`` holds the
-    smallest eigenvalue and, with ``with_max``, the largest; ``unresolved``
-    masks the blocks the closed form cannot give to rounding accuracy.  Near
-    a double root at an end, cos(3 phi) -> 1 (smallest) or -1 (largest) and
+    means S = qI.  Returns ``(roots, q, p, near)``: ``roots`` holds the
+    smallest eigenvalue and, with ``with_max``, the largest; ``near`` holds
+    one mask per end, in the same order, of the blocks whose eigenvalue at
+    that end the closed form cannot give to rounding accuracy.  Near a
+    double root at an end, cos(3 phi) -> 1 (smallest) or -1 (largest) and
     acos turns a rounding error e in the cosine into sqrt(e) in that end's
     eigenvalue (Kopp, arXiv:physics/0610206), so blocks within
-    ``DOUBLE_ROOT_MARGIN`` of it are unresolved, as are non-finite blocks.
+    ``DOUBLE_ROOT_MARGIN`` of it are masked at that end.  The eigenvalue at
+    the other end sits where the cosine has zero slope and stays at
+    rounding level.  Non-finite blocks are masked at both ends.
     """
     q = blocks.trace() / 3.0
     d0, d1, d2 = blocks[0, 0] - q, blocks[1, 1] - q, blocks[2, 2] - q
@@ -524,7 +531,8 @@ def _trig_eigenvalues(blocks, with_max: bool):
         cos3 = 0.5 * (
             d0 * (d1 * d2 - a12 * a12) - a01 * (a01 * d2 - a12 * a02) + a02 * (a01 * a12 - d1 * a02)
         )
-        angle = np.arccos(np.maximum(cos3, -1.0)) / 3.0
+        # rounding can put the cosine just outside [-1, 1] at a double root
+        angle = np.arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0
         two_p = 2.0 * p
         roots = [q + two_p * np.cos(angle + 2.0 * np.pi / 3.0)]
         if with_max:
@@ -533,10 +541,10 @@ def _trig_eigenvalues(blocks, with_max: bool):
         for root in roots:
             root[isotropic] = q[isotropic]
     # the negated tests also catch NaN cosines (non-finite blocks)
-    unresolved = ~(cos3 < 1.0 - DOUBLE_ROOT_MARGIN)
+    near = [~(cos3 < 1.0 - DOUBLE_ROOT_MARGIN) & ~isotropic]
     if with_max:
-        unresolved |= ~(cos3 > DOUBLE_ROOT_MARGIN - 1.0)
-    return roots, q, unresolved & ~isotropic
+        near.append(~(cos3 > DOUBLE_ROOT_MARGIN - 1.0) & ~isotropic)
+    return roots, q, p, near
 
 
 def lambda_min(blocks):
@@ -549,8 +557,8 @@ def lambda_min(blocks):
     k = blocks.shape[0]
     if k != 3:
         return np.linalg.eigvalsh(elements_first(blocks))[:, 0]
-    (out,), _, unresolved = _trig_eigenvalues(blocks, with_max=False)
-    rest = unresolved.nonzero()[0]
+    (out,), _, _, (near,) = _trig_eigenvalues(blocks, with_max=False)
+    rest = near.nonzero()[0]
     if rest.size:
         out[rest] = np.linalg.eigvalsh(elements_first(blocks[:, :, rest]))[:, 0]
     return out
@@ -567,8 +575,9 @@ def project_blocks(s_blocks: np.ndarray, beta_tau: float, rho_l, rho_u, r: float
     certified by the trace/Frobenius bound on lambda_max(s)
     (Wolkowicz-Styan), computed elementwise on (k, k, m) slices.  The
     blocks it cannot certify are gathered into (k, k, n) and solved in
-    closed form when k = 3 (``_project_blocks_3x3``), through one batched
-    eigendecomposition otherwise (``_project_blocks_eigh``); when no block
+    closed form when k = 3 (``_project_blocks_3x3``, which hands the few it
+    cannot settle on), through one batched eigendecomposition otherwise
+    (``_project_blocks_eigh``); when no block
     is certified, s itself is solved, through views instead of a gather.
     ``s_blocks`` is (m, k, k) in any layout; ``rho_l`` and ``rho_u`` are
     positive scalars or (m,) arrays.  The result is an (m, k, k) view of
@@ -620,35 +629,73 @@ _COFACTOR = np.array([
 ])
 
 
+def _trace_shift(mu, rho_l, rho_u, r: float):
+    """The trace shift of descending spectra ``mu`` (3, n), elementwise.
+
+    Returns ``(t0, bound, phi)``: t0 is the clipped trace sum of max(mu, r),
+    ``bound`` is t0 clipped to [rho_l, rho_u], and phi is the shift of the
+    longest admissible prefix of mu onto ``bound``, 0 where t0 is inside.
+    """
+    t0 = np.add.reduce(np.maximum(mu, r), axis=0)
+    bound = np.minimum(np.maximum(t0, rho_l), rho_u)  # np.clip, as in project_blocks
+    # shifts of the prefixes {1}, {1, 2}, {1, 2, 3} onto the bound, and the
+    # longest admissible prefix; no shift where the clipped trace is inside
+    shifts = (bound - mu.cumsum(axis=0) - _PREFIX_FLOOR * r) / _PREFIX_SIZE
+    admit = mu[1:] + shifts[1:] > r
+    phi = np.where(admit[0], np.where(admit[1], shifts[2], shifts[1]), shifts[0])
+    phi[t0 == bound] = 0.0
+    return t0, bound, phi
+
+
+# relative slack on the squared half-gap of a close pair: the rounding of
+# cos(3 phi), at most a few eps (1 + |q|/p), with room to spare
+_SPLIT_SLACK = 256.0 * float(np.finfo(float).eps)
+
+
 def _project_blocks_3x3(s, beta_tau: float, rho_l, rho_u, r: float):
     """The material update of (3, 3, n) blocks in closed form, elementwise.
 
     With eigenvalues lam1 <= lam2 <= lam3 of s (``_trig_eigenvalues``),
     mu = r - lam/bt is the descending spectrum of Y = r*I - s/bt, and the
     trace shift phi of ``_project_spectra`` is the prefix shift of the
-    longest admissible prefix of mu.  With c = #{mu_i + phi <= r} clipped
-    eigenvalues the projection needs at most one eigenvector:
+    longest admissible prefix of mu (``_trace_shift``).  With
+    c = #{mu_i + phi <= r} clipped eigenvalues the projection needs at most
+    one eigenvector:
     c = 0: Y + phi I; c = 1: Y + phi I + (r - mu3 - phi) v3 v3^T;
     c = 2: r I + (mu1 + phi - r) v1 v1^T; c = 3: r I.  v is the largest
     cross product of two rows of s - lam I (Kopp, arXiv:physics/0610206).
     It is ill-conditioned only near a double eigenvalue, where its
     coefficient is smaller than that eigen-gap over bt, so the error stays
-    at rounding level.  Blocks ``_trig_eigenvalues`` leaves unresolved go
-    to ``_project_blocks_eigh``.  Returns (3, 3, n).
+    at rounding level.
+
+    Near a double root (``near`` of ``_trig_eigenvalues``) only the root at
+    the far end, its eigenvector and the sum of the close pair are
+    accurate.  The pair is put at its mean, and its true split is bounded
+    by the half-gap sqrt(3p^2 - 3(far - q)^2/4) plus rounding slack.  At the
+    largest end (lam2 ~ lam3) c = 0, 2 and 3 need only lam1, v1 and
+    lam2 + lam3; at the smallest end c = 0, 1 and 3 need only lam3, v3 and
+    lam1 + lam2.  Such a block is settled when its c and the window case
+    of its clipped trace hold over the whole split (``_pair_settled``).
+    Blocks it does not settle, and non-finite blocks, go to
+    ``_project_blocks_eigh``.  Returns (3, 3, n).
     """
     s = np.ascontiguousarray(s)  # the diagonal is updated through flat views
-    (lam1, lam3), q, unresolved = _trig_eigenvalues(s, with_max=True)
+    (lam1, lam3), q, p, (near_low, near_high) = _trig_eigenvalues(s, with_max=True)
     n = q.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # unresolved blocks are redone below
+    near = (near_low | near_high).nonzero()[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # unsettled blocks are redone below
+        if near.size:
+            high, qn, pn = near_high[near], q[near], p[near]
+            far = np.where(high, lam1[near], lam3[near])
+            mean = 0.5 * (3.0 * qn - far)
+            split = np.sqrt(
+                np.maximum(3.0 * pn * pn - 0.75 * (far - qn) ** 2, 0.0)
+                + _SPLIT_SLACK * pn * (pn + np.abs(qn))
+            )
+            lam3[near[high]] = mean[high]
+            lam1[near[~high]] = mean[~high]
         mu = r - np.array([lam1, 3.0 * q - lam1 - lam3, lam3]) / beta_tau
-        t0 = np.add.reduce(np.maximum(mu, r), axis=0)
-        bound = np.minimum(np.maximum(t0, rho_l), rho_u)  # np.clip, as in project_blocks
-        # shifts of the prefixes {1}, {1, 2}, {1, 2, 3} onto the bound, and the
-        # longest admissible prefix; no shift where the clipped trace is inside
-        shifts = (bound - mu.cumsum(axis=0) - _PREFIX_FLOOR * r) / _PREFIX_SIZE
-        admit = mu[1:] + shifts[1:] > r
-        phi = np.where(admit[0], np.where(admit[1], shifts[2], shifts[1]), shifts[0])
-        phi[t0 == bound] = 0.0
+        t0, bound, phi = _trace_shift(mu, rho_l, rho_u, r)
         low = mu[1] + phi <= r  # c >= 2: r I plus the lam1 part
         coef = np.maximum(np.where(low, mu[0] + phi - r, r - mu[2] - phi), 0.0)
         needed = coef > 0.0
@@ -667,11 +714,42 @@ def _project_blocks_3x3(s, beta_tau: float, rho_l, rho_u, r: float):
         weight = np.divide(coef, np.maximum(norm2[0], norm2_12), out=np.zeros(n), where=needed)
         out = s * np.where(low, 0.0, -1.0 / beta_tau)
         out += weight * v[:, None] * v[None, :]
+        if near.size:
+            settled = _pair_settled(
+                mu[:, near], (t0[near], bound[near], phi[near]), split / beta_tau, high,
+                rho_l[near], rho_u[near], r,
+            )
+            near = near[~(settled & (high ^ near_low[near]))]  # both masks: non-finite
     out.reshape(9, n)[::4] += r + np.where(low, 0.0, phi)
-    rest = unresolved.nonzero()[0]
-    if rest.size:
-        out[:, :, rest] = _project_blocks_eigh(s[:, :, rest], beta_tau, rho_l[rest], rho_u[rest], r)
+    if near.size:
+        out[:, :, near] = _project_blocks_eigh(s[:, :, near], beta_tau, rho_l[near], rho_u[near], r)
     return out
+
+
+def _pair_settled(mu, shift, split, high, rho_l, rho_u, r: float):
+    """Which blocks with a close eigenvalue pair the closed form settles.
+
+    ``mu`` (3, n) are descending spectra whose close pair, mu[1:] where
+    ``high`` and mu[:2] elsewhere, sits at its mean, and ``shift`` is their
+    ``_trace_shift``; the true pair lies up to ``split`` either side of the
+    mean.  As the pair spreads, the clipped trace t0 grows and each admit
+    test of ``_trace_shift`` changes at most once, so the window case of t0
+    (below, inside, above) and the clip count c hold over the whole split
+    when they agree at its two ends.  A block is settled when they agree,
+    c needs no eigenvector from the pair (c != 1 at the largest end,
+    c != 2 at the smallest), and the spread pair stays on its side of the
+    far eigenvalue, so the spectrum stays descending.
+    """
+    t0, bound, phi = shift
+    spread = mu + np.where(high, [[0.0], [1.0], [-1.0]], [[1.0], [-1.0], [0.0]]) * split
+    t1, bound1, phi1 = _trace_shift(spread, rho_l, rho_u, r)
+    c = np.add.reduce(mu + phi <= r, axis=0)
+    return (
+        (np.sign(t0 - bound) == np.sign(t1 - bound1))
+        & (c == np.add.reduce(spread + phi1 <= r, axis=0))
+        & (c != np.where(high, 1, 2))
+        & (spread[0] >= spread[1]) & (spread[1] >= spread[2])
+    )
 
 
 def _project_blocks_eigh(s, beta_tau: float, rho_l, rho_u, r: float):

@@ -240,7 +240,7 @@ def subgradients(instance: ProblemInstance, E_dense, x, fallback_y=None):
 
     coef = np.zeros(instance.L)
     coef[in_R] = sqrt_gamma / np.sqrt(quad[in_R])
-    g_E = -element_gram(W, coef)
+    g_E = element_gram(W, -coef)
     g_E += _identity(instance.k)
     # loads outside R have coef 0, so their rows already hold the plain 2 f_j
     g_x = 2.0 * instance.loads - 2.0 * coef[:, None] * apply_Bt(instance, EW)

@@ -324,6 +324,8 @@ class TestFileFormats:
         ("duplicate_block", 7),
         ("negative_index", 7),
         ("asymmetric_block", 3),
+        ("non_ascii_index", 3),
+        ("underscore_value", 4),
     ])
     def test_state_reader_rejects_malformed(self, tmp_path, rng, case, line):
         path = tmp_path / "s.fmo"
@@ -339,6 +341,10 @@ class TestFileFormats:
             lines[6] = "block 0"
         elif case == "negative_index":
             lines[6] = "block -1"
+        elif case == "non_ascii_index":
+            lines[2] = "block \u0660"  # ARABIC-INDIC DIGIT ZERO: int() reads 0
+        elif case == "underscore_value":
+            lines[3] = "1_0.0 " + lines[3].split(" ", 1)[1]  # float() reads 10.0
         else:
             row = lines[3].split()
             lines[3] = " ".join([row[0], repr(float(row[1]) + 1.0), row[2]])

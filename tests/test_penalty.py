@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import cli, fem2d, penalty, saddle
+from fmopt import cli, fem2d, penalty, proj, saddle
 from fmopt.fem2d import LoadSpec, MeshSpec, build_instance
 from fmopt.model import (
     DualState,
@@ -201,12 +201,20 @@ def peak_bytes(fn, *args):
 
 class TestElementStiffness:
     def test_matches_einsum_form(self, rng, small_mesh_instance):
+        # the shared operator's map with the einsum on the fixed-edge
+        # elements, and the einsum alone (no operator covers 75% of the
+        # 2x2 mesh or of the ragged instance)
+        mesh = tight_instance(nx=6, ny=3)
         ragged = make_synthetic_instance(rng, m=5, N=9, n_loc=[2, 4, 6, 8, 9])
-        for inst in (small_mesh_instance, ragged):
+        assert mesh.shared is not None and mesh.shared.others.size == 3
+        assert small_mesh_instance.shared is None and ragged.shared is None
+        for inst in (mesh, small_mesh_instance, ragged):
             E = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
             EB = np.einsum("qkc,qlcb->qlkb", E, inst.B_packed)
             ref = np.einsum("qlka,qlkb->qab", inst.B_packed, EB)
-            np.testing.assert_allclose(penalty.element_stiffness(inst, E), ref, rtol=0, atol=1e-13)
+            got = penalty.element_stiffness(inst, E)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+            assert np.array_equal(got, got.transpose(0, 2, 1))
 
     def test_banded_compliance_forms_no_dense_matrix(self):
         inst = tight_instance(nx=32, ny=16)
@@ -306,6 +314,18 @@ class Spy:
         return self.fn(*args, **kwargs)
 
 
+def test_penalty_steps_send_no_block_to_eigh(monkeypatch):
+    # criterion 10's blocks have a nearly double largest eigenvalue; the 3x3
+    # closed form settles them, so the batched eigh never runs
+    eigh = Spy(proj._project_blocks_eigh)
+    closed_form = Spy(proj._project_blocks_3x3)
+    monkeypatch.setattr(proj, "_project_blocks_eigh", eigh)
+    monkeypatch.setattr(proj, "_project_blocks_3x3", closed_form)
+    cfg = saddle.SolverConfig(mode="penalty", iterations=50, tau=0.5, sigma0=1.0, log_stride=50)
+    saddle.run_solver(criterion_10_instance(), cfg)
+    assert closed_form.calls == 50 and eigh.calls == 0
+
+
 class TestMixedPrecision:
     """The step factors A(E) in single precision and refines in double
     through the matrix-free operator; what single precision cannot deliver
@@ -395,11 +415,12 @@ class TestMixedPrecision:
         inst = tight_instance(nx=6, ny=3)
         E = inst.start_material().dense()
         penalty.compliance_solves(inst, E)
-        kept = inst.dense_layout
         variant = inst.with_params(gamma=2.0 * inst.gamma)
-        assert variant.dense_layout is kept
-        for got, want in zip(kept, penalty.dense_layout(inst)):
-            assert np.array_equal(got, want) and not got.flags.writeable
+        for name in ("dense_layout", "stiffness_map"):
+            kept = getattr(inst, name)
+            assert getattr(variant, name) is kept
+            for got, want in zip(kept, getattr(penalty, name)(inst)):
+                assert np.array_equal(got, want) and not got.flags.writeable
 
 
 class TestViolationSums:

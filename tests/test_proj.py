@@ -634,7 +634,7 @@ class TestClosedForm3x3:
         eigh_path = proj._project_blocks_eigh
 
         def counted(s_sub, *args):
-            sent.append(s_sub.shape[-1])
+            sent.append((scale, beta_tau, s_sub.copy()))
             return eigh_path(s_sub, *args)
 
         base = self.adversarial_blocks(rng)
@@ -662,8 +662,89 @@ class TestClosedForm3x3:
                             ref = spectral_kkt_reference(U, lo, hi, r)
                             assert np.abs(got[:, :, i] - ref).max() <= 1e-13 * size[i]
         assert clipped == {0, 1, 2, 3}
-        # near-double roots go to eigh, everything else is closed form
-        assert sent and max(sent) < n // 3
+        # near-double roots are settled in closed form unless the split of
+        # the close pair leaves the clip decision open, which here takes s/bt
+        # a million times the trace window; only near-double blocks go to eigh
+        assert sent and max(s_sub.shape[-1] for *_, s_sub in sent) < n // 3
+        for scale, beta_tau, s_sub in sent:
+            assert scale == 1e6 and beta_tau < scale
+            _, _, _, near = proj._trig_eigenvalues(s_sub, with_max=True)
+            assert np.all(near[0] | near[1])
+
+    # (end of the double root of s, c, far eigenvalue, double eigenvalue,
+    # trace window) at r = 0.05 and beta_tau = 1, so mu = r - lam: every c
+    # the closed form settles at each end, inside the window and shifted
+    DOUBLE_ROOTS = (
+        ("largest", 0, -2.0, -1.0, (1.0, 10.0)),
+        ("largest", 0, -2.0, -1.0, (0.5, 2.0)),
+        ("largest", 2, -2.0, 1.0, (1.0, 10.0)),
+        ("largest", 2, 1.0, 2.0, (1.0, 2.0)),
+        ("largest", 3, 1.0, 2.0, (0.15, 1.0)),
+        ("smallest", 0, -1.0, -2.0, (1.0, 10.0)),
+        ("smallest", 0, -1.0, -2.0, (1.0, 4.0)),
+        ("smallest", 1, 1.0, -1.0, (1.0, 10.0)),
+        ("smallest", 1, 1.0, -1.0, (0.5, 1.5)),
+        ("smallest", 1, 2.0, 1.0, (1.0, 2.0)),
+        ("smallest", 3, 2.0, 1.0, (0.15, 1.0)),
+    )
+
+    def test_double_roots_settle_in_closed_form(self, rng, monkeypatch):
+        # exactly double and near-double (split by delta) eigenvalues at both
+        # ends, rotated, against eigh and the oracle; none reaches eigh
+        r, beta_tau = 0.05, 1.0
+        deltas = (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4)
+        eigh_path = proj._project_blocks_eigh
+
+        def refuse(s_sub, *args):
+            raise AssertionError(f"{s_sub.shape[-1]} blocks sent to eigh")
+
+        for end, c, far, double, (lo, hi) in self.DOUBLE_ROOTS:
+            blocks = []
+            for delta in deltas:
+                spectrum = [far, double, double + delta] if end == "largest" else [
+                    double, double + delta, far]
+                for _ in range(3):
+                    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                    block = (Q * np.array(spectrum)) @ Q.T
+                    blocks.append(0.5 * (block + block.T))
+            s = np.moveaxis(np.array(blocks), 0, -1)
+            n = s.shape[-1]
+            _, _, _, near = proj._trig_eigenvalues(s, with_max=True)
+            assert np.all(near[1] if end == "largest" else near[0]), (end, c)
+            rho_l, rho_u = np.full(n, lo), np.full(n, hi)
+            monkeypatch.setattr(proj, "_project_blocks_eigh", refuse)
+            got = proj._project_blocks_3x3(s, beta_tau, rho_l, rho_u, r)
+            monkeypatch.undo()
+            want = eigh_path(s, beta_tau, rho_l, rho_u, r)
+            size = np.abs(s).max() / beta_tau + hi
+            assert np.abs(got - want).max() <= 1e-13 * size, (end, c)
+            lam = np.linalg.eigvalsh(np.moveaxis(s, -1, 0))
+            omega = proj._project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
+            assert np.all(np.sum(omega <= r, axis=1) == c), (end, c)
+            for i in range(n):
+                ref = spectral_kkt_reference(r * np.eye(3) - s[:, :, i] / beta_tau, lo, hi, r)
+                assert np.abs(got[:, :, i] - ref).max() <= 1e-13 * size, (end, c, i)
+
+    def test_open_clip_decision_goes_to_eigh(self, monkeypatch):
+        # the largest two eigenvalues of s 1e-4 apart around 0, so mu = r - lam
+        # puts the pair either side of r inside the window: c = 1, while the
+        # pair at its mean would give c = 2; the closed form cannot tell the
+        # two apart within the split it allows, so eigh takes the block
+        r, beta_tau, lo, hi = 0.05, 1.0, 1.0, 10.0
+        s = np.diag([-2.0, -5e-5, 5e-5])[:, :, None].copy()
+        sent = []
+        eigh_path = proj._project_blocks_eigh
+
+        def counted(s_sub, *args):
+            sent.append(s_sub.shape[-1])
+            return eigh_path(s_sub, *args)
+
+        monkeypatch.setattr(proj, "_project_blocks_eigh", counted)
+        got = proj._project_blocks_3x3(s, beta_tau, np.array([lo]), np.array([hi]), r)
+        monkeypatch.undo()
+        assert sent == [1]
+        np.testing.assert_array_equal(got, eigh_path(s, beta_tau, np.array([lo]),
+                                                     np.array([hi]), r))
 
     def test_project_blocks_k3_needs_no_eigh_off_double_roots(self, rng, monkeypatch):
         g = rng.normal(0, 1, (200, 3, 3))
