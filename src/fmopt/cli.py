@@ -29,7 +29,6 @@ from .model import (
     MaterialState,
     NumericalFailure,
     ProblemInstance,
-    check_dense_size,
     feasible_E,
 )
 
@@ -48,12 +47,11 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
     both modes the violation columns come from the banded compliance solve
     at logged rows, so every column, the final violation and the
     certificate are filled at any N.  The final step is always a logged
-    row, at E_last, so the final violation is that row's.  Only dense work
-    is gated: above the dense threshold, penalty mode and rank-deficient
-    bound data are refused before any file is opened.
+    row, at E_last, so the final violation is that row's.  Penalty mode at
+    nu = 0 or above the dense threshold, and rank-deficient bound data
+    above it, are refused before any file is opened.
     """
-    if config.mode == "penalty":
-        check_dense_size(instance, "penalty mode", config.dense_threshold)
+    saddle.check_penalty_input(instance, config)
     tau, auto_sigma, constants = diagnostics.optimal_parameters(
         instance, config.scheme, config.tau, config.dense_threshold
     )

@@ -154,7 +154,8 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
         if lam_min > zero * lam_max:
             return lam_min, False, math.sqrt(lam_max)
     check_dense_size(instance, "rank-deficient bound data (the B^T B spectrum)", dense_threshold)
-    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, identity))
+    # eigvalsh reads only the lower triangle that assemble_dense fills
+    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, identity)[0])
     if not lam[-1] > 0.0:
         raise NumericalFailure("strain operator is identically zero")
     nonzero = lam[lam > zero * lam[-1]]
@@ -380,20 +381,23 @@ def flop_model(instance: ProblemInstance) -> dict:
     ``grads`` per ``subgradients`` call, ``dense_assembly`` and
     ``dense_solve`` per penalty ``compliance_solves`` call (assembly of the
     dense A(E), then its Cholesky factor and L solves), and ``x_update``,
-    ``E_update`` and ``averaging`` per ``da_step``.  ``dense_solve``
-    charges N^3 / 3 for the factorization whatever its precision (the
-    step factors in single and falls back to double), and one forward and
-    back substitution per load.  The refinement sweeps of the
-    single-precision solve are not charged: their number depends on the
-    data (two or three on a mesh), and each costs one substitution pair
-    per load (O(L N^2)) plus one matrix-free product, far below N^3 / 3.
-    The keys are in the order a penalty step first charges them.
+    ``E_update`` and ``averaging`` per ``da_step``.  ``dense_assembly``
+    charges k^2 multiply-adds and one add into its sum per packed element
+    stiffness entry.  ``dense_solve`` charges N^3 / 3 for the
+    factorization whatever its precision (the step factors in single and
+    falls back to double), and one forward and back substitution per
+    load.  The refinement sweeps of the single-precision solve are not
+    charged: their number depends on the data (two or three on a mesh),
+    and each costs one substitution pair per load (O(L N^2)) plus one
+    matrix-free product, far below N^3 / 3.  The keys are in the order a
+    penalty step first charges them.
     """
     k, L, nig, m, N = instance.k, instance.L, instance.nig, instance.m, instance.N
     per_l = 4 * k * instance.n_loc + 3 * k * k + 3 * k
+    packed = instance.n_loc * (instance.n_loc + 1) // 2
     return {
         "grads": L * (m * nig * per_l + m * k * (k + 1)) + 5 * L * N + 4 * L,
-        "dense_assembly": m * nig * (2 * k * k * N + (k + 0.5) * N * (N + 1)),
+        "dense_assembly": m * packed * (2 * k * k + 1),
         "dense_solve": N**3 / 3.0 + 2 * L * (N**2 + N),
         "x_update": L * (3 * N + 7),
         "E_update": m * (10 * k**3 + 3 * k * k + 7 * k + 8),

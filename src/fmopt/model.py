@@ -253,16 +253,14 @@ class ProblemInstance:
     ``shared`` is the ``SharedOperator`` found in ``B`` at construction, or
     None when no operator covers ``SHARED_SHARE`` of the elements.
     ``scatter_index`` is the flat ``bincount`` index of ``apply_Bt`` for L
-    rows (``scatter_index(L, N, cols)``), built once.  ``band_layout`` is
-    the RCM order and band scatter index of the banded compliance solves
-    (``penalty.band_layout``), ``dense_layout`` the lower-triangle
-    scatter layout of the penalty step (``penalty.dense_layout``), and
-    ``stiffness_map`` the map from a shared element's E to its stiffness
-    (``penalty.stiffness_map``), each built on first use.  ``B``, ``cols``,
-    the storage they view, ``shared``, ``scatter_index``, ``band_layout``,
-    ``dense_layout`` and ``stiffness_map`` are read-only, so none of them
-    can go stale.  ``with_params`` derives
-    an instance with other gamma, eta or nu that shares all of them.
+    rows (``scatter_index(L, N, cols)``), built once.  ``entry_layout`` is
+    the one layout of A(E)'s entries (``penalty.entry_layout``),
+    ``band_layout`` the RCM order and band index derived from it, and
+    ``stiffness_map`` the map from a shared element's E to its packed
+    stiffness, each built on first use.  ``B``, ``cols``, the storage they
+    view, ``shared``, ``scatter_index`` and the layouts are read-only, so
+    none of them can go stale.  ``with_params`` derives an instance with
+    other gamma, eta or nu that shares all of them.
 
     Parameters
     ----------
@@ -378,7 +376,7 @@ class ProblemInstance:
 
         None keeps a value.  Everything else is shared, not rebuilt: the
         operators, loads and bounds, ``shared``, ``scatter_index`` and, once
-        built, ``band_layout``, ``dense_layout`` and ``stiffness_map``
+        built, ``stiffness_map``, ``entry_layout`` and ``band_layout``
         depend on none of the three scalars.
         """
         variant = copy.copy(self)
@@ -389,25 +387,25 @@ class ProblemInstance:
         return variant
 
     @functools.cached_property
-    def band_layout(self) -> tuple:
-        """``penalty.band_layout(self)``, built on first use and kept."""
-        from . import penalty
-
-        return penalty.band_layout(self)
-
-    @functools.cached_property
-    def stiffness_map(self) -> tuple | None:
+    def stiffness_map(self) -> np.ndarray | None:
         """``penalty.stiffness_map(self)``, built on first use and kept."""
         from . import penalty
 
         return penalty.stiffness_map(self)
 
     @functools.cached_property
-    def dense_layout(self) -> tuple:
-        """``penalty.dense_layout(self)``, built on first use and kept."""
+    def entry_layout(self) -> tuple:
+        """``penalty.entry_layout(self)``, built on first use and kept."""
         from . import penalty
 
-        return penalty.dense_layout(self)
+        return penalty.entry_layout(self)
+
+    @functools.cached_property
+    def band_layout(self) -> tuple:
+        """``penalty.band_layout(self)``, built on first use and kept."""
+        from . import penalty
+
+        return penalty.band_layout(self)
 
     # -- starting point ----------------------------------------------------
 

@@ -10,9 +10,13 @@ solves for its own E; every other compliance (the CLI's report rows in
 both modes, the certificate, the gamma probe) comes from
 ``compliances``, a banded Cholesky in reverse Cuthill-McKee order
 (``assemble_band`` and ``band_cholesky``, which also factor A(I) for the
-bound data) that needs no gate; its order and scatter index
-(``band_layout``) depend only on the sparsity of B, so each instance
-builds them on first use and keeps them (``ProblemInstance.band_layout``).
+bound data) that needs no gate.  Both assemble A(E) through one entry
+layout: ``element_stiffness`` gives each element's packed upper triangle,
+``entry_layout`` sends each packed entry to its distinct lower-triangle
+entry, summed in element order, and the dense triangle
+(``assemble_dense``) and the band (``band_layout``, derived from it)
+scatter those same sums.  The layouts depend only on the sparsity of B,
+so each instance builds them once and keeps them.
 
 Storage rule: a penalty step forms one N x N array, the lower triangle
 of A(E) in single precision (float32), scattered straight into the
@@ -22,7 +26,7 @@ solutions are then refined in double against the matrix-free operator
 it), so no double N x N array exists on that path.  When single precision
 cannot deliver (the sums leave its range, ``spotrf`` fails, a residual is
 not finite or stops shrinking, or ``REFINE_SWEEPS`` sweeps do not pass)
-the step falls back to the double N x N A(E), factored in place by
+the step falls back to the double lower triangle, factored in place by
 ``dpotrf``.  The banded solves scatter into the (bw + 1, N) lower band
 ``dpbtrf`` factors, in double, and factor it in place.  No factorization
 copies its matrix; a factorization destroys the matrix it is handed, and
@@ -40,6 +44,7 @@ import scipy.linalg
 from .model import (
     DENSE_THRESHOLD,
     DualState,
+    InvalidInstance,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
@@ -57,7 +62,6 @@ from .model import (
 # fallback (LAPACK's dsposv allows 30; a penalty step on a fem2d mesh
 # passes at its third sweep)
 REFINE_SWEEPS = 10
-_SINGLE_MAX = float(np.finfo(np.float32).max)
 _EPS = float(np.finfo(np.float64).epsneg)  # 2^-53, LAPACK's dlamch('Epsilon')
 
 
@@ -71,134 +75,125 @@ class PenaltyState:
 
 
 def element_stiffness(instance: ProblemInstance, E_dense):
-    """Per-element stiffnesses sum_l B_{i,l}^T E_i B_{i,l}, shape (m, n_loc, n_loc).
+    """Per-element stiffnesses sum_l B_{i,l}^T E_i B_{i,l} as packed upper triangles.
 
-    The elements on the instance's shared operator go through one matmul
-    of ``instance.stiffness_map`` with their E entries, the rest through
-    the einsums of ``_stiffness_einsum``; either way each block's entry
-    (a, b) with a <= b is computed once and mirrored, so the blocks are
-    exactly symmetric.  The result is a view of (n_loc, n_loc, m) storage.
+    Shape (m, n_loc (n_loc + 1) / 2), entry (a, b) with a <= b row-major
+    over the upper triangle, the order of ``np.triu_indices(n_loc)``; a
+    view of (n_loc (n_loc + 1) / 2, m) storage.  The elements on the
+    instance's shared operator go through one matmul of
+    ``instance.stiffness_map`` with their E entries, the rest through the
+    einsums of ``_stiffness_einsum``.
     """
     E = elements_last(E_dense)
     shared = instance.shared
     if shared is None:
         return elements_first(_stiffness_einsum(instance.B, E))
-    upper, mirror = instance.stiffness_map
-    k, n_loc, m = instance.k, instance.n_loc, instance.m
-    ke = np.matmul(upper, E.reshape(k * k, m)).take(mirror, axis=0).reshape(n_loc, n_loc, m)
+    ke = np.matmul(instance.stiffness_map, E.reshape(instance.k**2, instance.m))
     if shared.others.size:
-        ke[..., shared.others] = _stiffness_einsum(shared.B_others, E[..., shared.others])
+        ke[:, shared.others] = _stiffness_einsum(shared.B_others, E[..., shared.others])
     return elements_first(ke)
 
 
 def _stiffness_einsum(B, E):
-    """(n_loc, n_loc, m) stiffnesses of element-last operators ``B`` and blocks ``E``.
+    """Packed (n_loc (n_loc + 1) / 2, m) stiffnesses of element-last ``B`` and blocks ``E``.
 
-    Einsums along the elements, one row of the upper triangle at a time,
-    each mirrored into its column.
+    Einsums along the elements, one row of the upper triangle at a time.
     """
     nig, k, n_loc, m = B.shape
     EB = np.einsum("cdq,ldbq->lcbq", E, B).reshape(nig * k, n_loc, m)
     B = B.reshape(nig * k, n_loc, m)
-    ke = np.empty((n_loc, n_loc, m))
-    for a in range(n_loc):
-        np.einsum("xq,xbq->bq", B[:, a], EB[:, a:], out=ke[a, a:])
-        ke[a + 1:, a] = ke[a, a + 1:]
-    return ke
+    return np.concatenate([np.einsum("xq,xbq->bq", B[:, a], EB[:, a:]) for a in range(n_loc)])
 
 
 def stiffness_map(instance: ProblemInstance):
-    """The linear map from a shared-operator element's E to its stiffness.
+    """The linear map from a shared-operator element's E to its packed stiffness.
 
     For an element on ``instance.shared``, with B_l the (k, n_loc) rows of
     integration point l, ke[a, b] = sum_cd M[(a, b), (c, d)] E[c, d] with
-    M[(a, b), (c, d)] = sum_l B_l[c, a] B_l[d, b].  Returns
-    ``(upper, mirror)``: ``upper`` holds the rows of M for a <= b
-    (row-major over the upper triangle), shape (n_loc (n_loc + 1) / 2, k^2),
-    and ``mirror`` (n_loc^2,) gives, for each entry of the row-major block,
-    the row of ``upper`` that computes it, the same one for (a, b) and
-    (b, a).  None when the instance has no shared operator.  It depends
-    only on B, so ``element_stiffness`` reads it from
-    ``instance.stiffness_map``, built once per instance; the arrays are
-    read-only.
+    M[(a, b), (c, d)] = sum_l B_l[c, a] B_l[d, b].  Returns the rows of M
+    for a <= b in packed order, (n_loc (n_loc + 1) / 2, k^2), or None
+    without a shared operator.  Read-only, built once per instance as
+    ``instance.stiffness_map``.
     """
     if instance.shared is None:
         return None
     nig, k, n_loc = instance.nig, instance.k, instance.n_loc
     B = instance.shared.B.reshape(nig, k, n_loc)
-    full = np.einsum("lca,ldb->abcd", B, B).reshape(n_loc * n_loc, k * k)
     a, b = np.triu_indices(n_loc)
-    index = np.empty((n_loc, n_loc), dtype=np.intp)
-    index[a, b] = index[b, a] = np.arange(a.size)
-    layout = (np.ascontiguousarray(full[a * n_loc + b]), index.ravel())
-    for array in layout:
-        array.flags.writeable = False
-    return layout
+    upper = np.einsum("lca,ldb->abcd", B, B)[a, b].reshape(a.size, k * k)
+    upper.flags.writeable = False
+    return upper
 
 
-def assemble_dense(instance: ProblemInstance, E_dense):
-    """Dense A(E), Fortran-ordered: per-element congruences scattered column-major."""
-    ke = element_stiffness(instance, E_dense)
-    N, cols = instance.N, instance.cols_packed
-    # ke[q, a, b] adds to A[cols[q, a], cols[q, b]]: flat position row + col * N in Fortran order
-    idx = (cols[:, :, None] + cols[:, None, :] * N).ravel()
-    return np.bincount(idx, weights=ke.ravel(), minlength=N**2).reshape(N, N, order="F")
+def entry_layout(instance: ProblemInstance):
+    """Which entry of A(E) each element-stiffness entry adds to.
 
-
-def dense_layout(instance: ProblemInstance):
-    """Scatter layout of A(E)'s lower triangle in Fortran-ordered N x N storage.
-
-    Returns ``(inverse, position, norm_pick, norm_row)``.  ``position``
-    lists the distinct flat positions row + col * N (row >= col) that the
-    elements touch, sorted; ``inverse`` maps every element-stiffness entry,
-    in the (n_loc, n_loc, m) storage order of ``element_stiffness``, to
-    its position's index, or to ``position.size`` (a bin that is dropped)
-    when the entry lies above the diagonal or on a padded column.  The row
-    sums of |A| are ``bincount(norm_row, |sums|[norm_pick])``: every
-    distinct entry on its row, and each off the diagonal on its column
-    too.  Like ``band_layout`` it depends only on the sparsity of B, so
-    ``compliance_solves`` reads it from ``instance.dense_layout``, built
-    once per instance; the arrays are read-only.
+    Returns ``(entry, position, pick, rows, cols)``.  ``position`` lists the
+    sorted flat positions row + col * N (row >= col, Fortran order) of the
+    distinct entries; ``entry`` maps each packed entry of
+    ``element_stiffness``, in its ``ravel()`` order, to its position's index
+    (``position.size``, a dropped bin, on a padded column), so
+    ``bincount(entry, ke.ravel())`` sums each entry in element order.
+    ``rows`` and ``cols`` list A(E)'s symmetric pattern and ``pick`` the
+    sum each holds: row sums of |A| are ``bincount(rows, |sums|[pick])``.
+    Read-only, built once per instance as ``instance.entry_layout``.
     """
-    N, cols = instance.N, instance.cols  # (n_loc, m)
-    real = np.any(instance.B != 0.0, axis=(0, 1))
-    rows_of, cols_of = cols[:, None, :], cols[None, :, :]
-    keep = real[:, None, :] & real[None, :, :] & (rows_of >= cols_of)
-    flat = (rows_of + cols_of * N)[keep]
-    # distinct positions sorted by hand: np.unique imports numpy.ma
-    ordered = np.sort(flat)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    position = ordered[first]
-    inverse = np.full(keep.shape, position.size, dtype=np.int64)
-    inverse[keep] = np.searchsorted(position, flat)
-    col, row = np.divmod(position, N)
+    entry, position = _distinct_entries(instance)
+    col, row = np.divmod(position, instance.N)
     off = np.flatnonzero(row != col)
-    norm_pick = np.concatenate([np.arange(position.size), off])
-    norm_row = np.concatenate([row, col[off]])
-    layout = (inverse.ravel(), position, norm_pick, norm_row)
+    pick = np.concatenate([np.arange(position.size), off])
+    rows, cols = np.concatenate([row, col[off]]), np.concatenate([col, row[off]])
+    layout = (entry, position, pick, rows, cols)
     for array in layout:
         array.flags.writeable = False
     return layout
 
 
-def assemble_single(instance: ProblemInstance, E_dense):
-    """A(E)'s lower triangle in single precision, in the storage ``spotrf`` factors.
+def _distinct_entries(instance: ProblemInstance):
+    """``entry`` and ``position`` of ``entry_layout``, by one sort.
 
-    Returns ``(A, norm)``: the element stiffnesses are summed in double
-    per distinct position of ``instance.dense_layout`` and scattered once
-    into a zeroed Fortran-ordered float32 N x N array ``A`` (its strict
-    upper triangle stays zero); ``norm`` is ||A(E)||_inf of the double
-    sums.  ``A`` is None when a sum is outside single range.
+    Each flat position carries its entry's index in the low bits, so
+    ``np.sort`` orders both (an argsort is slower; np.unique imports numpy.ma).
+    A function of its own, so that its arrays are freed before the pattern's
+    are allocated: the first band then fits in the heap the sort used.
     """
     N = instance.N
-    inverse, position, norm_pick, norm_row = instance.dense_layout
-    ke = elements_last(element_stiffness(instance, E_dense))  # contiguous storage
-    sums = np.bincount(inverse, weights=ke.ravel(), minlength=position.size + 1)[:-1]
-    norm = np.bincount(norm_row, weights=np.abs(sums)[norm_pick], minlength=N).max()
-    if not norm < _SINGLE_MAX:  # NaN fails too
+    a, b = np.triu_indices(instance.n_loc)
+    dofs = instance.cols_packed.astype(np.int64, copy=False)  # (m, n_loc)
+    real = np.any(instance.B_packed != 0.0, axis=(1, 2))
+    first, second = dofs[:, a], dofs[:, b]
+    flat = np.maximum(first, second) + np.minimum(first, second) * N
+    flat[~(real[:, a] & real[:, b])] = N * N  # padding: a bin past every position
+    shift = flat.size.bit_length()
+    if N * N >> (62 - shift):
+        raise InvalidInstance(f"N = {N} with {flat.size} stiffness entries is too large to lay out")
+    key = np.sort(flat.ravel() << shift | np.arange(flat.size))
+    ordered = key >> shift
+    new = ordered != np.append(-1, ordered[:-1])  # the first entry of each position
+    entry = np.empty(key.size, dtype=np.int64)
+    entry[key & ((1 << shift) - 1)] = np.cumsum(new) - 1
+    position = ordered[new]
+    return entry, position[position < N * N]  # without the padding's bin
+
+
+def assemble_dense(instance: ProblemInstance, E_dense, dtype=np.float64):
+    """A(E)'s lower triangle in ``dtype``, in the Fortran-ordered N x N storage LAPACK factors.
+
+    Returns ``(A, norm)``: the element stiffnesses are summed in double
+    per entry of ``instance.entry_layout`` and scattered once into a zeroed
+    N x N array ``A`` (its strict upper triangle stays zero; ``spotrf``,
+    ``dpotrf`` and ``eigvalsh`` read only the lower one); ``norm`` is
+    ||A(E)||_inf of the double sums.  ``A`` is None when a sum is outside
+    ``dtype``'s range.
+    """
+    N = instance.N
+    entry, position, pick, rows, _ = instance.entry_layout
+    ke = element_stiffness(instance, E_dense).ravel()  # element-major copy
+    sums = np.bincount(entry, weights=ke, minlength=position.size + 1)[:-1]
+    norm = np.bincount(rows, weights=np.abs(sums)[pick], minlength=N).max()
+    if not norm < np.finfo(dtype).max:  # NaN fails too
         return None, norm
-    A = np.zeros(N * N, dtype=np.float32)
+    A = np.zeros(N * N, dtype=dtype)
     A[position] = sums
     return A.reshape(N, N, order="F"), norm
 
@@ -213,10 +208,9 @@ def _factor_and_solve(instance: ProblemInstance, A, E_dense=None, norm=None):
     """Cholesky-factor ``A`` in place and solve for every load: the (N, L) solutions.
 
     ``A`` is Fortran-ordered, so the factorization overwrites it and
-    copies nothing.  A double ``A`` (``assemble_dense``) is factored by
-    ``dpotrf`` and solved by ``dpotrs``.  A float32 lower triangle
-    (``assemble_single``) is factored by ``spotrf`` and the solutions are
-    refined in double by ``_refine`` against the A(E) of ``E_dense``,
+    copies nothing.  A double lower triangle (``assemble_dense``) is
+    factored by ``dpotrf`` and solved by ``dpotrs``; a float32 one by
+    ``spotrf``, with the solutions refined by ``_refine`` against the A(E) of ``E_dense``,
     whose infinity norm is ``norm``.  Returns None when A is not
     numerically positive definite or the refinement fails; A is destroyed
     either way.
@@ -275,54 +269,46 @@ def _refine(instance: ProblemInstance, factor, E_dense, norm):
 
 
 def band_layout(instance: ProblemInstance):
-    """Reverse Cuthill-McKee order of the DOFs and the lower-band scatter index.
+    """Reverse Cuthill-McKee order of the DOFs and the band index of every element entry.
 
-    Returns ``(perm, lower, band_idx, bw)``: ``perm`` lists the DOFs in RCM
-    order, ``lower`` masks the (m, n_loc, n_loc) element-stiffness entries
-    on or below the diagonal in that order, and ``band_idx`` is the flat
-    position of each of them in (bw + 1, N) LAPACK lower band storage,
-    column-major (Fortran order).  It depends only on the instance's
-    sparsity, so the banded solves read it from ``instance.band_layout``,
-    which calls this once per instance; the arrays are read-only.
+    Returns ``(perm, band_idx, bw)``: ``perm`` is the RCM order of the
+    graph of ``instance.entry_layout``'s pattern, ``bw`` the bandwidth in
+    it, and ``band_idx`` composes ``entry`` with each distinct entry's
+    flat position in (bw + 1, N) LAPACK lower band storage,
+    Fortran-ordered; a padded column goes to (bw + 1) N, a dropped bin.
+    Read-only, built once per instance as ``instance.band_layout``.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    N, cols = instance.N, instance.cols_packed
-    # padded columns, and any column an element's B leaves at zero, add nothing
-    real = np.any(instance.B_packed != 0.0, axis=(1, 2))
-    pair = real[:, :, None] & real[:, None, :]
-    rows_of = np.broadcast_to(cols[:, :, None], pair.shape)[pair]
-    cols_of = np.broadcast_to(cols[:, None, :], pair.shape)[pair]
-    graph = csr_array((np.ones(rows_of.size, dtype=np.int8), (rows_of, cols_of)), shape=(N, N))
+    N = instance.N
+    entry, position, _, rows, cols = instance.entry_layout
+    graph = csr_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(N, N))
     perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
-    pos = np.empty(N, dtype=np.int64)
-    pos[perm] = np.arange(N)
-    P = pos[cols]
-    offset = P[:, :, None] - P[:, None, :]  # row minus column in RCM order
-    lower = pair & (offset >= 0)
-    diag = offset[lower]
+    pos = np.argsort(perm)  # each DOF's place in RCM order
+    first, second = pos[rows[:position.size]], pos[cols[:position.size]]
+    diag = np.abs(first - second)
     bw = int(diag.max(initial=0))
-    band_idx = diag + np.broadcast_to(P[:, None, :], pair.shape)[lower] * (bw + 1)
-    for array in (perm, lower, band_idx):
+    band_pos = np.append(diag + np.minimum(first, second) * (bw + 1), (bw + 1) * N)
+    band_idx = band_pos[entry]
+    for array in (perm, band_idx):
         array.flags.writeable = False
-    return perm, lower, band_idx, bw
+    return perm, band_idx, bw
 
 
 def assemble_band(instance: ProblemInstance, E_dense):
     """A(E) in reverse Cuthill-McKee order as a lower band, in the storage ``dpbtrf`` factors.
 
     Returns ``(perm, band)``: ``band`` is the (bw + 1, N) lower band
-    storage of A(E)[perm][:, perm], Fortran-ordered, laid out by
-    ``instance.band_layout``; no N x N array is formed, so no size gate
-    applies.
+    storage of A(E)[perm][:, perm], Fortran-ordered, summed in element
+    order by one bincount through ``instance.band_layout``; no N x N
+    array is formed, so no size gate applies.
     """
-    N = instance.N
-    perm, lower, band_idx, bw = instance.band_layout
-    band = np.bincount(
-        band_idx, weights=element_stiffness(instance, E_dense)[lower], minlength=(bw + 1) * N
-    )
-    return perm, band.reshape(bw + 1, N, order="F")
+    perm, band_idx, bw = instance.band_layout
+    size = (bw + 1) * instance.N
+    ke = element_stiffness(instance, E_dense).ravel()  # element-major copy
+    band = np.bincount(band_idx, weights=ke, minlength=size + 1)[:size]
+    return perm, band.reshape(bw + 1, instance.N, order="F")
 
 
 def band_cholesky(band):
@@ -363,21 +349,24 @@ def compliance_solves(
     """Assemble, factor, and solve for every load; the per-iteration workhorse.
 
     A(E)'s lower triangle is scattered into one float32 N x N array
-    (``assemble_single``), factored there by ``spotrf``, and the solutions
-    are refined in double through the matrix-free operator until each
-    passes ``dsposv``'s backward-error test (``_refine``), so the one
-    N x N array of a step is that float32 triangle.  When single precision
-    cannot deliver, the step takes the double path instead: the full
-    A(E) of ``assemble_dense`` factored in place by ``dpotrf``, whose
-    failure reports A(E) singular with its lambda_min.
+    (``assemble_dense`` with ``np.float32``), factored there by
+    ``spotrf``, and the solutions are refined in double through the
+    matrix-free operator until each passes ``dsposv``'s backward-error
+    test (``_refine``), so the one N x N array of a step is that float32
+    triangle.  When single precision cannot deliver, the step takes the
+    double path instead: the double lower triangle factored in place by
+    ``dpotrf``, whose failure reports A(E) singular with its lambda_min.
     """
     check_dense_size(instance, "penalty mode", dense_threshold)
-    A, norm = assemble_single(instance, E_dense)
+    A, norm = assemble_dense(instance, E_dense, np.float32)
     sol = None if A is None else _factor_and_solve(instance, A, E_dense, norm)
     if sol is None:  # single precision did not deliver: the double path
-        sol = _factor_and_solve(instance, assemble_dense(instance, E_dense))
+        A, norm = assemble_dense(instance, E_dense)
+        if A is None:
+            raise NumericalFailure(f"stiffness A(E) overflows double (||A||_inf = {norm})")
+        sol = _factor_and_solve(instance, A)
     if sol is None:  # the factorization overwrote A(E): rebuild it for lambda_min
-        raise _singular(np.linalg.eigvalsh(assemble_dense(instance, E_dense))[0])
+        raise _singular(np.linalg.eigvalsh(assemble_dense(instance, E_dense)[0])[0])
     comp = np.einsum("nj,jn->j", sol, instance.loads)
     return PenaltyState(
         compliances=comp,

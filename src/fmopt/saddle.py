@@ -30,6 +30,7 @@ from .model import (
     ProblemInstance,
     apply_B,
     apply_Bt,
+    check_dense_size,
     element_gram,
     element_products,
     element_quads,
@@ -401,6 +402,15 @@ class SolverConfig:
             )
 
 
+def check_penalty_input(instance: ProblemInstance, config: SolverConfig) -> None:
+    """Refuse penalty mode as bad input at nu = 0 (plain mode's iterates at a
+    dense factorization per step) and above the dense threshold."""
+    if config.mode == "penalty":
+        if instance.nu == 0.0:
+            raise InvalidInstance("penalty mode needs --nu > 0: at nu = 0 it is plain mode")
+        check_dense_size(instance, "penalty mode", config.dense_threshold)
+
+
 @dataclass
 class IterationRecord:
     """Per-iteration sink payload (state AFTER ``t`` completed steps).
@@ -455,10 +465,9 @@ def run_solver(
     than ``autotune_step_budget`` allows fails the run.  Each penalty step
     solves for the compliances of its own E (one dense assembly and solve
     on the ledger) and adds the penalty correction to g_E; rows compute
-    none.  Penalty mode above the
-    dense threshold is refused by the first step's ``compliance_solves``,
-    before any row reaches the sink.  The flop ledger ``counter`` is
-    charged here, per call, from ``diagnostics.flop_model``.
+    none; ``check_penalty_input`` refuses penalty mode before the first
+    step.  The flop ledger ``counter`` is charged here, per call, from
+    ``diagnostics.flop_model``.
 
     Per-step diagnostics are computed only where they are read.  With a
     controller tuning sigma, ``diagnostics.gap_estimate`` runs at the first
@@ -471,6 +480,7 @@ def run_solver(
     """
     if config.tau is None or config.sigma0 is None:
         raise InvalidInstance("run_solver needs numeric tau and sigma0 (cli.run resolves auto)")
+    check_penalty_input(instance, config)
 
     E = instance.start_material().dense()
     x = instance.start_dual().vectors

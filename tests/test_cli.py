@@ -24,7 +24,7 @@ def assert_reports_lambda_min(message, instance):
     """The lambda_min in a "stiffness singular" message is that of A(E), rebuilt after the
     in-place factorization; A(E) of these instances is singular at every E."""
     reported = float(message.rsplit("lambda_min ~ ", 1)[1].rstrip(")"))
-    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, instance.start_material().dense()))
+    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, instance.start_material().dense())[0])
     assert reported == pytest.approx(lam[0], abs=1e-12 * max(lam[-1], 1.0))
 
 
@@ -211,6 +211,18 @@ class TestMain:
             assert "stiffness singular" in json.loads(capsys.readouterr().err)["error"]
         else:
             assert json.loads(capsys.readouterr().out)["N"] == 12
+
+    def test_penalty_mode_without_nu_refused(self, tmp_path, capsys):
+        # nu = 0 zeroes the penalty correction: the run would repeat plain
+        # mode's iterates at a dense factorization per step
+        rc = cli.main([
+            "--mesh", "4x2", "--mode", "penalty", "--iters", "10", "--stride", "5",
+            "--out", str(tmp_path / "t"),
+        ])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "--nu" in err["error"]
+        assert not list(tmp_path.iterdir())  # refused before any output
 
     def test_auto_parameters_above_dense_threshold(self, tmp_path, capsys):
         # N = 4032 over the default threshold 4000: the bound data, the rows,

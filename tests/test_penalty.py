@@ -15,6 +15,7 @@ from fmopt.model import (
     DualState,
     InvalidInstance,
     MaterialState,
+    NumericalFailure,
     ProblemInstance,
     lagrangian_value,
 )
@@ -212,9 +213,10 @@ class TestElementStiffness:
             E = random_feasible_blocks(rng, inst.m, 3, 0.4, 2.5, 0.1)
             EB = np.einsum("qkc,qlcb->qlkb", E, inst.B_packed)
             ref = np.einsum("qlka,qlkb->qab", inst.B_packed, EB)
+            a, b = np.triu_indices(inst.n_loc)  # the packed upper triangle
             got = penalty.element_stiffness(inst, E)
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
-            assert np.array_equal(got, got.transpose(0, 2, 1))
+            assert got.shape == (inst.m, a.size)
+            np.testing.assert_allclose(got, ref[:, a, b], rtol=0, atol=1e-13)
 
     def test_banded_compliance_forms_no_dense_matrix(self):
         inst = tight_instance(nx=32, ny=16)
@@ -227,51 +229,89 @@ class TestInPlaceFactorization:
     factored there: no transposing copy, the same numbers as a factorization
     of a C-ordered copy for the double dense matrix and the band; the
     penalty step, factored in single precision, meets dsposv's
-    backward-error test instead."""
+    backward-error test instead.  The double triangle, its float32 cast and
+    the band scatter the same per-entry sums of one entry layout."""
 
     @staticmethod
     def copied_dense(inst, E):
-        # row-major scatter, cho_factor on a copy (LAPACK then transposes it)
-        cols, N = inst.cols_packed, inst.N
-        idx = (cols[:, :, None] * N + cols[:, None, :]).ravel()
+        # the layout's entry sums scattered row-major into the full matrix,
+        # cho_factor on a copy (LAPACK then transposes it)
+        entry, position = inst.entry_layout[:2]
         ke = penalty.element_stiffness(inst, E)
-        A = np.bincount(idx, weights=ke.ravel(), minlength=N**2).reshape(N, N)
+        sums = np.bincount(entry, weights=ke.ravel(), minlength=position.size + 1)[:-1]
+        col, row = np.divmod(position, inst.N)
+        A = np.zeros((inst.N, inst.N))
+        A[row, col] = A[col, row] = sums
         chol = scipy.linalg.cho_factor(A.copy(), lower=True, check_finite=False)
         sol = scipy.linalg.cho_solve(chol, inst.loads.T, check_finite=False)
         return A, np.einsum("nj,jn->j", sol, inst.loads), sol
 
     @staticmethod
-    def copied_band(inst, E):
-        # row-major (bw + 1, N) band, cholesky_banded with its copy
-        perm, lower, band_idx, bw = inst.band_layout
-        col, diag = np.divmod(band_idx, bw + 1)
-        ke = penalty.element_stiffness(inst, E)
-        band = np.bincount(diag * inst.N + col, weights=ke[lower], minlength=(bw + 1) * inst.N)
-        band = band.reshape(bw + 1, inst.N)
+    def copied_band(inst, A):
+        # row-major (bw + 1, N) band of A in the layout's RCM order,
+        # cholesky_banded with its copy
+        perm, _, bw = inst.band_layout
+        permuted = A[np.ix_(perm, perm)]
+        band = np.zeros((bw + 1, inst.N))
+        for d in range(bw + 1):
+            band[d, :inst.N - d] = np.diagonal(permuted, -d)
         factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
         loads = inst.loads[:, perm]
         sol = scipy.linalg.cho_solve_banded((factor, True), loads.T, check_finite=False)
         return band, np.einsum("nj,jn->j", sol, loads)
 
+    @staticmethod
+    def rcm_of_element_pairs(inst):
+        # RCM on the graph of every pair of real columns of every element
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        real = np.any(inst.B_packed != 0.0, axis=(1, 2))
+        pair = real[:, :, None] & real[:, None, :]
+        rows_of = np.broadcast_to(inst.cols_packed[:, :, None], pair.shape)[pair]
+        cols_of = np.broadcast_to(inst.cols_packed[:, None, :], pair.shape)[pair]
+        ones = np.ones(rows_of.size, dtype=np.int8)
+        graph = csr_array((ones, (rows_of, cols_of)), shape=(inst.N, inst.N))
+        return reverse_cuthill_mckee(graph, symmetric_mode=True)
+
     def test_bit_identical_to_factoring_a_copy(self, rng, small_mesh_instance):
-        for inst in (small_mesh_instance, tight_instance(nx=6, ny=3)):
+        # synthetic instances: ragged supports padded on DOF 0 with no shared
+        # operator, and one with a DOF no element touches (A(E) singular)
+        synthetic = np.random.default_rng(11)
+        ragged = make_synthetic_instance(synthetic, m=6, N=9, n_loc=[2, 4, 6, 8, 9, 9])
+        base = make_synthetic_instance(synthetic, m=4, N=8, n_loc=[3, 5, 8, 2], k=2)
+        loads = np.hstack([base.loads, np.zeros((base.L, 1))])
+        untouched = ProblemInstance(base.cols_packed, base.B_packed, loads, 0.4, 2.5, 0.1,
+                                    4.0, 6.0)
+        assert ragged.shared is None and untouched.N == 9
+        for inst in (small_mesh_instance, tight_instance(nx=6, ny=3), ragged, untouched):
             materials = [inst.start_material().dense()] + [
-                random_feasible_blocks(rng, inst.m, 3, 0.4, 2.8, 0.05) for _ in range(3)
+                random_feasible_blocks(rng, inst.m, inst.k, 0.4, 2.8, 0.05) for _ in range(3)
             ]
             for E in materials:
+                tri, norm = penalty.assemble_dense(inst, E)
+                single, single_norm = penalty.assemble_dense(inst, E, np.float32)
+                assert tri.flags.f_contiguous and single.flags.f_contiguous
+                assert np.array_equal(single, tri.astype(np.float32)) and single_norm == norm
+                ref = dense_stiffness_reference(inst, E)
+                assert np.abs(tri - np.tril(ref)).max() <= 1e-13 * np.abs(ref).max()
+                perm, got = penalty.assemble_band(inst, E)
+                permuted = (tri + np.tril(tri, -1).T)[np.ix_(perm, perm)]
+                for d in range(got.shape[0]):
+                    assert np.array_equal(got[d, :inst.N - d], np.diagonal(permuted, -d))
+                if inst is untouched:
+                    with pytest.raises(NumericalFailure, match="stiffness singular"):
+                        penalty.compliance_solves(inst, E)
+                    continue
                 A, comp, sol = self.copied_dense(inst, E)
-                dense = penalty.assemble_dense(inst, E)
-                assert dense.flags.f_contiguous and np.array_equal(dense, A)
+                assert np.array_equal(tri, np.tril(A))
                 # the step factors in single precision and refines in double
                 state = penalty.compliance_solves(inst, E)
                 assert passes_backward_error_test(inst, E, state.solutions)
-                band, comp = self.copied_band(inst, E)
-                perm, got = penalty.assemble_band(inst, E)
+                band, comp = self.copied_band(inst, A)
                 assert got.flags.f_contiguous and np.array_equal(got, band)
-                permuted = A[np.ix_(perm, perm)]
-                for d in range(band.shape[0]):
-                    assert np.array_equal(band[d, :inst.N - d], np.diagonal(permuted, -d))
                 assert np.array_equal(penalty.compliances(inst, E), comp)
+            assert np.array_equal(inst.band_layout[0], self.rcm_of_element_pairs(inst))
 
     def test_dense_step_makes_no_copy_of_A(self):
         # penalty-tight size: the scatter's float32 N x N array is the only
@@ -284,7 +324,7 @@ class TestInPlaceFactorization:
     def test_band_factorization_makes_no_copy_of_the_band(self):
         # plain-large size: band plus element stiffnesses, not two bands
         inst = tight_instance(nx=128, ny=64)
-        bw = inst.band_layout[3]  # built before the measurement, as a run builds it once
+        bw = inst.band_layout[2]  # built before the measurement, as a run builds it once
         E = inst.start_material().dense()
         band = (bw + 1) * inst.N * 8
         ke = inst.cols_packed.size * inst.cols_packed.shape[1] * 8
@@ -371,6 +411,16 @@ class TestMixedPrecision:
         assert np.array_equal(state.compliances, comp)
         assert np.array_equal(state.solutions, sol)
 
+    def test_A_beyond_double_range_is_a_numerical_failure(self):
+        # B scaled by 1e160 puts A(E) beyond double range: neither precision
+        # has a matrix to factor
+        base = tight_instance(nx=6, ny=3)
+        inst = ProblemInstance(base.cols_packed, 1e160 * base.B_packed, base.loads,
+                               base.rho_l, base.rho_u, base.r, base.gamma, base.eta, base.nu)
+        with np.errstate(over="ignore", invalid="ignore"):  # the stiffness map's inf and nan
+            with pytest.raises(NumericalFailure, match="overflows double"):
+                penalty.compliance_solves(inst, inst.start_material().dense())
+
     def test_non_finite_residual_leaves_at_once(self, monkeypatch):
         inst = tight_instance(nx=6, ny=3)
         E = inst.start_material().dense()
@@ -416,11 +466,11 @@ class TestMixedPrecision:
         E = inst.start_material().dense()
         penalty.compliance_solves(inst, E)
         variant = inst.with_params(gamma=2.0 * inst.gamma)
-        for name in ("dense_layout", "stiffness_map"):
-            kept = getattr(inst, name)
-            assert getattr(variant, name) is kept
-            for got, want in zip(kept, getattr(penalty, name)(inst)):
-                assert np.array_equal(got, want) and not got.flags.writeable
+        for name in ("stiffness_map", "entry_layout"):
+            assert getattr(variant, name) is getattr(inst, name)
+        pairs = [(inst.stiffness_map, penalty.stiffness_map(inst))]
+        for got, want in pairs + list(zip(inst.entry_layout, penalty.entry_layout(inst))):
+            assert np.array_equal(got, want) and not got.flags.writeable
 
 
 class TestViolationSums:

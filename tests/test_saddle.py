@@ -518,10 +518,11 @@ class TestRunSolver:
         self, small_mesh_instance
     ):
         rows = []
+        inst = small_mesh_instance.with_params(nu=1.0)
         cfg = SolverConfig(mode="penalty", iterations=5, log_stride=1,
-                           dense_threshold=small_mesh_instance.N - 1)
+                           dense_threshold=inst.N - 1)
         with pytest.raises(InvalidInstance, match="dense-only"):
-            run_solver(small_mesh_instance, cfg, sink=rows.append)
+            run_solver(inst, cfg, sink=rows.append)
         assert rows == []
 
     def test_nonfinite_gap_raises_naming_step(self, small_mesh_instance, monkeypatch):
