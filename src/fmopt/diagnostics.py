@@ -129,6 +129,8 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     (failed factorization, or lambda_min under that rule) takes one dense
     eigendecomposition instead, which instances with N above
     ``dense_threshold`` are refused as input (``model.check_dense_size``).
+    A band with a non-finite entry fails as a ``NumericalFailure`` before
+    it is factored.
     """
     from scipy.sparse import dia_array
     from scipy.sparse.linalg import LinearOperator
@@ -138,6 +140,8 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     zero = max(rows, N) * np.finfo(float).eps
     identity = np.broadcast_to(np.eye(k), (m, k, k))
     band = penalty.assemble_band(instance, identity)[1]
+    if not np.isfinite(band).all():  # dpbtrf passes NaN through, and ARPACK fails on it
+        raise NumericalFailure("B^T B is not finite: the strain operator overflows its Gram matrix")
     # the sparse A(I) is the one copy of the band: the factorization overwrites it
     lower = dia_array((band, -np.arange(band.shape[0])), shape=(N, N))
     gram = (lower + lower.T).tocsr()
@@ -377,7 +381,7 @@ def approximation_certificate(
 def flop_model(instance: ProblemInstance) -> dict:
     """Per-call flop charge of each ledger key: the one table of cost formulas.
 
-    ``saddle.run_solver`` charges its ``FlopCounter`` from this table:
+    ``saddle.step`` charges its ``FlopCounter`` from this table:
     ``grads`` per ``subgradients`` call, ``dense_assembly`` and
     ``dense_solve`` per penalty ``compliance_solves`` call (assembly of the
     dense A(E), then its Cholesky factor and L solves), and ``x_update``,
@@ -408,7 +412,7 @@ def flop_model(instance: ProblemInstance) -> dict:
 def flop_report(counts: dict, instance: ProblemInstance, iterations: int) -> dict:
     """A run's ledger (``FlopCounter.snapshot()``) against per-iteration cost models.
 
-    The ledger is charged by ``saddle.run_solver`` from ``flop_model``,
+    The ledger is charged by ``saddle.step`` from ``flop_model``,
     which also gives the subproblem model and the assembly term of the
     penalty model here.  The sparse model charges element loops on the
     touched column support (n_loc columns); the dense model is the same

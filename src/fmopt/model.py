@@ -100,7 +100,7 @@ class FlopCounter:
     """Named floating-point-operation tallies: the run's flop ledger.
 
     The per-call charge of every key is written once, in
-    ``diagnostics.flop_model``, and only ``saddle.run_solver`` charges it,
+    ``diagnostics.flop_model``, and only ``saddle.step`` charges it,
     at the calls it makes; no kernel takes a counter.  Element loops are
     charged with the standard multiply-add model on the touched column
     support only (``n_loc`` columns per element, not N); dense-width

@@ -22,6 +22,7 @@ leaves open.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,41 +355,10 @@ def project_spectral(problem: SpectralProjection):
     """
     W = 0.5 * (problem.U + problem.U.T)
     lam, Q = np.linalg.eigh(W)
-    omega = _project_spectra(lam[None], problem.c_l, problem.c_u, problem.r)[0]
-    Z = (Q * omega) @ Q.T
+    mu = lam[::-1, None]  # descending
+    phi = _trace_shift(mu, problem.c_l, problem.c_u, problem.r)[2]
+    Z = (Q * np.maximum(lam + phi, problem.r)) @ Q.T
     return 0.5 * (Z + Z.T)
-
-
-def _project_spectra(mu: np.ndarray, c_l, c_u, r: float) -> np.ndarray:
-    """Three-case update of each row of ``mu`` (n, k); keeps the order within a row.
-
-    A row whose clipped trace sum max(mu, r) lies in [c_l, c_u] is clipped
-    at r.  Otherwise the row is shifted toward the violated bound by the
-    trace multiplier of the longest admissible prefix of its descending
-    spectrum, then clipped.  ``c_l`` and ``c_u`` are scalars or (n,).
-    """
-    n, k = mu.shape
-    clipped = np.maximum(mu, r)
-    t0 = clipped.sum(axis=1)
-    omega = clipped.copy()
-    for bound, mask in ((c_u, t0 > c_u), (c_l, t0 < c_l)):
-        if not np.any(mask):
-            continue
-        mu_sub = mu[mask]
-        target = np.broadcast_to(bound, (n,))[mask]
-        mu_desc = -np.sort(-mu_sub, axis=1)
-        csum = np.cumsum(mu_desc, axis=1)
-        sizes = np.arange(1, k + 1)[None, :]
-        shift = (target[:, None] - csum - (k - sizes) * r) / sizes
-        member = mu_desc + shift > r
-        # support size = longest prefix of admissible members
-        grow = np.concatenate(
-            [np.ones((mu_sub.shape[0], 1), dtype=bool), member[:, 1:]], axis=1
-        )
-        q = np.cumprod(grow, axis=1).sum(axis=1)
-        phi = shift[np.arange(mu_sub.shape[0]), q - 1]
-        omega[mask] = np.maximum(mu_sub + phi[:, None], r)
-    return omega
 
 
 def proj_sym_l(lam, beta_tau: float, rho_u: float, k: int, r: float):
@@ -615,10 +585,6 @@ def _per_block(bound, m: int) -> np.ndarray:
     return bound if bound.shape == (m,) else np.broadcast_to(bound, (m,))
 
 
-# per prefix {1..j} of a descending 3-spectrum: the count 3 - j of the
-# entries left at the floor, and j
-_PREFIX_FLOOR = np.array([[2.0], [1.0], [0.0]])
-_PREFIX_SIZE = np.array([[1.0], [2.0], [3.0]])
 # flat (row-major) positions of the four factors in the cofactor of (i, j) of
 # a 3x3 matrix, a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1] (indices
 # mod 3); for a symmetric matrix row i of the cofactors is the cross product
@@ -629,20 +595,33 @@ _COFACTOR = np.array([
 ])
 
 
+@functools.cache
+def _prefix_terms(k: int):
+    """Per prefix {1..j} of a descending k-spectrum, as (k, 1) columns: the
+    count k - j of the entries left at the floor, and j."""
+    size = np.arange(1.0, k + 1.0)[:, None]
+    return k - size, size
+
+
 def _trace_shift(mu, rho_l, rho_u, r: float):
-    """The trace shift of descending spectra ``mu`` (3, n), elementwise.
+    """The trace shift of descending spectra ``mu`` (k, n), elementwise.
 
     Returns ``(t0, bound, phi)``: t0 is the clipped trace sum of max(mu, r),
     ``bound`` is t0 clipped to [rho_l, rho_u], and phi is the shift of the
     longest admissible prefix of mu onto ``bound``, 0 where t0 is inside.
+    The projected spectrum is max(mu + phi, r).
     """
     t0 = np.add.reduce(np.maximum(mu, r), axis=0)
     bound = np.minimum(np.maximum(t0, rho_l), rho_u)  # np.clip, as in project_blocks
-    # shifts of the prefixes {1}, {1, 2}, {1, 2, 3} onto the bound, and the
-    # longest admissible prefix; no shift where the clipped trace is inside
-    shifts = (bound - mu.cumsum(axis=0) - _PREFIX_FLOOR * r) / _PREFIX_SIZE
+    # shifts of the prefixes {1}, {1, 2}, ..., {1..k} onto the bound, and the
+    # longest admissible prefix, picked from the longest down; no shift
+    # where the clipped trace is inside
+    floor, size = _prefix_terms(mu.shape[0])
+    shifts = (bound - mu.cumsum(axis=0) - floor * r) / size
     admit = mu[1:] + shifts[1:] > r
-    phi = np.where(admit[0], np.where(admit[1], shifts[2], shifts[1]), shifts[0])
+    phi = shifts[-1]
+    for j in range(admit.shape[0] - 1, -1, -1):
+        phi = np.where(admit[j], phi, shifts[j])
     phi[t0 == bound] = 0.0
     return t0, bound, phi
 
@@ -657,8 +636,8 @@ def _project_blocks_3x3(s, beta_tau: float, rho_l, rho_u, r: float):
 
     With eigenvalues lam1 <= lam2 <= lam3 of s (``_trig_eigenvalues``),
     mu = r - lam/bt is the descending spectrum of Y = r*I - s/bt, and the
-    trace shift phi of ``_project_spectra`` is the prefix shift of the
-    longest admissible prefix of mu (``_trace_shift``).  With
+    trace shift phi is the prefix shift of the longest admissible prefix of
+    mu (``_trace_shift``).  With
     c = #{mu_i + phi <= r} clipped eigenvalues the projection needs at most
     one eigenvector:
     c = 0: Y + phi I; c = 1: Y + phi I + (r - mu3 - phi) v3 v3^T;
@@ -755,11 +734,13 @@ def _pair_settled(mu, shift, split, high, rho_l, rho_u, r: float):
 def _project_blocks_eigh(s, beta_tau: float, rho_l, rho_u, r: float):
     """The material update of (k, k, n) blocks through one batched eigendecomposition.
 
-    Runs the vectorized trace scans on mu = r - lam/(beta*tau) and rebuilds
-    Q diag(omega) Q^T elementwise on (k, k, n) storage; the solve of
-    ``project_blocks`` for k != 3 and the fallback of ``_project_blocks_3x3``.
+    Shifts mu = r - lam/(beta*tau), descending since eigh's lam ascend, by
+    its ``_trace_shift`` and rebuilds Q diag(omega) Q^T elementwise on
+    (k, k, n) storage; the solve of ``project_blocks`` for k != 3 and the
+    fallback of ``_project_blocks_3x3``.
     """
     lam, Q = np.linalg.eigh(elements_first(s))
-    omega = _project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
+    mu = (r - lam / beta_tau).T
+    omega = np.maximum(mu + _trace_shift(mu, rho_l, rho_u, r)[2], r)
     Q = np.ascontiguousarray(elements_last(Q))
-    return np.einsum("ijq,kjq->ikq", Q * omega.T, Q)
+    return np.einsum("ijq,kjq->ikq", Q * omega, Q)

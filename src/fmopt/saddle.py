@@ -5,7 +5,9 @@ the current pair, accumulates them into the dual averages, and re-solves
 both subproblems in closed form: the adjoint vectors by a radial shrink
 onto the eta-ball, the material blocks by the batched spectral projection.
 Simple and weighted step weights are supported, as is the window-based
-doubling/backtrack controller for the scale sigma.
+doubling/backtrack controller for the scale sigma.  The loop's state is
+one ``LoopState``: ``run_solver`` advances it by ``step`` and reads each
+logged row off it with ``row``.
 """
 
 from __future__ import annotations
@@ -76,10 +78,7 @@ class StepSchedule:
 
 def beta_hat_sequence(t_max: int) -> np.ndarray:
     """beta_hat_t for t = 0..t_max (inclusive)."""
-    out = np.empty(t_max + 1)
-    out[0] = 1.0
-    if t_max >= 1:
-        out[1] = 1.0
+    out = np.ones(t_max + 1)
     for t in range(1, t_max):
         out[t + 1] = out[t] + 1.0 / out[t]
     return out
@@ -142,13 +141,8 @@ class DualAccumulators:
 
     @classmethod
     def zeros(cls, instance: ProblemInstance) -> "DualAccumulators":
-        blocks = (instance.k, instance.k, instance.m)
-        return cls(
-            s_E=elements_first(np.zeros(blocks)),
-            s_x=np.zeros((instance.L, instance.N)),
-            E_avg=elements_first(np.zeros(blocks)),
-            x_avg=np.zeros((instance.L, instance.N)),
-        )
+        s_E = elements_first(np.zeros((instance.k, instance.k, instance.m)))
+        return cls(s_E=s_E, s_x=np.zeros((instance.L, instance.N)))
 
 
 @dataclass
@@ -157,16 +151,21 @@ class SigmaController:
 
     Runs one baseline window at sigma0, doubles while the monitored rate
     (relative decrease of the running gap bound over a window) improves,
-    and on the first degradation halves once and freezes.
+    and on the first degradation halves once and freezes; with a
+    ``budget`` of test steps, freezing over it fails the run.  The pending
+    window is its first gap and its step count so far.
     """
 
     sigma0: float
     window: int
+    budget: int | None = None
     v: int = 0
     sigma: float = field(init=False)
     phase: str = "baseline"  # baseline -> growing -> frozen
     prev_rate: float | None = None
     windows_used: int = 0
+    window_first: float = 0.0
+    window_steps: int = 0
 
     def __post_init__(self):
         if self.window < 10:
@@ -183,6 +182,21 @@ class SigmaController:
     def test_steps(self) -> int:
         return self.windows_used * self.window
 
+    def count_step(self) -> bool:
+        """Count one step; True when its gap is a sample (a window's first or last step)."""
+        if self.phase == "frozen":
+            return False
+        self.window_steps += 1
+        return self.window_steps == 1 or self.window_steps == self.window
+
+    def observe_gap(self, gap: float) -> float:
+        """Take the gap sample ``count_step`` asked for; return sigma."""
+        if self.window_steps == 1:
+            self.window_first = gap
+            return self.sigma
+        self.window_steps = 0
+        return self.observe_window((self.window_first, gap))
+
     def observe_window(self, gap_samples) -> float:
         """Consume one window of gap-bound samples; return the new sigma.
 
@@ -194,19 +208,20 @@ class SigmaController:
         first, last = float(gap_samples[0]), float(gap_samples[-1])
         rate = (first - last) / max(abs(first), 1e-300)
         self.windows_used += 1
-        if self.phase == "baseline":
+        if self.phase == "baseline" or rate > self.prev_rate:
             self.prev_rate = rate
             self.v += 1
             self.sigma = 2.0 * self.sigma
             self.phase = "growing"
-        elif rate > self.prev_rate:
-            self.prev_rate = rate
-            self.v += 1
-            self.sigma = 2.0 * self.sigma
         else:
             self.v -= 1
             self.sigma = 0.5 * self.sigma
             self.phase = "frozen"
+            if self.budget is not None and self.test_steps > self.budget:
+                raise NumericalFailure(
+                    f"sigma autotune used {self.test_steps} test steps, "
+                    f"over the budget {self.budget}"
+                )
         return self.sigma
 
 
@@ -280,7 +295,7 @@ def da_step(
 
     Returns ``(E_next, x_next, info)``, ``info`` holding ``alpha``, ``beta``
     and ``grad_norm``.  ``grads`` may carry precomputed subgradients whose
-    first two entries are g_E and g_x (``run_solver`` adds the penalty
+    first two entries are g_E and g_x (``step`` adds the penalty
     correction to g_E); without it the step calls ``subgradients`` with
     ``fallback_y``.  The four running sums are updated in place by
     ``daxpy`` on the flat views ``acc.flat``, and the two gap sums take
@@ -348,12 +363,6 @@ def averaged_primal(acc: DualAccumulators) -> MaterialState:
     if acc.sum_alpha <= 0:
         raise InvalidInstance("averaged_primal called before the first step")
     return MaterialState.from_dense(acc.E_avg / acc.sum_alpha)
-
-
-def averaged_dual(acc: DualAccumulators) -> DualState:
-    if acc.sum_alpha <= 0:
-        raise InvalidInstance("averaged_dual called before the first step")
-    return DualState.from_array(acc.x_avg / acc.sum_alpha)
 
 
 # -- solver loop -----------------------------------------------------------
@@ -448,154 +457,144 @@ class SolveResult:
     fallback_events: int
 
 
+@dataclass
+class LoopState:
+    """What one step maps to the next: the iterate, the dual sums, the step
+    weights and sigma (``schedule``), the controller, the flop ledger, the
+    unit representatives of loads outside R, and the last row's clock."""
+
+    E: np.ndarray
+    x: np.ndarray
+    acc: DualAccumulators
+    schedule: StepSchedule
+    controller: SigmaController | None
+    counter: FlopCounter
+    fallback_y: np.ndarray
+    fallback_events: int = 0
+    last_wall: int = 0
+
+    @classmethod
+    def start(cls, instance: ProblemInstance, config: SolverConfig, constants=None):
+        """The canonical starting point; ``constants`` may give the controller its budget."""
+        controller = None
+        if config.autotune_window:
+            budget = None  # the theorem's budget holds when sigma0 starts below the optimum
+            if constants is not None and config.sigma0 <= constants.sigma_opt:
+                budget = autotune_step_budget(
+                    constants.L_combined, constants.D, config.sigma0, config.autotune_window
+                )
+            controller = SigmaController(config.sigma0, config.autotune_window, budget)
+        return cls(
+            instance.start_material().dense(), instance.start_dual().vectors,
+            DualAccumulators.zeros(instance),
+            StepSchedule(config.scheme, config.tau, config.sigma0), controller,
+            FlopCounter(), np.zeros((instance.L, instance.N)), last_wall=time.perf_counter_ns(),
+        )
+
+
+def step(instance: ProblemInstance, config: SolverConfig, state: LoopState, flops: dict):
+    """One dual-averaging step from ``state``, which it advances.
+
+    A penalty step solves for the compliances of its own E and adds the
+    penalty correction to g_E; the ledger is charged per call from
+    ``flops`` (``diagnostics.flop_model``).  Returns ``(info, g_E, g_x,
+    gap)``: ``da_step``'s info, the step's subgradients, and its (kappa,
+    upsilon, gap) when the controller took a sample, else None.
+    """
+    E, x, counter = state.E, state.x, state.counter
+    g_E, g_x, quad, in_R, used_plain = subgradients(instance, E, x, state.fallback_y)
+    counter.add("grads", flops["grads"])
+    if config.mode == "penalty":
+        solved = penalty.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
+        counter.add("dense_assembly", flops["dense_assembly"])
+        counter.add("dense_solve", flops["dense_solve"])
+        g_E = g_E + penalty.penalty_grad_correction(instance, solved)
+    if used_plain:
+        state.fallback_events += 1
+        log.info("step %d: plain 2f selection used for a load outside R", state.schedule.t)
+    # unit-quadratic representatives for the set-valued branch: the
+    # pre-step iterate scaled by its own quadratic form (none when no load is in R)
+    state.fallback_y[in_R] = x[in_R] / np.sqrt(quad[in_R])[:, None]
+
+    state.E, state.x, info = da_step(instance, state.acc, state.schedule, E, x, grads=(g_E, g_x))
+    for key in ("x_update", "E_update", "averaging"):
+        counter.add(key, flops[key])
+
+    gap = None
+    if state.controller is not None and state.controller.count_step():
+        gap = diagnostics.gap_estimate(state.acc, instance)
+        state.schedule.sigma = state.controller.observe_gap(gap[2])
+    return info, g_E, g_x, gap
+
+
+def row(instance, config: SolverConfig, state: LoopState, constants, done) -> IterationRecord:
+    """The logged row after the step that returned ``done``.
+
+    It shares that step's gap estimate when there is one; in the simple
+    scheme its ``grad_norm`` comes from that step's subgradients.  A
+    non-finite objective, gap, alpha or sigma fails the run.
+    """
+    info, g_E, g_x, gap_parts = done
+    t, sigma = state.schedule.t, state.schedule.sigma
+    now = time.perf_counter_ns()
+    wall_ns = 0 if config.deterministic else now - state.last_wall
+    state.last_wall = now
+    if gap_parts is None:
+        gap_parts = diagnostics.gap_estimate(state.acc, instance)
+    kappa, upsilon, gap = gap_parts
+    grad_norm = info["grad_norm"]
+    if grad_norm is None:  # the simple scheme leaves it to the rows
+        grad_norm = grad_norm_star(g_E, g_x, state.schedule.tau)
+    bound = None
+    if constants is not None:  # plain mode reads no nu
+        nu = instance.nu if config.mode == "penalty" else 0.0
+        bound = diagnostics.theoretical_gap_bound(constants, t - 1, nu=nu)
+    objective = float(np.einsum("qkk->", state.E))
+    for name, value in (
+        ("objective", objective), ("gap", gap), ("alpha", info["alpha"]), ("sigma", sigma),
+    ):
+        if not math.isfinite(value):
+            raise NumericalFailure(f"step {t}: {name} is not finite ({value})")
+    feas_ok, _ = _quick_feasible(instance, state.E)
+    return IterationRecord(
+        t=t, alpha=info["alpha"], beta=info["beta"], sigma=sigma, objective=objective,
+        grad_norm=grad_norm, gap_kappa=kappa, gap_upsilon=upsilon, gap=gap,
+        theoretical_bound=bound, feasible=feas_ok,
+        x_in_ball=in_eta_ball(state.x, instance.eta), flops=state.counter.total,
+        wall_ns=wall_ns, E_ref=state.E,
+    )
+
+
 def run_solver(
-    instance: ProblemInstance,
-    config: SolverConfig,
-    sink=None,
-    constants=None,
+    instance: ProblemInstance, config: SolverConfig, sink=None, constants=None
 ) -> SolveResult:
     """Run the dual-averaging loop from the canonical starting point.
 
-    ``sink`` receives an IterationRecord every ``log_stride`` steps and at
-    the final step.  ``constants`` (a diagnostics.BoundConstants) enables
-    the theoretical-bound column, the one data-only bound of both schemes;
-    nu enters it only in penalty mode, the one mode that reads nu.  The
-    constants also arm the autotune budget: a controller that started at
-    or below ``constants.sigma_opt`` and freezes after more test steps
-    than ``autotune_step_budget`` allows fails the run.  Each penalty step
-    solves for the compliances of its own E (one dense assembly and solve
-    on the ledger) and adds the penalty correction to g_E; rows compute
-    none; ``check_penalty_input`` refuses penalty mode before the first
-    step.  The flop ledger ``counter`` is charged here, per call, from
-    ``diagnostics.flop_model``.
-
-    Per-step diagnostics are computed only where they are read.  With a
-    controller tuning sigma, ``diagnostics.gap_estimate`` runs at the first
-    and the last step of each window (the two samples
-    ``SigmaController.observe_window`` reads) and at logged rows, at most
-    once per step, a row sharing the estimate of its step; the pending
-    window is just its first gap and its step count.  In the simple scheme
-    the row's ``grad_norm`` is computed at the row, from the subgradients
-    of that step.
+    The loop advances one ``LoopState`` by ``step`` and, every
+    ``log_stride`` steps and at the final step, gives ``sink`` the
+    IterationRecord of ``row``.  ``constants`` (a
+    diagnostics.BoundConstants) enable the theoretical-bound column, the
+    one data-only bound of both schemes (nu enters it only in penalty
+    mode), and arm the controller's budget (``LoopState.start``).
+    ``check_penalty_input`` refuses penalty mode before the first step.
     """
     if config.tau is None or config.sigma0 is None:
         raise InvalidInstance("run_solver needs numeric tau and sigma0 (cli.run resolves auto)")
     check_penalty_input(instance, config)
 
-    E = instance.start_material().dense()
-    x = instance.start_dual().vectors
-    acc = DualAccumulators.zeros(instance)
-    controller = None
-    sigma = config.sigma0
-    if config.autotune_window:
-        controller = SigmaController(sigma0=config.sigma0, window=config.autotune_window)
-        sigma = controller.sigma
-    schedule = StepSchedule(scheme=config.scheme, tau=config.tau, sigma=sigma)
-    counter = FlopCounter()
     flops = diagnostics.flop_model(instance)
-    fallback_y = np.zeros((instance.L, instance.N))
-    fallback_events = 0
-    window_first, window_steps = 0.0, 0  # the pending window: first gap, steps so far
-
-    penalty_mode = config.mode == "penalty"
-    nu = instance.nu if penalty_mode else 0.0  # plain mode reads no nu
-
-    last_wall = time.perf_counter_ns()
-    for step in range(config.iterations):
-        g_E, g_x, quad, in_R, used_plain = subgradients(instance, E, x, fallback_y)
-        counter.add("grads", flops["grads"])
-        if penalty_mode:
-            state = penalty.compliance_solves(instance, E, dense_threshold=config.dense_threshold)
-            counter.add("dense_assembly", flops["dense_assembly"])
-            counter.add("dense_solve", flops["dense_solve"])
-            g_E = g_E + penalty.penalty_grad_correction(instance, state)
-        if used_plain:
-            fallback_events += 1
-            log.info("step %d: plain 2f selection used for a load outside R", step)
-        if in_R.any():
-            # unit-quadratic representatives for the set-valued branch:
-            # the pre-step iterate scaled by its own quadratic form
-            fallback_y[in_R] = x[in_R] / np.sqrt(quad[in_R])[:, None]
-
-        E, x, info = da_step(instance, acc, schedule, E, x, grads=(g_E, g_x))
-        for key in ("x_update", "E_update", "averaging"):
-            counter.add(key, flops[key])
-
-        gap_parts = None  # this step's (kappa, upsilon, gap), once computed
-        if controller is not None and not controller.frozen:
-            window_steps += 1
-            if window_steps == 1:
-                gap_parts = diagnostics.gap_estimate(acc, instance)
-                window_first = gap_parts[2]
-            elif window_steps == controller.window:
-                gap_parts = diagnostics.gap_estimate(acc, instance)
-                schedule.sigma = controller.observe_window((window_first, gap_parts[2]))
-                window_steps = 0
-                if controller.frozen and constants is not None:
-                    # theorem budget applies when sigma0 starts below the optimum
-                    if config.sigma0 <= constants.sigma_opt:
-                        budget = autotune_step_budget(
-                            constants.L_combined, constants.D, config.sigma0,
-                            controller.window,
-                        )
-                        if controller.test_steps > budget:
-                            raise NumericalFailure(
-                                f"sigma autotune used {controller.test_steps} test steps, "
-                                f"over the budget {budget}"
-                            )
-
-        t = step + 1
+    state = LoopState.start(instance, config, constants)
+    for t in range(1, config.iterations + 1):
+        done = step(instance, config, state, flops)
         if t % config.log_stride == 0 or t == config.iterations:
-            now = time.perf_counter_ns()
-            wall_ns = 0 if config.deterministic else now - last_wall
-            last_wall = now
-            if gap_parts is None:
-                gap_parts = diagnostics.gap_estimate(acc, instance)
-            kappa, upsilon, gap = gap_parts
-            grad_norm = info["grad_norm"]
-            if grad_norm is None:  # the simple scheme leaves it to the rows
-                grad_norm = grad_norm_star(g_E, g_x, config.tau)
-            bound = None
-            if constants is not None:
-                bound = diagnostics.theoretical_gap_bound(constants, t - 1, nu=nu)
-            objective = float(np.einsum("qkk->", E))
-            for name, value in (
-                ("objective", objective), ("gap", gap),
-                ("alpha", info["alpha"]), ("sigma", schedule.sigma),
-            ):
-                if not math.isfinite(value):
-                    raise NumericalFailure(f"step {t}: {name} is not finite ({value})")
-            feas_ok, _ = _quick_feasible(instance, E)
-            record = IterationRecord(
-                t=t,
-                alpha=info["alpha"],
-                beta=info["beta"],
-                sigma=schedule.sigma,
-                objective=objective,
-                grad_norm=grad_norm,
-                gap_kappa=kappa,
-                gap_upsilon=upsilon,
-                gap=gap,
-                theoretical_bound=bound,
-                feasible=feas_ok,
-                x_in_ball=in_eta_ball(x, instance.eta),
-                flops=counter.total,
-                wall_ns=wall_ns,
-                E_ref=E,
-            )
+            record = row(instance, config, state, constants, done)
             if sink is not None:
                 sink(record)
-
-    return SolveResult(
-        E_last=MaterialState.from_dense(E),
-        x_last=DualState.from_array(x),
-        E_avg=averaged_primal(acc),
-        x_avg=averaged_dual(acc),
-        acc=acc,
-        counter=counter,
-        sigma_final=schedule.sigma,
-        controller=controller,
-        fallback_events=fallback_events,
+    acc = state.acc
+    return SolveResult(  # averaged_primal checks sum_alpha > 0 for both averages
+        MaterialState.from_dense(state.E), DualState.from_array(state.x),
+        averaged_primal(acc), DualState.from_array(acc.x_avg / acc.sum_alpha), acc,
+        state.counter, state.schedule.sigma, state.controller, state.fallback_events,
     )
 
 

@@ -571,6 +571,23 @@ class TestMain:
         assert all(w.startswith("RuntimeWarning: overflow") for w in err.pop("warnings", []))
         assert err == {"error": message, "kind": "numerical"}
 
+    def test_overflowing_gram_matrix_exit_three(self, tmp_path):
+        # B scaled by 1e160: the entries of B^T B overflow, and inf times the
+        # zero entries of E = I puts NaN in the band of A(I)
+        spec = fem2d.MeshSpec(nx=6, ny=3, lx=6.0, ly=3.0)
+        inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 5.0, 10.0)
+        big = ProblemInstance(inst.cols_packed, inst.B_packed * 1e160, inst.loads, inst.rho_l,
+                              inst.rho_u, inst.r, inst.gamma, inst.eta)
+        fem2d.write_instance(big, tmp_path / "big.fmo")
+        # one JSON line on stderr (run_fmopt checks it): no traceback
+        rc, err = run_fmopt(tmp_path, "--instance", str(tmp_path / "big.fmo"), "--iters", "2")
+        assert rc == 3
+        assert all(w.startswith("RuntimeWarning:") for w in err.pop("warnings", []))
+        assert err == {
+            "error": "B^T B is not finite: the strain operator overflows its Gram matrix",
+            "kind": "numerical",
+        }
+
     @pytest.mark.parametrize("code", [0, 2, 3, None])
     def test_warnings_shown_or_folded_by_exit_code(self, tmp_path, capsys, monkeypatch, code):
         # in-process, so pytest's filterwarnings = error applies: the test

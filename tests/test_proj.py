@@ -25,6 +25,12 @@ from fmopt.proj import (
 )
 
 
+def projected_spectra(lam, beta_tau, rho_l, rho_u, r):
+    """The projected spectra (n, k) of r*I - s/bt from the ascending eigenvalues ``lam`` of s."""
+    mu = (r - lam / beta_tau).T  # (k, n), descending
+    return np.maximum(mu + proj._trace_shift(mu, rho_l, rho_u, r)[2], r).T
+
+
 def ls_objective(z, b):
     return float(np.sum((np.asarray(z) - np.asarray(b)) ** 2))
 
@@ -654,7 +660,7 @@ class TestClosedForm3x3:
                         np.abs(got - want).max(axis=(0, 1)), 1e-13 * size
                     )
                     lam = np.linalg.eigvalsh(np.moveaxis(s, -1, 0))
-                    omega = proj._project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
+                    omega = projected_spectra(lam, beta_tau, rho_l, rho_u, r)
                     clipped.update(np.sum(omega <= r, axis=1).tolist())
                     if scale == 1.0 and beta_tau == bt:
                         for i in range(0, n, 9):
@@ -719,7 +725,7 @@ class TestClosedForm3x3:
             size = np.abs(s).max() / beta_tau + hi
             assert np.abs(got - want).max() <= 1e-13 * size, (end, c)
             lam = np.linalg.eigvalsh(np.moveaxis(s, -1, 0))
-            omega = proj._project_spectra(r - lam / beta_tau, rho_l, rho_u, r)
+            omega = projected_spectra(lam, beta_tau, rho_l, rho_u, r)
             assert np.all(np.sum(omega <= r, axis=1) == c), (end, c)
             for i in range(n):
                 ref = spectral_kkt_reference(r * np.eye(3) - s[:, :, i] / beta_tau, lo, hi, r)
@@ -799,7 +805,7 @@ class TestClosedForm3x3:
         out[np.arange(k), np.arange(k)] += r + shift
         scan = np.flatnonzero(~(mean + spread <= shift * bt))
         lam, Q = np.linalg.eigh(blocks[scan])
-        omega = proj._project_spectra(r - lam / bt, rho_l[scan], rho_u[scan], r)
+        omega = projected_spectra(lam, bt, rho_l[scan], rho_u[scan], r)
         Q = np.ascontiguousarray(np.moveaxis(Q, 0, -1))
         solved = np.einsum("ijq,kjq->ikq", Q * omega.T, Q)
         out[:, :, scan] = 0.5 * (solved + solved.transpose(1, 0, 2))

@@ -339,6 +339,30 @@ class TestSigmaController:
             assert (noisy.sigma, noisy.phase, noisy.v) == (plain.sigma, plain.phase, plain.v)
         assert plain.frozen and plain.windows_used == noisy.windows_used == 4
 
+    def test_pending_window_samples_its_first_and_last_step(self):
+        gaps = 1.0 / np.sqrt(np.arange(1.0, 41.0))  # each window's rate below the last
+        ctl, ref = SigmaController(sigma0=1.0, window=10), SigmaController(sigma0=1.0, window=10)
+        sampled = []
+        for step, gap in enumerate(gaps, start=1):
+            if ctl.count_step():
+                sampled.append(step)
+                ctl.observe_gap(gap)
+        ref.observe_window(gaps[:10])
+        ref.observe_window(gaps[10:20])
+        assert sampled == [1, 10, 11, 20]
+        assert ctl.frozen and ctl.window_steps == 0
+        assert dataclasses.replace(ref, window_first=ctl.window_first) == ctl
+
+    def test_budget_checked_when_it_freezes(self):
+        within = SigmaController(sigma0=1.0, window=10, budget=20)
+        over = SigmaController(sigma0=1.0, window=10, budget=10)
+        for ctl in (within, over):
+            ctl.observe_window((1.0, 0.8))  # the baseline: over a budget of 10, still growing
+        within.observe_window((1.0, 0.9))
+        assert within.frozen and within.test_steps == 20
+        with pytest.raises(NumericalFailure, match="used 20 test steps, over the budget 10"):
+            over.observe_window((1.0, 0.9))
+
     def test_window_minimum_enforced(self):
         with pytest.raises(InvalidInstance):
             SigmaController(sigma0=1.0, window=5)
@@ -531,6 +555,22 @@ class TestRunSolver:
         cfg = SolverConfig(iterations=20, log_stride=10)
         with pytest.raises(NumericalFailure, match="step 10: gap is not finite"):
             run_solver(small_mesh_instance, cfg)
+
+    @pytest.mark.parametrize("extra, nu", [
+        ({"scheme": "weighted", "autotune_window": 10}, 0.0),
+        ({"mode": "penalty"}, 10.0),
+    ], ids=["weighted-autotune", "simple-penalty"])
+    def test_kept_record_keeps_its_iterate(self, extra, nu):
+        # a sink may hold records past the run: each E_ref is still the
+        # iterate of its t, bit for bit, after the steps that followed it
+        spec = fem2d.MeshSpec(nx=4, ny=2, lx=4.0, ly=2.0)
+        inst = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 0.4, 8.0, nu)
+        records = []
+        run_solver(inst, SolverConfig(iterations=60, log_stride=10, **extra), records.append)
+        assert [rec.t for rec in records] == [10, 20, 30, 40, 50, 60]
+        for rec in records:
+            stopped = run_solver(inst, SolverConfig(iterations=rec.t, log_stride=rec.t, **extra))
+            assert np.array_equal(rec.E_ref, stopped.E_last.dense()), rec.t
 
 
 @st.composite
