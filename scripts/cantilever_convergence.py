@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from fmopt import cli, fem2d, saddle
+from fmopt.model import compliances
 
 
 def main() -> int:
@@ -24,7 +25,7 @@ def main() -> int:
         loads=(fem2d.LoadSpec("bottom_right", (0.0, -1.0)),),
     )
     probe = fem2d.build_instance(spec, 0.3, 3.0, 0.05, 1.0, 20.0)
-    c0 = float(np.max(fem2d.reference_compliance(probe, probe.start_material())))
+    c0 = float(np.max(compliances(probe, probe.start_material().dense())))
     instance = probe.with_params(gamma=4.0 * c0)
     fem2d.write_instance(instance, outdir / "cantilever.fmo")
 

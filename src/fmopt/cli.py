@@ -26,9 +26,9 @@ from .model import (
     DENSE_THRESHOLD,
     FmoError,
     InvalidInstance,
-    MaterialState,
     NumericalFailure,
     ProblemInstance,
+    compliances,
     feasible_E,
 )
 
@@ -67,8 +67,9 @@ def run(config: saddle.SolverConfig, instance: ProblemInstance, out_prefix: str)
 
         def sink(rec: saddle.IterationRecord):
             nonlocal best_feasible_obj, final_violation
-            comp = fem2d.reference_compliance(instance, MaterialState.from_dense(rec.E_ref))
-            lit, pos = final_violation = penalty.violation_sums(instance, comp)
+            lit, pos = final_violation = penalty.violation_sums(
+                instance, compliances(instance, rec.E_ref)
+            )
             if rec.feasible and pos <= 0.0:
                 obj = rec.objective
                 if best_feasible_obj is None or obj < best_feasible_obj:
@@ -217,7 +218,11 @@ def _parse_loads(tokens):
 
 def _instance_from_args(args) -> ProblemInstance:
     if args.instance:
-        return fem2d.read_instance(args.instance).with_params(eta=args.eta, nu=args.nu)
+        if args.mesh:
+            raise InvalidInstance("give --instance or --mesh, not both")
+        return fem2d.read_instance(args.instance).with_params(
+            gamma=args.gamma, eta=args.eta, nu=args.nu
+        )
     if not args.mesh:
         raise InvalidInstance("provide --instance or --mesh")
     nx, _, ny = args.mesh.partition("x")
@@ -236,7 +241,7 @@ def _instance_from_args(args) -> ProblemInstance:
     gamma = 1.0 if args.gamma is None else args.gamma
     inst = fem2d.build_instance(spec, args.rho_l, args.rho_u, args.r, gamma, eta, nu)
     if args.gamma is None:  # probe at gamma = 1; the variant shares what B determines
-        c0 = float(np.max(fem2d.reference_compliance(inst, inst.start_material())))
+        c0 = float(np.max(compliances(inst, inst.start_material().dense())))
         if c0 == 0.0:
             raise InvalidInstance(
                 "zero load: the start compliance is 0, so the default gamma (twice it) "

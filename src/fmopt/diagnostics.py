@@ -16,14 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import penalty, proj
+from . import proj
 from .model import (
     DENSE_THRESHOLD,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
     apply_A,
+    assemble_band,
+    assemble_dense,
+    band_cholesky,
     check_dense_size,
+    compliances,
     elements_last,
 )
 
@@ -119,8 +123,8 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     The squared singular values of the (m*nig*k) x N stacked strain operator
     are the eigenvalues of its N x N Gram matrix A(I) = B^T B.  A(I) is
     assembled as a band in reverse Cuthill-McKee order
-    (``penalty.assemble_band``), copied once into a sparse matrix, and
-    factored in place (``penalty.band_cholesky``).  When the factorization
+    (``model.assemble_band``), copied once into a sparse matrix, and
+    factored in place (``model.band_cholesky``).  When the factorization
     succeeds, ARPACK Lanczos gives lambda_max on the sparse copy and
     lambda_min = 1/mu, with mu the largest eigenvalue of A(I)^{-1} applied
     by band solves; both start from the ones vector, so repeated calls
@@ -139,14 +143,14 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
     rows = m * instance.nig * k
     zero = max(rows, N) * np.finfo(float).eps
     identity = np.broadcast_to(np.eye(k), (m, k, k))
-    band = penalty.assemble_band(instance, identity)[1]
+    band = assemble_band(instance, identity)[1]
     if not np.isfinite(band).all():  # dpbtrf passes NaN through, and ARPACK fails on it
         raise NumericalFailure("B^T B is not finite: the strain operator overflows its Gram matrix")
     # the sparse A(I) is the one copy of the band: the factorization overwrites it
     lower = dia_array((band, -np.arange(band.shape[0])), shape=(N, N))
     gram = (lower + lower.T).tocsr()
     gram.setdiag(band[0])
-    factor = penalty.band_cholesky(band)
+    factor = band_cholesky(band)
     if factor is not None and N > 1:  # ARPACK needs N >= 2
         inverse = LinearOperator(
             (N, N),
@@ -159,7 +163,7 @@ def smallest_nonzero_singular_sq(instance: ProblemInstance, dense_threshold: int
             return lam_min, False, math.sqrt(lam_max)
     check_dense_size(instance, "rank-deficient bound data (the B^T B spectrum)", dense_threshold)
     # eigvalsh reads only the lower triangle that assemble_dense fills
-    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, identity)[0])
+    lam = np.linalg.eigvalsh(assemble_dense(instance, identity)[0])
     if not lam[-1] > 0.0:
         raise NumericalFailure("strain operator is identically zero")
     nonzero = lam[lam > zero * lam[-1]]
@@ -351,7 +355,7 @@ def approximation_certificate(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x_norms = np.linalg.norm(x, axis=1)
-    comp = penalty.compliances(instance, E.dense())
+    comp = compliances(instance, E.dense())
     violated = np.flatnonzero(comp > instance.gamma)
     lhs = float(
         np.sum(np.sqrt(comp[violated]) - math.sqrt(instance.gamma))

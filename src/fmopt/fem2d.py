@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import penalty
 from .model import (
     InvalidInstance,
     MaterialState,
     NumericalFailure,
     ProblemInstance,
+    compliances,
     elements_first,
     elements_last,
 )
@@ -196,8 +196,8 @@ def build_instance(spec: MeshSpec, rho_l, rho_u, r, gamma, eta, nu=0.0) -> Probl
 
 
 def reference_compliance(instance: ProblemInstance, E: MaterialState):
-    """Per-load compliances <A(E)^{-1} f_j, f_j> (banded Cholesky, any size)."""
-    return penalty.compliances(instance, E.dense())
+    """``model.compliances`` of a ``MaterialState``; kept for perfbench until ROADMAP item 6."""
+    return compliances(instance, E.dense())
 
 
 # -- file formats ---------------------------------------------------------

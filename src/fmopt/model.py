@@ -1,11 +1,14 @@
-"""Core state containers and the matrix-free stiffness operator.
+"""Core state containers and the stiffness operator, applied and assembled.
 
 A design is a list of m symmetric k-by-k material blocks; the stiffness
-operator A(E) = sum_i sum_l B_{i,l}^T E_i B_{i,l} is never materialized
-here, it is applied through the per-element operators B_{i,l}, stored
-packed on their column supports in ``ProblemInstance``.  ``apply_B`` and
-its adjoint ``apply_Bt`` are the one element kernel every sweep in the
-package goes through.
+operator A(E) = sum_i sum_l B_{i,l}^T E_i B_{i,l} is applied matrix-free
+in the loop, through the per-element operators B_{i,l}, stored packed on
+their column supports in ``ProblemInstance``.  ``apply_B`` and its adjoint
+``apply_Bt`` are the one element kernel every sweep in the package goes
+through.  A(E) is assembled only for compliances: as an RCM band
+(``compliances``) at any N, or as a dense lower triangle
+(``assemble_dense``) for the penalty step, both through the entry layout
+the instance keeps.
 
 Per-element arrays are stored with the element axis last and contiguous:
 the operators as (nig, k, n_loc, m), material blocks and the dual sums as
@@ -36,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 FEAS_TOL = 1e-9  # eigenvalue/trace slack after a double-precision projection
 QUAD_CLAMP = 1e-9  # quad form more negative than this signals corrupted state
@@ -254,13 +258,13 @@ class ProblemInstance:
     None when no operator covers ``SHARED_SHARE`` of the elements.
     ``scatter_index`` is the flat ``bincount`` index of ``apply_Bt`` for L
     rows (``scatter_index(L, N, cols)``), built once.  ``entry_layout`` is
-    the one layout of A(E)'s entries (``penalty.entry_layout``),
-    ``band_layout`` the RCM order and band index derived from it, and
-    ``stiffness_map`` the map from a shared element's E to its packed
-    stiffness, each built on first use.  ``B``, ``cols``, the storage they
-    view, ``shared``, ``scatter_index`` and the layouts are read-only, so
-    none of them can go stale.  ``with_params`` derives an instance with
-    other gamma, eta or nu that shares all of them.
+    the one layout of A(E)'s entries, ``band_layout`` the RCM order and
+    band index derived from it, and ``stiffness_map`` the map from a
+    shared element's E to its packed stiffness, each built on first use.
+    ``B``, ``cols``, the storage they view, ``shared``, ``scatter_index``
+    and the layouts are read-only, so none of them can go stale.
+    ``with_params`` derives an instance with other gamma, eta or nu that
+    shares all of them.
 
     Parameters
     ----------
@@ -388,24 +392,74 @@ class ProblemInstance:
 
     @functools.cached_property
     def stiffness_map(self) -> np.ndarray | None:
-        """``penalty.stiffness_map(self)``, built on first use and kept."""
-        from . import penalty
+        """The linear map from a shared-operator element's E to its packed stiffness.
 
-        return penalty.stiffness_map(self)
+        For an element on ``shared``, with B_l the (k, n_loc) rows of
+        integration point l, ke[a, b] = sum_cd M[(a, b), (c, d)] E[c, d] with
+        M[(a, b), (c, d)] = sum_l B_l[c, a] B_l[d, b].  The rows of M for
+        a <= b in packed order, (n_loc (n_loc + 1) / 2, k^2), or None
+        without a shared operator.  Read-only, built on first use and kept.
+        """
+        if self.shared is None:
+            return None
+        nig, k, n_loc = self.nig, self.k, self.n_loc
+        B = self.shared.B.reshape(nig, k, n_loc)
+        a, b = np.triu_indices(n_loc)
+        upper = np.einsum("lca,ldb->abcd", B, B)[a, b].reshape(a.size, k * k)
+        upper.flags.writeable = False
+        return upper
 
     @functools.cached_property
     def entry_layout(self) -> tuple:
-        """``penalty.entry_layout(self)``, built on first use and kept."""
-        from . import penalty
+        """Which entry of A(E) each element-stiffness entry adds to.
 
-        return penalty.entry_layout(self)
+        ``(entry, position, pick, rows, cols)``.  ``position`` lists the
+        sorted flat positions row + col * N (row >= col, Fortran order) of
+        the distinct entries; ``entry`` maps each packed entry of
+        ``element_stiffness``, in its ``ravel()`` order, to its position's
+        index (``position.size``, a dropped bin, on a padded column), so
+        ``bincount(entry, ke.ravel())`` sums each entry in element order.
+        ``rows`` and ``cols`` list A(E)'s symmetric pattern and ``pick`` the
+        sum each holds: row sums of |A| are ``bincount(rows, |sums|[pick])``.
+        Read-only, built on first use and kept.
+        """
+        entry, position = _distinct_entries(self)
+        col, row = np.divmod(position, self.N)
+        off = np.flatnonzero(row != col)
+        pick = np.concatenate([np.arange(position.size), off])
+        rows, cols = np.concatenate([row, col[off]]), np.concatenate([col, row[off]])
+        layout = (entry, position, pick, rows, cols)
+        for array in layout:
+            array.flags.writeable = False
+        return layout
 
     @functools.cached_property
     def band_layout(self) -> tuple:
-        """``penalty.band_layout(self)``, built on first use and kept."""
-        from . import penalty
+        """Reverse Cuthill-McKee order of the DOFs and the band index of every element entry.
 
-        return penalty.band_layout(self)
+        ``(perm, band_idx, bw)``: ``perm`` is the RCM order of the graph of
+        ``entry_layout``'s pattern, ``bw`` the bandwidth in it, and
+        ``band_idx`` composes ``entry`` with each distinct entry's flat
+        position in (bw + 1, N) LAPACK lower band storage, Fortran-ordered;
+        a padded column goes to (bw + 1) N, a dropped bin.  Read-only,
+        built on first use and kept.
+        """
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        N = self.N
+        entry, position, _, rows, cols = self.entry_layout
+        graph = csr_array((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(N, N))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        pos = np.argsort(perm)  # each DOF's place in RCM order
+        first, second = pos[rows[:position.size]], pos[cols[:position.size]]
+        diag = np.abs(first - second)
+        bw = int(diag.max(initial=0))
+        band_pos = np.append(diag + np.minimum(first, second) * (bw + 1), (bw + 1) * N)
+        band_idx = band_pos[entry]
+        for array in (perm, band_idx):
+            array.flags.writeable = False
+        return perm, band_idx, bw
 
     # -- starting point ----------------------------------------------------
 
@@ -600,3 +654,139 @@ def apply_A(instance: ProblemInstance, E: MaterialState, v):
     v = _check_vector(instance, v)
     EW = element_products(E.dense(), apply_B(instance, v[None]))
     return apply_Bt(instance, EW)[0]
+
+
+# -- the assembled stiffness A(E), for compliances ---------------------------
+
+
+def element_stiffness(instance: ProblemInstance, E_dense):
+    """Per-element stiffnesses sum_l B_{i,l}^T E_i B_{i,l} as packed upper triangles.
+
+    Shape (m, n_loc (n_loc + 1) / 2), entry (a, b) with a <= b row-major
+    over the upper triangle, the order of ``np.triu_indices(n_loc)``; a
+    view of (n_loc (n_loc + 1) / 2, m) storage.  The elements on the
+    instance's shared operator go through one matmul of
+    ``instance.stiffness_map`` with their E entries, the rest through the
+    einsums of ``_stiffness_einsum``.
+    """
+    E = elements_last(E_dense)
+    shared = instance.shared
+    if shared is None:
+        return elements_first(_stiffness_einsum(instance.B, E))
+    ke = np.matmul(instance.stiffness_map, E.reshape(instance.k**2, instance.m))
+    if shared.others.size:
+        ke[:, shared.others] = _stiffness_einsum(shared.B_others, E[..., shared.others])
+    return elements_first(ke)
+
+
+def _stiffness_einsum(B, E):
+    """Packed (n_loc (n_loc + 1) / 2, m) stiffnesses of element-last ``B`` and blocks ``E``.
+
+    Einsums along the elements, one row of the upper triangle at a time.
+    """
+    nig, k, n_loc, m = B.shape
+    EB = np.einsum("cdq,ldbq->lcbq", E, B).reshape(nig * k, n_loc, m)
+    B = B.reshape(nig * k, n_loc, m)
+    return np.concatenate([np.einsum("xq,xbq->bq", B[:, a], EB[:, a:]) for a in range(n_loc)])
+
+
+def _distinct_entries(instance: ProblemInstance):
+    """``entry`` and ``position`` of ``ProblemInstance.entry_layout``, by one sort.
+
+    Each flat position carries its entry's index in the low bits, so
+    ``np.sort`` orders both (an argsort is slower; np.unique imports numpy.ma).
+    A function of its own, so that its arrays are freed before the pattern's
+    are allocated: the first band then fits in the heap the sort used.
+    """
+    N = instance.N
+    a, b = np.triu_indices(instance.n_loc)
+    dofs = instance.cols_packed.astype(np.int64, copy=False)  # (m, n_loc)
+    real = np.any(instance.B_packed != 0.0, axis=(1, 2))
+    first, second = dofs[:, a], dofs[:, b]
+    flat = np.maximum(first, second) + np.minimum(first, second) * N
+    flat[~(real[:, a] & real[:, b])] = N * N  # padding: a bin past every position
+    shift = flat.size.bit_length()
+    if N * N >> (62 - shift):
+        raise InvalidInstance(f"N = {N} with {flat.size} stiffness entries is too large to lay out")
+    key = np.sort(flat.ravel() << shift | np.arange(flat.size))
+    ordered = key >> shift
+    new = ordered != np.append(-1, ordered[:-1])  # the first entry of each position
+    entry = np.empty(key.size, dtype=np.int64)
+    entry[key & ((1 << shift) - 1)] = np.cumsum(new) - 1
+    position = ordered[new]
+    return entry, position[position < N * N]  # without the padding's bin
+
+
+def assemble_dense(instance: ProblemInstance, E_dense, dtype=np.float64):
+    """A(E)'s lower triangle in ``dtype``, in the Fortran-ordered N x N storage LAPACK factors.
+
+    Returns ``(A, norm)``: the element stiffnesses are summed in double
+    per entry of ``instance.entry_layout`` and scattered once into a zeroed
+    N x N array ``A`` (its strict upper triangle stays zero; ``spotrf``,
+    ``dpotrf`` and ``eigvalsh`` read only the lower one); ``norm`` is
+    ||A(E)||_inf of the double sums.  ``A`` is None when a sum is outside
+    ``dtype``'s range.
+    """
+    N = instance.N
+    entry, position, pick, rows, _ = instance.entry_layout
+    ke = element_stiffness(instance, E_dense).ravel()  # element-major copy
+    sums = np.bincount(entry, weights=ke, minlength=position.size + 1)[:-1]
+    norm = np.bincount(rows, weights=np.abs(sums)[pick], minlength=N).max()
+    if not norm < np.finfo(dtype).max:  # NaN fails too
+        return None, norm
+    A = np.zeros(N * N, dtype=dtype)
+    A[position] = sums
+    return A.reshape(N, N, order="F"), norm
+
+
+def singular_stiffness(lam_min) -> NumericalFailure:
+    """The error of a failed Cholesky factorization of A(E), of smallest eigenvalue ``lam_min``."""
+    return NumericalFailure(
+        "stiffness singular - check boundary conditions and the eigenvalue floor r "
+        f"(lambda_min ~ {float(lam_min):.3e})"
+    )
+
+
+def assemble_band(instance: ProblemInstance, E_dense):
+    """A(E) in reverse Cuthill-McKee order as a lower band, in the storage ``dpbtrf`` factors.
+
+    Returns ``(perm, band)``: ``band`` is the (bw + 1, N) lower band
+    storage of A(E)[perm][:, perm], Fortran-ordered, summed in element
+    order by one bincount through ``instance.band_layout``; no N x N
+    array is formed, so no size gate applies.
+    """
+    perm, band_idx, bw = instance.band_layout
+    size = (bw + 1) * instance.N
+    ke = element_stiffness(instance, E_dense).ravel()  # element-major copy
+    band = np.bincount(band_idx, weights=ke, minlength=size + 1)[:size]
+    return perm, band.reshape(bw + 1, instance.N, order="F")
+
+
+def band_cholesky(band):
+    """Lower Cholesky factor of an ``assemble_band`` band, computed in place.
+
+    In RCM order A(E) of a mesh is banded, so LAPACK's band factorization
+    costs about N bw^2 flops instead of N^3 / 3.  ``band`` is
+    Fortran-ordered, so ``dpbtrf`` overwrites it with the factor and copies
+    nothing.  Returns the factor (the same memory), or None when A(E) is
+    not numerically positive definite; the band is destroyed either way,
+    so a caller that still needs A(E) copies it first.
+    """
+    factor, info = scipy.linalg.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    return None if info > 0 else factor
+
+
+def compliances(instance: ProblemInstance, E_dense) -> np.ndarray:
+    """Per-load compliances <A(E)^{-1} f_j, f_j> by a banded Cholesky of A(E)."""
+    perm, band = assemble_band(instance, E_dense)
+    factor = band_cholesky(band)
+    if factor is None:  # the factorization overwrote the band: rebuild it for lambda_min
+        band = assemble_band(instance, E_dense)[1]
+        raise singular_stiffness(
+            scipy.linalg.eigvals_banded(
+                band, lower=True, select="i", select_range=(0, 0), check_finite=False
+            )[0]
+        )
+    loads = instance.loads[:, perm]
+    sol, _ = scipy.linalg.lapack.dpbtrs(factor, loads.T, lower=1)
+    return np.einsum("nj,jn->j", sol, loads)

@@ -334,7 +334,7 @@ def test_criterion_9_figure_one_shape(cantilever_run):
         assert poss[-1] <= 0.10 * peak
         # production feasibility flag (the CLI's banded solve) vs the independent dense LU oracle
         tol = 1e-9 * max(1.0, inst.gamma)
-        comp = penalty.compliances(inst, res.E_last.dense())
+        comp = model.compliances(inst, res.E_last.dense())
         in_Q, _ = feasible_E(inst, res.E_last)
         flag_prod = bool(in_Q and float(np.maximum(comp - inst.gamma, 0.0).sum()) <= tol)
         comp_oracle = compliances_reference(inst, res.E_last.dense())

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 from fmopt import cli, diagnostics, fem2d, model, penalty, saddle
 from fmopt.cli import run
@@ -24,7 +25,7 @@ def assert_reports_lambda_min(message, instance):
     """The lambda_min in a "stiffness singular" message is that of A(E), rebuilt after the
     in-place factorization; A(E) of these instances is singular at every E."""
     reported = float(message.rsplit("lambda_min ~ ", 1)[1].rstrip(")"))
-    lam = np.linalg.eigvalsh(penalty.assemble_dense(instance, instance.start_material().dense())[0])
+    lam = np.linalg.eigvalsh(model.assemble_dense(instance, instance.start_material().dense())[0])
     assert reported == pytest.approx(lam[0], abs=1e-12 * max(lam[-1], 1.0))
 
 
@@ -146,6 +147,39 @@ class TestMain:
         ])
         assert rc == 0
         assert [inst.eta for inst in seen] == [2.5]
+
+    def test_gamma_override_reaches_solver(self, tmp_path, instance_file, monkeypatch):
+        # without --gamma a loaded instance keeps its own cap
+        seen = []
+        solve = saddle.run_solver
+
+        def capture(instance, *args):
+            seen.append(instance)
+            return solve(instance, *args)
+
+        monkeypatch.setattr(saddle, "run_solver", capture)
+        for extra in ([], ["--gamma", "123"]):
+            rc = cli.main([
+                "--instance", str(instance_file), *extra, "--iters", "3", "--stride", "3",
+                "--out", str(tmp_path / "r"),
+            ])
+            assert rc == 0
+        assert [inst.gamma for inst in seen] == [fem2d.read_instance(instance_file).gamma, 123.0]
+
+    def test_instance_with_mesh_exit_two(self, tmp_path, instance_file, capsys, monkeypatch):
+        def unread(path):
+            raise AssertionError("the instance file was opened")
+
+        monkeypatch.setattr(fem2d, "read_instance", unread)
+        rc = cli.main([
+            "--instance", str(instance_file), "--mesh", "2x1", "--iters", "3",
+            "--out", str(tmp_path / "b"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["kind"] == "input" and "--mesh" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("b*"))
 
     @pytest.mark.parametrize("scheme", ["simple", "weighted"])
     def test_auto_sigma_for_fixed_tau(self, tmp_path, capsys, monkeypatch, scheme):
@@ -283,12 +317,18 @@ class TestMain:
         # --gamma the default-gamma probe builds it, and the run's instance is
         # a variant of the probe that keeps it and the shared operator
         built = {"band_layout": [], "find_shared_operator": []}
-        for module, name in ((penalty, "band_layout"), (model, "find_shared_operator")):
-            def counted(arg, _name=name, _fn=getattr(module, name)):
-                built[_name].append(arg.N if _name == "band_layout" else arg.shape[-1])
-                return _fn(arg)
+        rcm = scipy.sparse.csgraph.reverse_cuthill_mckee  # one call per band layout built
 
-            monkeypatch.setattr(module, name, counted)
+        def ordered(graph, *args, **kwargs):
+            built["band_layout"].append(graph.shape[0])
+            return rcm(graph, *args, **kwargs)
+
+        def shared(B, _fn=model.find_shared_operator):
+            built["find_shared_operator"].append(B.shape[-1])
+            return _fn(B)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", ordered)
+        monkeypatch.setattr(model, "find_shared_operator", shared)
         mesh = [
             "--mesh", "32x16", "--load", "right_edge:0,-1", "--load", "top_right:0.5,-1",
             "--load", "bottom_right:-0.5,-1",
@@ -318,14 +358,14 @@ class TestMain:
         # the final step is a logged row at E_last, so the report's final
         # violation is that row's and costs no solve of its own; --gamma
         # keeps the default-gamma probe from solving
-        solve = fem2d.reference_compliance
+        solve = cli.compliances
         calls = []
 
         def counted(instance, E):
             calls.append(E)
             return solve(instance, E)
 
-        monkeypatch.setattr(fem2d, "reference_compliance", counted)
+        monkeypatch.setattr(cli, "compliances", counted)
         rc = cli.main(["--mesh", "4x2", "--gamma", "5", "--iters", "25", "--stride", "10",
                        "--save-instance", str(tmp_path / "i.fmo"), "--out", str(tmp_path / "c")])
         assert rc == 0
@@ -338,7 +378,7 @@ class TestMain:
         assert final == (float(last[4]), float(last[5]))
         inst = fem2d.read_instance(tmp_path / "i.fmo")
         E_last = fem2d.read_state(tmp_path / "c_state.txt")
-        assert final == penalty.violation_sums(inst, solve(inst, E_last))
+        assert final == penalty.violation_sums(inst, solve(inst, E_last.dense()))
 
     def test_bad_input_exit_two(self, tmp_path, capsys):
         for source in (tmp_path / "missing.fmo", tmp_path):  # a missing file, a directory
@@ -425,7 +465,7 @@ class TestMain:
         )
         for singular in (inst, zero_B):
             E = singular.start_material().dense()
-            for solve in (penalty.compliances, penalty.compliance_solves):  # banded, dense
+            for solve in (model.compliances, penalty.compliance_solves):  # banded, dense
                 with pytest.raises(NumericalFailure, match="stiffness singular") as failure:
                     solve(singular, E)
                 assert_reports_lambda_min(str(failure.value), singular)
@@ -441,6 +481,17 @@ class TestMain:
         assert "stiffness singular" in err["error"]
         assert_reports_lambda_min(err["error"], inst)
         assert len((tmp_path / "u.csv").read_text().splitlines()) == 1  # header only
+
+    def test_negligible_floor_fails_only_where_a_step_factors(self, tmp_path, capsys):
+        # r = 1e-38 meets every invariant (0 < k r <= rho_l <= rho_u), so the
+        # data are not refused; penalty iterates that reach the floor make
+        # A(E) singular in floating point (exit 3), while the plain run exits 0
+        flags = ["--mesh", "4x2", "--nu", "10", "--r", "1e-38", "--iters", "20", "--stride", "10"]
+        rc, err = run_fmopt(tmp_path, *flags, "--mode", "penalty")
+        assert rc == 3 and err["kind"] == "numerical"
+        assert err["error"].startswith("stiffness singular")
+        assert "eigenvalue floor r" in err["error"] and "lambda_min ~ " in err["error"]
+        assert cli.main([*flags, "--mode", "plain", "--out", str(tmp_path / "p")]) == 0
 
     def test_default_gamma_probe_above_dense_gate(self, tmp_path, capsys):
         # N = 4032: the default gamma comes from a compliance probe over the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_instance, random_feasible_blocks
-from fmopt import diagnostics, fem2d, model, penalty, saddle
+from fmopt import diagnostics, fem2d, model, saddle
 from fmopt.diagnostics import (
     compute_constants,
     gap_bound_prefactor,
@@ -125,7 +125,7 @@ class TestSingularSq:
         inst = ProblemInstance(np.arange(6)[None], stacked.reshape(1, 4, 3, 6),
                                rng.normal(size=(1, 6)), 0.4, 2.5, 0.1, 4.0, 6.0)
         identity = np.eye(3)[None]
-        assert penalty.band_cholesky(penalty.assemble_band(inst, identity)[1]) is not None
+        assert model.band_cholesky(model.assemble_band(inst, identity)[1]) is not None
         assert self.assert_matches_svd(inst)
         got = diagnostics.smallest_nonzero_singular_sq(inst)
         gram_eigs = np.linalg.eigvalsh(dense_stiffness_reference(inst, identity))
